@@ -41,6 +41,10 @@ from .tangent import (
 from .templates import miniversal_template, template_ascii, template_to_json_doc
 
 
+# design envelope: matrices up to 12 x 12 (graphs have their own bound)
+MAX_MATRIX_N = 12
+
+
 class _UsageError(Exception):
     pass
 
@@ -90,10 +94,15 @@ def _load_matrix(path: str) -> np.ndarray:
         raise _UsageError(f"cannot read matrix file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"matrix file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "rows" not in doc:
-        raise _UsageError(f"matrix file {path} needs an object with a 'rows' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
+        raise _UsageError(f"matrix file {path} needs an object with a 'rows' list")
     rows = doc["rows"]
     n = doc.get("n", len(rows))
+    if len(rows) > MAX_MATRIX_N:
+        raise _UsageError(
+            f"matrix file {path}: order {len(rows)} exceeds the supported "
+            f"{MAX_MATRIX_N}x{MAX_MATRIX_N}"
+        )
     try:
         A = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in rows],
@@ -131,9 +140,14 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_jordan(text: str):
     try:
-        return parse_compact(text)
+        t = parse_compact(text)
     except StrataError as exc:
         raise _UsageError(f"bad compact notation {text!r}: {exc}") from exc
+    if t.n > MAX_MATRIX_N:
+        raise _UsageError(
+            f"{text!r} has order {t.n}, beyond the supported {MAX_MATRIX_N}x{MAX_MATRIX_N}"
+        )
+    return t
 
 
 def _default_tol(args) -> float:

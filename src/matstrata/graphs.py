@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SizeMismatchError
 from .structure import (
@@ -21,7 +22,6 @@ from .structure import (
     bundle_dim,
     bundle_types,
     canonical_bundle_labeling,
-    conjugate_partition,
     format_compact,
     format_display,
     jordan_types_for_pattern,
@@ -46,10 +46,15 @@ def _prefix_dominates(w_lo: tuple[int, ...], w_hi: tuple[int, ...]) -> bool:
 
 
 def partition_closure_leq(q: Partition, p: Partition) -> bool:
-    """Single-eigenvalue closure test: q-structure inside closure of p-structure."""
+    """Single-eigenvalue closure test: q-structure inside closure of p-structure.
+
+    The test is dominance of the conjugates, conj(q) over conj(p); for
+    partitions of one total that is dominance of p over q, so no conjugate
+    is built.
+    """
     if q.total != p.total:
         return False
-    return _prefix_dominates(conjugate_partition(q).parts, conjugate_partition(p).parts)
+    return _prefix_dominates(p.parts, q.parts)
 
 
 def closure_leq(J: JordanType, J2: JordanType) -> bool:
@@ -132,15 +137,30 @@ class ClosureGraph:
     vertices: tuple[GraphVertex, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def vertex(self, key) -> GraphVertex:
-        vid = _vertex_key(key)
+    @cached_property
+    def _by_key(self) -> dict[str, GraphVertex]:
+        # a key names the first vertex whose id or notation it equals
+        by_key: dict[str, GraphVertex] = {}
         for v in self.vertices:
-            if v.id == vid or v.notation == vid:
-                return v
-        raise KeyError(f"no vertex {key!r} in graph")
+            by_key.setdefault(v.id, v)
+            by_key.setdefault(v.notation, v)
+        return by_key
+
+    @cached_property
+    def _successors(self) -> dict[str, list[str]]:
+        succ: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, []).append(b)
+        return succ
+
+    def vertex(self, key) -> GraphVertex:
+        try:
+            return self._by_key[_vertex_key(key)]
+        except KeyError:
+            raise KeyError(f"no vertex {key!r} in graph") from None
 
     def successors(self, vid: str) -> list[str]:
-        return [b for a, b in self.edges if a == vid]
+        return list(self._successors.get(vid, ()))
 
 
 def _vertex_key(key) -> str:
@@ -149,37 +169,63 @@ def _vertex_key(key) -> str:
     return str(key)
 
 
-def _hasse_edges(structs, leq) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with struct_i strictly below struct_j."""
-    k = len(structs)
-    below = [[False] * k for _ in range(k)]
-    for i, j in itertools.product(range(k), repeat=2):
-        if i != j and leq(structs[i], structs[j]):
-            below[i][j] = True
-    for i, j in itertools.product(range(k), repeat=2):
-        if below[i][j] and below[j][i]:
-            raise ValueError("closure relation is not antisymmetric")
+def _bits(x: int):
+    """Indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _hasse_edges(below: list[int], steps: list[int]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with vertex i strictly below vertex j.
+
+    The order is given as Python-int bitsets over vertex indices: bit i of
+    ``below[j]`` is set when vertex i lies strictly below vertex j.
+    ``steps[j]`` is a subset of ``below[j]`` that generates it: every vertex
+    below j lies at or below some vertex of ``steps[j]`` (``below[j]``
+    itself always qualifies; the down-moves of a bundle are smaller).  Then
+    j covers exactly the vertices of ``below[j]`` that lie strictly below no
+    vertex of ``steps[j]``: one OR per step, no scan over all triples.
+    """
     edges = []
-    for i, j in itertools.product(range(k), repeat=2):
-        if not below[i][j]:
-            continue
-        if any(below[i][m] and below[m][j] for m in range(k)):
-            continue
-        edges.append((i, j))
+    for j, (down, step) in enumerate(zip(below, steps)):
+        under = 0
+        for m in _bits(step):
+            under |= below[m]
+        edges.extend((i, j) for i in _bits(down & ~under))
     return edges
 
 
-def _assemble(kind, structs, leq, dim_of) -> ClosureGraph:
+def _strict_below(structs, leq) -> list[int]:
+    """Strict down-set bitsets of the order ``leq`` on ``structs``.
+
+    ``below[j]`` has bit i set when ``leq(structs[i], structs[j])`` holds
+    for i != j, from k^2 ``leq`` calls.  Two structures below each other
+    make the relation no order, which raises.
+    """
+    below = [0] * len(structs)
+    for j, b in enumerate(structs):
+        for i, a in enumerate(structs):
+            if i != j and leq(a, b):
+                below[j] |= 1 << i
+    for j, down in enumerate(below):
+        if any(below[i] >> j & 1 for i in _bits(down)):
+            raise ValueError("closure relation is not antisymmetric")
+    return below
+
+
+def _sorted_vertices(structs, dim_of) -> list[GraphVertex]:
     verts = [
         GraphVertex(format_compact(s), format_display(s), dim_of(s), s) for s in structs
     ]
-    order = sorted(range(len(verts)), key=lambda i: (verts[i].dim, verts[i].notation))
-    verts = [verts[i] for i in order]
-    structs = [structs[i] for i in order]
-    edges = [
-        (verts[i].id, verts[j].id) for i, j in _hasse_edges(structs, leq)
-    ]
-    edges.sort(key=lambda e: (e[0], e[1]))
+    verts.sort(key=lambda v: (v.dim, v.notation))
+    return verts
+
+
+def _assemble(kind, verts, below, steps) -> ClosureGraph:
+    edges = [(verts[i].id, verts[j].id) for i, j in _hasse_edges(below, steps)]
+    edges.sort()
     return ClosureGraph(kind=kind, vertices=tuple(verts), edges=tuple(edges))
 
 
@@ -209,7 +255,9 @@ def build_class_graph(
     else:
         structs = list(bundle_types(n))
         leq = _bundle_leq_same_labels
-    return _assemble("classes", structs, leq, orbit_dim)
+    verts = _sorted_vertices(structs, orbit_dim)
+    below = _strict_below([v.structure for v in verts], leq)
+    return _assemble("classes", verts, below, below)
 
 
 def bundle_down_moves(b: JordanType) -> list[BundleType]:
@@ -242,28 +290,38 @@ def bundle_down_moves(b: JordanType) -> list[BundleType]:
 
 
 def build_bundle_graph(n: int, max_n: int = DEFAULT_MAX_N) -> ClosureGraph:
-    """Closure graph for similarity bundles of n x n matrices."""
+    """Closure graph for similarity bundles of n x n matrices.
+
+    One pass over the bundles in ``(bundle_dim, notation)`` order, calling
+    ``bundle_down_moves`` once per bundle.  Every down-move strictly lowers
+    the bundle dimension, so the moves of vertex j point to lower indices
+    (checked, not assumed) whose strict down-sets are already known, and
+    ``below[j]`` is the OR over moves d of ``bit d | below[d]``, a
+    Python-int bitset.  Anything below j lies at or below one of its moves,
+    so the moves generate ``below[j]`` and ``_hasse_edges`` reads the
+    covers of j off them directly.
+    """
     if not 1 <= n <= max_n:
         raise ValueError(f"order {n} outside supported range 1..{max_n}")
-    structs = list(bundle_types(n))
-    index = {s: i for i, s in enumerate(structs)}
-    k = len(structs)
-    reach_down = [set() for _ in range(k)]
-    for i, s in enumerate(structs):
-        stack, seen = [s], {i}
-        while stack:
-            cur = stack.pop()
-            for nxt in bundle_down_moves(cur):
-                j = index[nxt]
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(nxt)
-        reach_down[i] = seen
-
-    def leq(a, b):
-        return index[a] in reach_down[index[b]]
-
-    return _assemble("bundles", structs, leq, bundle_dim)
+    verts = _sorted_vertices(bundle_types(n), bundle_dim)
+    index = {v.structure: i for i, v in enumerate(verts)}
+    below, moves = [], []
+    for j, v in enumerate(verts):
+        step = 0
+        for d in bundle_down_moves(v.structure):
+            i = index[d]
+            if i >= j:
+                raise RuntimeError(
+                    f"down-move {format_compact(d)} of {v.id} does not come "
+                    "earlier in the bundle-dimension order"
+                )
+            step |= 1 << i
+        down = step
+        for i in _bits(step):
+            down |= below[i]
+        below.append(down)
+        moves.append(step)
+    return _assemble("bundles", verts, below, moves)
 
 
 def reachable(g: ClosureGraph, a, b) -> bool:

@@ -68,14 +68,19 @@ def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(action=action, base=A, matrix=M)
 
 
-def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values >= tol * sigma_max; rank 0 when sigma_max = 0."""
+def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count singular values >= tol * ref; rank 0 when ref = 0.
+
+    ``ref`` is the scale of the data M was built from.  Ranking against M's
+    own largest singular value instead would count roundoff as rank when M
+    should be exactly zero.
+    """
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if ref == 0.0:
         return 0
-    return int(np.sum(s >= tol * s[0]))
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s >= tol * ref))
 
 
 def guarded_rank(
@@ -106,22 +111,33 @@ def guarded_rank(
     return int(np.sum(s >= thr))
 
 
+def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
+    """(rank of the tangent map of ``action`` at A, its domain dimension).
+
+    The rank is taken against the Frobenius norm of A, not against the
+    map's own largest singular value: at a scalar matrix moved by a unitary
+    similarity the commutator map is pure roundoff and has rank 0.  (The
+    Frobenius norm is within sqrt(n) of the spectral norm and, unlike it,
+    needs no SVD.)
+    """
+    op = action_operator(action, A)
+    ref = float(np.linalg.norm(op.base))
+    return numeric_rank(op.matrix, ref, tol), op.matrix.shape[1]
+
+
 def similarity_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """n^2 minus the complex rank of X |-> XA - AX."""
-    op = action_operator("similarity", A)
-    n = op.base.shape[0]
-    return n * n - numeric_rank(op.matrix, tol)
+    rank, dim = _operator_rank("similarity", A, tol)
+    return dim - rank
 
 
 def congruence_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """n^2 minus the complex rank of X |-> X^T A + A X."""
-    op = action_operator("congruence", A)
-    n = op.base.shape[0]
-    return n * n - numeric_rank(op.matrix, tol)
+    rank, dim = _operator_rank("congruence", A, tol)
+    return dim - rank
 
 
 def star_congruence_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """2 n^2 minus the real rank of X |-> X* A + A X."""
-    op = action_operator("star_congruence", A)
-    n = op.base.shape[0]
-    return 2 * n * n - numeric_rank(op.matrix, tol)
+    rank, dim = _operator_rank("star_congruence", A, tol)
+    return dim - rank

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import numpy as np
 
@@ -192,9 +193,46 @@ class TestInputValidation:
         path.write_text(json.dumps({"n": 1, "rows": [[[1e999, 0]]]}))
         assert invoke("weyr", "--matrix", str(path), "--lambda", "0")[0] == 1
 
+    def test_rows_not_a_list(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"rows": 5}))
+        assert invoke("codim", "--action", "sim", "--matrix", str(path))[0] == 1
+
     def test_unknown_subcommand(self):
         assert invoke("frobnicate")[0] == 1
 
     def test_bad_compact_notation(self):
         assert invoke("survey", "--jordan", "a^", "--eps", "1e-3",
                       "--trials", "1", "--seed", "0")[0] == 1
+
+
+class TestMatrixEnvelope:
+    """Matrices beyond 12 x 12 are refused before any work is done."""
+
+    @staticmethod
+    def refused(capsys, *argv):
+        code, out = invoke(*argv)
+        return code == 1 and out == "" and "12x12" in capsys.readouterr().err
+
+    def test_oversized_jordan_structure(self, capsys):
+        start = time.perf_counter()
+        assert self.refused(capsys, "template", "sim", "--jordan", "(0)^5000")
+        assert time.perf_counter() - start < 2.0
+
+    def test_oversized_jordan_structure_every_command(self, capsys, tmp_path):
+        pert = write_matrix(tmp_path / "e.json", np.zeros((13, 13)))
+        big = "(0)^12 (1)"
+        assert self.refused(capsys, "reduce", "--jordan", big, "--pert", pert)
+        assert self.refused(capsys, "survey", "--jordan", big, "--eps", "1e-3",
+                            "--trials", "1", "--seed", "0")
+        assert self.refused(capsys, "witness", "--from", big, "--to", "(0)^13")
+
+    def test_largest_jordan_structure_accepted(self):
+        code, out = invoke("template", "sim", "--jordan", "(0)^12")
+        assert code == 0 and json.loads(out)["n"] == 12
+
+    def test_oversized_matrix_file(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "m13.json", np.eye(13))
+        assert self.refused(capsys, "weyr", "--matrix", path, "--lambda", "1")
+        assert self.refused(capsys, "codim", "--action", "sim", "--matrix", path)
+        assert self.refused(capsys, "classify", "--matrix", path)

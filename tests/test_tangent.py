@@ -129,3 +129,17 @@ class TestOperatorMatrix:
     def test_unknown_action(self):
         with pytest.raises(ValueError):
             action_operator("unitary", np.eye(2))
+
+
+class TestScalarMatrices:
+    """A scalar matrix commutes with everything, so its similarity orbit is a
+    point; moved by a unitary similarity its commutator map is pure roundoff,
+    which must not count as rank."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unitarily_moved_scalar_has_full_codim(self, n):
+        rng = np.random.default_rng(n)
+        Q, R = np.linalg.qr(random_complex(rng, n))
+        U = Q * (np.diag(R) / abs(np.diag(R)))
+        A = U @ (2j * np.eye(n)) @ U.conj().T
+        assert similarity_codim_numeric(A) == n * n
