@@ -4,6 +4,10 @@ Every subcommand is a thin shell over a library call and prints a single
 JSON document (graphs can also emit DOT).  Exit codes: 0 success, 1 usage
 or input error, 2 numerical-ambiguity error.  The environment variable
 STRATA_TOL overrides the default rank tolerance.
+
+Only the exact layers are imported up front; each numeric subcommand
+imports its layer (and so numpy) when it runs, which keeps `graph sim`
+and `graph bundle` processes free of numpy.
 """
 
 from __future__ import annotations
@@ -13,32 +17,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .congruence import (
-    classify_congruence,
-    congruence_graph,
-    congruence_template,
-    form_display,
-    form_from_json_doc,
-    form_to_json_doc,
-    parametric_to_dot,
-    parametric_to_json_doc,
-    star_graph_2x2,
-    star_template,
-)
 from .errors import NumericalAmbiguityError, StrataError
 from .graphs import build_bundle_graph, build_class_graph, graph_to_dot, graph_to_json_doc
-from .perturb import DEFAULT_CLUSTER_RADIUS, find_arrow_witness, numeric_weyr, random_survey
-from .reduction import reduce_to_miniversal
 from .structure import format_compact, parse_compact
-from .tangent import (
-    DEFAULT_RANK_TOL,
-    congruence_codim_numeric,
-    similarity_codim_numeric,
-    star_congruence_codim_numeric,
-)
-from .templates import miniversal_template, template_ascii, template_to_json_doc
 
 
 # design envelope: matrices up to 12 x 12 (graphs have their own bound)
@@ -64,13 +45,11 @@ def _stable(obj):
         return {k: _stable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_stable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if hasattr(obj, "dtype"):  # numpy scalar
+        obj = obj.item()
+    if isinstance(obj, float):
         return _sig12(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         return [_sig12(obj.real), _sig12(obj.imag)]
     return obj
 
@@ -79,14 +58,16 @@ def _emit(doc) -> None:
     print(json.dumps(_stable(doc), ensure_ascii=False))
 
 
-def _matrix_to_doc(A: np.ndarray) -> dict:
+def _matrix_to_doc(A) -> dict:
     return {
         "n": A.shape[0],
         "rows": [[[_sig12(z.real), _sig12(z.imag)] for z in row] for row in A],
     }
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):
+    import numpy as np
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -120,6 +101,8 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _load_form(path: str):
+    from .congruence import form_from_json_doc
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -151,15 +134,21 @@ def _parse_jordan(text: str):
 
 
 def _default_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
+    """--tol, else STRATA_TOL, else the library default; always in (0, 1)."""
+    from .tangent import DEFAULT_RANK_TOL
+
+    tol = getattr(args, "tol", None)
     env = os.environ.get("STRATA_TOL")
-    if env:
+    if tol is None and env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise _UsageError(f"STRATA_TOL={env!r} is not a number") from exc
-    return DEFAULT_RANK_TOL
+    if tol is None:
+        tol = DEFAULT_RANK_TOL
+    if not 0 < tol < 1:
+        raise _UsageError(f"tol must lie in (0, 1), got {tol}")
+    return tol
 
 
 def _build_parser() -> _Parser:
@@ -204,7 +193,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--mode", choices=["dense", "strict_upper"], default="dense")
-    s.add_argument("--radius", type=float, default=DEFAULT_CLUSTER_RADIUS)
+    s.add_argument("--radius", type=float, help="cluster radius (default: the library's)")
     s.add_argument("--tol", type=float)
     s.add_argument("--full", action="store_true", help="include per-trial data")
 
@@ -217,6 +206,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_weyr(args) -> None:
+    from .perturb import numeric_weyr
+
     A = _load_matrix(args.matrix)
     lam = _parse_complex(args.lam)
     w = numeric_weyr(A, lam, _default_tol(args))
@@ -224,6 +215,12 @@ def _cmd_weyr(args) -> None:
 
 
 def _cmd_codim(args) -> None:
+    from .tangent import (
+        congruence_codim_numeric,
+        similarity_codim_numeric,
+        star_congruence_codim_numeric,
+    )
+
     A = _load_matrix(args.matrix)
     tol = _default_tol(args)
     fn = {
@@ -241,13 +238,20 @@ def _cmd_graph(args) -> None:
     elif args.what == "bundle":
         g = build_bundle_graph(args.n)
         doc, dot = graph_to_json_doc(g), lambda: graph_to_dot(g)
-    elif args.what == "congr":
-        g = congruence_graph(args.n, args.kind)
-        doc, dot = parametric_to_json_doc(g), lambda: parametric_to_dot(g)
     else:
-        if args.n != 2:
+        from .congruence import (
+            congruence_graph,
+            parametric_to_dot,
+            parametric_to_json_doc,
+            star_graph_2x2,
+        )
+
+        if args.what == "congr":
+            g = congruence_graph(args.n, args.kind)
+        elif args.n != 2:
             raise _UsageError("the *congruence closure graph is available for n = 2")
-        g = star_graph_2x2()
+        else:
+            g = star_graph_2x2()
         doc, dot = parametric_to_json_doc(g), lambda: parametric_to_dot(g)
     if args.format == "dot":
         sys.stdout.write(dot())
@@ -256,6 +260,9 @@ def _cmd_graph(args) -> None:
 
 
 def _cmd_template(args) -> None:
+    from .congruence import congruence_template, star_template
+    from .templates import miniversal_template, template_ascii, template_to_json_doc
+
     if args.what == "sim":
         if not args.jordan:
             raise _UsageError("template sim needs --jordan")
@@ -272,6 +279,8 @@ def _cmd_template(args) -> None:
 
 
 def _cmd_reduce(args) -> None:
+    from .reduction import reduce_to_miniversal
+
     t = _parse_jordan(args.jordan)
     if any(l.is_symbolic for l in t.labels):
         raise _UsageError("reduce needs concrete eigenvalues, e.g. \"(0)^3 (0)^2\"")
@@ -291,6 +300,8 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_classify(args) -> None:
+    from .congruence import classify_congruence, form_display, form_to_json_doc
+
     A = _load_matrix(args.matrix)
     form = classify_congruence(A, _default_tol(args))
     doc = form_to_json_doc(form)
@@ -299,6 +310,8 @@ def _cmd_classify(args) -> None:
 
 
 def _cmd_survey(args) -> None:
+    from .perturb import DEFAULT_CLUSTER_RADIUS, random_survey
+
     t = _parse_jordan(args.jordan)
     if any(l.is_symbolic for l in t.labels):
         raise _UsageError("survey needs concrete eigenvalues, e.g. \"(0)^2 (0)^2\"")
@@ -308,7 +321,7 @@ def _cmd_survey(args) -> None:
         trials=args.trials,
         seed=args.seed,
         mode=args.mode,
-        cluster_radius=args.radius,
+        cluster_radius=DEFAULT_CLUSTER_RADIUS if args.radius is None else args.radius,
         tol=_default_tol(args),
     )
     doc = {
@@ -329,6 +342,8 @@ def _cmd_survey(args) -> None:
 
 
 def _cmd_witness(args) -> None:
+    from .perturb import find_arrow_witness
+
     src = _parse_jordan(args.src)
     dst = _parse_jordan(args.dst)
     try:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CatalogError, NumericalAmbiguityError
-from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate
+from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
 from .tangent import DEFAULT_RANK_TOL, guarded_rank
 
 PARAM_TOL = 1e-12
@@ -139,13 +139,6 @@ def form_equal(a, b, tol: float = 1e-8) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _jordan(m: int, lam: complex) -> np.ndarray:
-    J = np.diag(np.full(m, complex(lam)))
-    for i in range(m - 1):
-        J[i, i + 1] = 1.0
-    return J
-
-
 def _gamma_matrix(s: int) -> np.ndarray:
     G = np.zeros((s, s), dtype=complex)
     for k in range(s):
@@ -170,13 +163,13 @@ def block_matrix(b: Block) -> np.ndarray:
         m = b.m
         out = np.zeros((2 * m, 2 * m), dtype=complex)
         out[:m, m:] = np.eye(m)
-        out[m:, :m] = _jordan(m, b.param)
+        out[m:, :m] = jordan_block(m, b.param)
         return out
     if b.kind == "Gamma":
         return _gamma_matrix(b.size)
     if b.kind == "U":
         return _u_matrix(b.size, b.param)
-    return _jordan(b.size, 0.0)
+    return jordan_block(b.size, 0.0)
 
 
 def canonical_matrix(form) -> np.ndarray:

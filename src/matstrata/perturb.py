@@ -10,6 +10,7 @@ sparse perturbations realizing individual graph edges.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,9 @@ from .structure import (
     conjugate_partition,
     format_compact,
     format_display,
-    jordan_matrix,
 )
 from .tangent import DEFAULT_RANK_TOL, guarded_rank
+from .templates import jordan_matrix
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 
@@ -185,6 +186,8 @@ def random_survey(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     J = jordan_matrix(t)
     n = t.n
     if graph is None:
@@ -249,6 +252,8 @@ def find_arrow_witness(
     with closure_leq(J, J2).  Returns None when the search space is
     exhausted.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not (_is_single_zero_label(J) and _is_single_zero_label(J2)):
         raise ValueError("witness search covers nilpotent structures only")
     if not closure_leq(J, J2):

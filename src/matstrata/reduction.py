@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
-from .structure import JordanType, Partition, jordan_matrix, label_layout
-from .templates import FIXED, miniversal_template, pattern_check
+from .structure import JordanType, Partition, label_layout
+from .templates import FIXED, jordan_matrix, miniversal_template, pattern_check
 
 DEFAULT_PATTERN_TOL = 1e-8
 DEFAULT_SPLIT_TOL = 1e-12

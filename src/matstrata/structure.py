@@ -10,11 +10,10 @@ structures differing only by an eigenvalue bijection.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import CompactParseError
 
@@ -87,7 +86,7 @@ class EigLabel:
     @staticmethod
     def concrete(z: complex) -> "EigLabel":
         z = complex(z)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        if not cmath.isfinite(z):
             raise ValueError("concrete labels must be finite")
         return EigLabel(sort_key=(1, 0, z.real, z.imag), value=z)
 
@@ -387,16 +386,8 @@ def jordan_types_for_pattern(mults: tuple[int, ...]) -> tuple[JordanType, ...]:
 
 
 # ---------------------------------------------------------------------------
-# matrix realization
+# block layout
 # ---------------------------------------------------------------------------
-
-
-def jordan_block(m: int, lam: complex) -> np.ndarray:
-    J = np.zeros((m, m), dtype=complex)
-    np.fill_diagonal(J, lam)
-    for i in range(m - 1):
-        J[i, i + 1] = 1.0
-    return J
 
 
 def label_layout(t: JordanType) -> list[tuple[EigLabel, Partition, int]]:
@@ -406,16 +397,3 @@ def label_layout(t: JordanType) -> list[tuple[EigLabel, Partition, int]]:
         out.append((label, part, off))
         off += part.total
     return out
-
-
-def jordan_matrix(t: JordanType) -> np.ndarray:
-    """Canonical Jordan matrix of a structure with concrete labels."""
-    if any(l.is_symbolic for l in t.labels):
-        raise ValueError("jordan_matrix needs concrete eigenvalue labels")
-    n = t.n
-    J = np.zeros((n, n), dtype=complex)
-    for label, part, off in label_layout(t):
-        for m in part.parts:
-            J[off : off + m, off : off + m] = jordan_block(m, label.value)
-            off += m
-    return J

@@ -65,6 +65,28 @@ class DeformationTemplate:
         return out
 
 
+def jordan_block(m: int, lam: complex) -> np.ndarray:
+    """m x m Jordan block: lam on the diagonal, ones on the superdiagonal."""
+    J = np.zeros((m, m), dtype=complex)
+    np.fill_diagonal(J, lam)
+    for i in range(m - 1):
+        J[i, i + 1] = 1.0
+    return J
+
+
+def jordan_matrix(t: JordanType) -> np.ndarray:
+    """Canonical Jordan matrix of a structure with concrete labels."""
+    if any(l.is_symbolic for l in t.labels):
+        raise ValueError("jordan_matrix needs concrete eigenvalue labels")
+    n = t.n
+    J = np.zeros((n, n), dtype=complex)
+    for label, part, off in label_layout(t):
+        for m in part.parts:
+            J[off : off + m, off : off + m] = jordan_block(m, label.value)
+            off += m
+    return J
+
+
 def star_count(tmpl: DeformationTemplate) -> int:
     """Number of free complex-parameter cells."""
     return sum(row.count(STAR) for row in tmpl.kinds)

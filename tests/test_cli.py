@@ -4,6 +4,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from matstrata.cli import run
 
@@ -236,3 +237,55 @@ class TestMatrixEnvelope:
         assert self.refused(capsys, "weyr", "--matrix", path, "--lambda", "1")
         assert self.refused(capsys, "codim", "--action", "sim", "--matrix", path)
         assert self.refused(capsys, "classify", "--matrix", path)
+
+
+class TestRankTolerance:
+    """--tol and STRATA_TOL are refused outside (0, 1) by every command that ranks."""
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "1", "2", "nan"])
+    def test_survey_refuses_tol(self, capsys, tol):
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3",
+                           "--trials", "3", "--seed", "1", "--tol", tol)
+        assert code == 1 and out == ""
+        assert "tol must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_every_ranking_command_refuses(self, capsys, tmp_path):
+        path = write_matrix(tmp_path / "id2.json", np.eye(2))
+        for argv in (
+            ("weyr", "--matrix", path, "--lambda", "1"),
+            ("codim", "--action", "sim", "--matrix", path),
+            ("classify", "--matrix", path),
+            ("witness", "--from", "(0)^2 (0)^2", "--to", "(0)^4"),
+        ):
+            assert invoke(*argv, "--tol", "-1") == (1, "")
+            assert "tol must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_env_tolerance_refused(self, monkeypatch):
+        monkeypatch.setenv("STRATA_TOL", "5")
+        assert invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3",
+                      "--trials", "3", "--seed", "1")[0] == 1
+
+    def test_valid_tol_reported(self):
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3",
+                           "--trials", "3", "--seed", "1", "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["tol"] == 1e-6
+
+
+class TestPerturbationSize:
+    @pytest.mark.parametrize("eps", ["inf", "nan", "-1"])
+    def test_survey_refuses_eps(self, capsys, eps):
+        code, out = invoke("survey", "--jordan", "(0)^2", f"--eps={eps}",
+                           "--trials", "3", "--seed", "1")
+        assert code == 1 and out == ""
+        assert "eps must be finite" in capsys.readouterr().err
+
+    def test_survey_zero_eps_allowed(self):
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "0",
+                           "--trials", "3", "--seed", "1")
+        assert code == 0 and json.loads(out)["observed_counts"] == {"λ²": 3}
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-3", "inf", "nan"])
+    def test_witness_refuses_eps(self, capsys, eps):
+        code, out = invoke("witness", "--from", "(0)^2", "--to", "(0)^2", f"--eps={eps}")
+        assert code == 1 and out == ""
+        assert "eps must be finite" in capsys.readouterr().err

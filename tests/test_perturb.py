@@ -177,3 +177,16 @@ class TestWitness:
             find_arrow_witness(jt({conc(0): (4,)}), jt({conc(0): (2, 2)}))
         with pytest.raises(ValueError):
             find_arrow_witness(jt({conc(1): (2,)}), jt({conc(1): (2,)}))
+
+
+class TestPerturbationSize:
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), -1.0, -1e-12])
+    def test_survey_refuses_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            random_survey(jt({conc(0): (2,)}), eps, trials=3, seed=1)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_witness_refuses_eps(self, eps):
+        J = jt({conc(0): (2,)})
+        with pytest.raises(ValueError, match="eps"):
+            find_arrow_witness(J, J, eps=eps)
