@@ -279,13 +279,13 @@ def _cmd_template(args) -> None:
 
 
 def _cmd_reduce(args) -> None:
-    from .reduction import reduce_to_miniversal
+    from .reduction import DEFAULT_PATTERN_TOL, reduce_to_miniversal
 
     t = _parse_jordan(args.jordan)
     if any(l.is_symbolic for l in t.labels):
         raise _UsageError("reduce needs concrete eigenvalues, e.g. \"(0)^3 (0)^2\"")
     E = _load_matrix(args.pert)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else DEFAULT_PATTERN_TOL
     res = reduce_to_miniversal(t, E, tol=tol)
     _emit(
         {

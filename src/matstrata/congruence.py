@@ -16,14 +16,16 @@ eigenvalues pin down the canonical form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CatalogError, NumericalAmbiguityError
+from .graphs import dot_text
+from .structure import format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
-from .tangent import DEFAULT_RANK_TOL, guarded_rank
+from .tangent import DEFAULT_RANK_TOL, band_rank, guarded_rank
 
 PARAM_TOL = 1e-12
 
@@ -99,20 +101,11 @@ class StarForm:
         return sum(b.size for b in self.blocks)
 
 
-def _fmt_param(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    if z.real == 0:
-        return f"{z.imag:.12g}j"
-    sign = "+" if z.imag > 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}j"
-
-
 def block_display(b: Block) -> str:
     if b.kind in ("H", "H*"):
-        return f"{b.kind}{b.m}({_fmt_param(b.param)})"
+        return f"{b.kind}{b.m}({format_complex(b.param, '{:.12g}'.format)})"
     if b.kind == "U":
-        return f"U{b.size}({_fmt_param(b.param)})"
+        return f"U{b.size}({format_complex(b.param, '{:.12g}'.format)})"
     return f"{'Γ' if b.kind == 'Gamma' else 'N'}{b.size}"
 
 
@@ -173,10 +166,14 @@ def block_matrix(b: Block) -> np.ndarray:
 
 
 def canonical_matrix(form) -> np.ndarray:
-    n = form.n
+    return _direct_sum(form.blocks)
+
+
+def _direct_sum(blocks) -> np.ndarray:
+    n = sum(b.size for b in blocks)
     out = np.zeros((n, n), dtype=complex)
     off = 0
-    for b in form.blocks:
+    for b in blocks:
         out[off : off + b.size, off : off + b.size] = block_matrix(b)
         off += b.size
     return out
@@ -243,24 +240,13 @@ def normalize_form(form):
 # ("U", s), ("N", s)
 
 
-def _congruence_signature(form: CongruenceForm):
+def _signature(form) -> tuple:
     sig = []
     for b in form.blocks:
         if b.kind == "H":
-            tag = "neg1" if abs(b.param + 1.0) <= PARAM_TOL else "gen"
-            sig.append(("H", b.m, tag))
+            sig.append(("H", b.m, "neg1" if abs(b.param + 1.0) <= PARAM_TOL else "gen"))
         else:
-            sig.append((b.kind, b.size))
-    return tuple(sig)
-
-
-def _star_signature(form: StarForm):
-    sig = []
-    for b in form.blocks:
-        if b.kind == "H*":
-            sig.append(("H*", b.m))
-        else:
-            sig.append((b.kind, b.size))
+            sig.append((b.kind, b.m))
     return tuple(sig)
 
 
@@ -288,29 +274,27 @@ _CONGRUENCE_STARS = {
     (("Gamma", 3),): [(1, 0)],
 }
 
-# slots: ("star", i, j) | ("eps", l, i, j) | ("delta", l, r, i, j)
-# with l, r 1-based indices into the entry's U parameters in block order.
+# slots: (i, j) for a star | ("eps", l, i, j) | ("delta", l, r, i, j)
+# with l, r 1-based indices into the entry's U parameters in block order
 
 _STAR_SLOTS = {
     # 2x2
-    (("N", 1), ("N", 1)): [("star", i, j) for i in range(2) for j in range(2)],
-    (("U", 1), ("N", 1)): [("eps", 1, 0, 0), ("star", 1, 0), ("star", 1, 1)],
+    (("N", 1), ("N", 1)): [(i, j) for i in range(2) for j in range(2)],
+    (("U", 1), ("N", 1)): [("eps", 1, 0, 0), (1, 0), (1, 1)],
     (("U", 1), ("U", 1)): [("eps", 1, 0, 0), ("delta", 2, 1, 1, 0), ("eps", 2, 1, 1)],
-    (("U", 2),): [("star", 0, 0)],
-    (("H*", 1),): [("star", 1, 0)],
+    (("U", 2),): [(0, 0)],
+    (("H*", 1),): [(1, 0)],
     # 3x3
-    (("N", 1), ("N", 1), ("N", 1)): [
-        ("star", i, j) for i in range(3) for j in range(3)
-    ],
+    (("N", 1), ("N", 1), ("N", 1)): [(i, j) for i in range(3) for j in range(3)],
     (("U", 1), ("N", 1), ("N", 1)): [("eps", 1, 0, 0)]
-    + [("star", i, j) for i in (1, 2) for j in range(3)],
+    + [(i, j) for i in (1, 2) for j in range(3)],
     (("U", 1), ("U", 1), ("N", 1)): [
         ("eps", 1, 0, 0),
         ("delta", 2, 1, 1, 0),
         ("eps", 2, 1, 1),
-        ("star", 2, 0),
-        ("star", 2, 1),
-        ("star", 2, 2),
+        (2, 0),
+        (2, 1),
+        (2, 2),
     ],
     (("U", 1), ("U", 1), ("U", 1)): [
         ("eps", 1, 0, 0),
@@ -320,40 +304,23 @@ _STAR_SLOTS = {
         ("delta", 3, 2, 2, 1),
         ("eps", 3, 2, 2),
     ],
-    (("U", 2), ("U", 1)): [("star", 0, 0), ("delta", 2, 1, 2, 0), ("eps", 2, 2, 2)],
-    (("U", 2), ("N", 1)): [("star", 0, 0), ("star", 2, 0), ("star", 2, 1), ("star", 2, 2)],
-    (("H*", 1), ("U", 1)): [("star", 1, 0), ("eps", 1, 2, 2)],
-    (("H*", 1), ("N", 1)): [("star", 1, 0), ("star", 2, 0), ("star", 2, 1), ("star", 2, 2)],
-    (("N", 2), ("N", 1)): [("star", 1, 0), ("star", 1, 2), ("star", 2, 0), ("star", 2, 2)],
+    (("U", 2), ("U", 1)): [(0, 0), ("delta", 2, 1, 2, 0), ("eps", 2, 2, 2)],
+    (("U", 2), ("N", 1)): [(0, 0), (2, 0), (2, 1), (2, 2)],
+    (("H*", 1), ("U", 1)): [(1, 0), ("eps", 1, 2, 2)],
+    (("H*", 1), ("N", 1)): [(1, 0), (2, 0), (2, 1), (2, 2)],
+    (("N", 2), ("N", 1)): [(1, 0), (1, 2), (2, 0), (2, 2)],
     # the anti-triangular 3x3 entry carries a corner star next to eps_1:
     # that is the unique completion whose parameter directions span a
     # complement of the tangent space (checked numerically for sampled mu),
     # and the only one matching the codimension count
-    (("N", 3),): [("star", 2, 0), ("star", 2, 2)],
-    (("U", 3),): [("star", 0, 0), ("eps", 1, 1, 1)],
+    (("N", 3),): [(2, 0), (2, 2)],
+    (("U", 3),): [(0, 0), ("eps", 1, 1, 1)],
 }
 
 
 def congruence_template(form: CongruenceForm) -> DeformationTemplate:
     """Tabulated miniversal deformation of a 2x2 or 3x3 congruence form."""
-    form = normalize_form(form)
-    n = form.n
-    if n not in (2, 3):
-        raise CatalogError(f"deformation tables cover sizes 2 and 3, not {n}")
-    sig = _congruence_signature(form)
-    stars = _CONGRUENCE_STARS.get(sig)
-    if stars is None:
-        raise CatalogError(f"no tabulated deformation for {form_display(form)}")
-    base = canonical_matrix(form)
-    kinds = [[FIXED] * n for _ in range(n)]
-    for i, j in stars:
-        kinds[i][j] = STAR
-    return DeformationTemplate(
-        n=n,
-        base=tuple(tuple(base[i, j] for j in range(n)) for i in range(n)),
-        kinds=tuple(tuple(row) for row in kinds),
-        source=form_display(form),
-    )
+    return _tabulated_template(normalize_form(form), _CONGRUENCE_STARS)
 
 
 def star_template(form: StarForm) -> DeformationTemplate:
@@ -364,7 +331,6 @@ def star_template(form: StarForm) -> DeformationTemplate:
     vanish unless the two parameters agree up to sign.  Parameters are
     taken as given (both |lam| > 1 and |lam| < 1 are accepted).
     """
-    blocks = []
     for b in form.blocks:
         if b.kind == "H*":
             lam = b.param
@@ -372,22 +338,22 @@ def star_template(form: StarForm) -> DeformationTemplate:
                 raise CatalogError("H*-block parameter must have |lam| not in {0, 1}")
         elif b.kind == "U" and abs(abs(b.param) - 1) > PARAM_TOL:
             raise CatalogError("U-block parameter must be unimodular")
-        blocks.append(b)
-    blocks.sort(key=_block_sort_key)
-    form = StarForm(tuple(blocks))
+    return _tabulated_template(StarForm(sorted(form.blocks, key=_block_sort_key)), _STAR_SLOTS)
+
+
+def _tabulated_template(form, table) -> DeformationTemplate:
     n = form.n
     if n not in (2, 3):
         raise CatalogError(f"deformation tables cover sizes 2 and 3, not {n}")
-    sig = _star_signature(form)
-    slots = _STAR_SLOTS.get(sig)
+    slots = table.get(_signature(form))
     if slots is None:
         raise CatalogError(f"no tabulated deformation for {form_display(form)}")
     mus = [b.param for b in form.blocks if b.kind == "U"]
     base = canonical_matrix(form)
     kinds = [[FIXED] * n for _ in range(n)]
     for slot in slots:
-        if slot[0] == "star":
-            _, i, j = slot
+        if len(slot) == 2:
+            i, j = slot
             kinds[i][j] = STAR
         elif slot[0] == "eps":
             _, l, i, j = slot
@@ -445,18 +411,18 @@ class TableEntry:
 
 
 def congruence_entries(size: int) -> tuple[TableEntry, ...]:
-    return tuple(
-        TableEntry(sig, star=False)
-        for sig in _CONGRUENCE_STARS
-        if sum(s[1] * (2 if s[0] == "H" else 1) for s in sig) == size
-    )
+    return _entries(_CONGRUENCE_STARS, size, star=False)
 
 
 def star_entries(size: int) -> tuple[TableEntry, ...]:
+    return _entries(_STAR_SLOTS, size, star=True)
+
+
+def _entries(table, size: int, star: bool) -> tuple[TableEntry, ...]:
     return tuple(
-        TableEntry(sig, star=True)
-        for sig in _STAR_SLOTS
-        if sum(s[1] * (2 if s[0] == "H*" else 1) for s in sig) == size
+        TableEntry(sig, star=star)
+        for sig in table
+        if sum(s[1] * (2 if s[0] in ("H", "H*") else 1) for s in sig) == size
     )
 
 
@@ -482,20 +448,9 @@ def _pencil_eigenvalues(A: np.ndarray, tol: float):
 
 def _common_kernel(A: np.ndarray, tol: float):
     """Orthonormal bases (complement, kernel) of ker A ∩ ker A^T."""
-    stacked = np.vstack([A, A.T])
-    _, s, vh = np.linalg.svd(stacked)
-    smax = s[0] if s.size and s[0] > 0 else 0.0
-    if smax == 0:
-        return np.zeros((A.shape[0], 0)), np.conj(vh).T
-    thr = tol * smax
-    band = [float(x) for x in s if thr / 10 < x < thr * 10]
-    if band:
-        raise NumericalAmbiguityError(
-            "common-kernel decision falls inside the tolerance band",
-            details={"band": band, "threshold": float(thr)},
-        )
-    r = int(np.sum(s >= thr))
+    _, s, vh = np.linalg.svd(np.vstack([A, A.T]))
     V = np.conj(vh).T
+    r = band_rank(s, tol * s[0]) if s[0] > 0 else 0
     return V[:, :r], V[:, r:]
 
 
@@ -504,8 +459,9 @@ def _classify_core(A: np.ndarray, tol: float) -> list[Block]:
     n = A.shape[0]
     if n == 1:
         return [Block("Gamma", 1)]
-    scale = float(np.linalg.svd(A, compute_uv=False)[0])
-    r = guarded_rank(A, tol, ref=scale)
+    s = np.linalg.svd(A, compute_uv=False)
+    scale = float(s[0])
+    r = band_rank(s, tol * scale)
     rp = guarded_rank(A + A.T, tol, ref=scale)
     rm = guarded_rank(A - A.T, tol, ref=scale)
     key = (r, rp, rm)
@@ -598,16 +554,40 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
 
 @dataclass(frozen=True)
 class Family:
-    """One vertex family: a canonical shape with free parameters."""
+    """One vertex family: a canonical shape with free parameters.
+
+    ``blocks`` are (kind, size) or (kind, size, param); a string param such
+    as "λ" or "-λ" refers to a free parameter, numbered in order of first
+    appearance, any other param is fixed.
+    """
 
     fid: str
     label: str
     dim: int
-    nparams: int = 0
+    blocks: tuple = ()
     domain: object = None      # params -> bool
     canon: object = None       # params -> canonical tuple (instance identity)
-    make: object = None        # params -> canonical matrix (sampled member)
     sample: tuple = ()
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        names = [b[2].lstrip("-") for b in self.blocks if len(b) > 2 and isinstance(b[2], str)]
+        return tuple(dict.fromkeys(names))
+
+    @property
+    def nparams(self) -> int:
+        return len(self.symbols)
+
+    def make(self, params) -> np.ndarray:
+        """Canonical matrix of the member with these parameters."""
+        value = dict(zip(self.symbols, params))
+        blocks = []
+        for kind, size, *param in self.blocks:
+            p = param[0] if param else None
+            if isinstance(p, str):
+                p = -value[p[1:]] if p[0] == "-" else value[p]
+            blocks.append(Block(kind, size, p))
+        return _direct_sum(blocks)
 
     def check(self, params: tuple):
         params = tuple(complex(p) for p in params)
@@ -650,14 +630,12 @@ def _inst(g: ParametricGraph, inst):
     return fam, fam.check(params)
 
 
-def has_arrow(g: ParametricGraph, src_inst, dst_inst, tol: float = 1e-9) -> bool:
+def has_arrow(g: ParametricGraph, src_inst, dst_inst) -> bool:
     """Direct arrow between two concrete instances (reflexive)."""
     fs, ps = _inst(g, src_inst)
     fd, pd = _inst(g, dst_inst)
-    if fs.fid == fd.fid:
-        cs, cd = fs.canonical(ps), fd.canonical(pd)
-        if all(abs(a - b) <= tol for a, b in zip(cs, cd)):
-            return True
+    if fs.fid == fd.fid and all(map(_same, fs.canonical(ps), fd.canonical(pd))):
+        return True
     for a in g.arrows:
         if a.src == fs.fid and a.dst == fd.fid:
             if a.predicate is None or a.predicate(ps, pd):
@@ -681,7 +659,7 @@ def _candidate_params(fam: Family, pool):
     return sorted(cands, key=lambda t: tuple((z.real, z.imag) for z in t))
 
 
-def path_exists(g: ParametricGraph, src_inst, dst_inst, tol: float = 1e-9) -> bool:
+def path_exists(g: ParametricGraph, src_inst, dst_inst) -> bool:
     """Predicate-aware reachability over concrete instances.
 
     Free parameters of intermediate families are searched over candidates
@@ -700,7 +678,7 @@ def path_exists(g: ParametricGraph, src_inst, dst_inst, tol: float = 1e-9) -> bo
     goal = (fd.fid, fd.canonical(pd))
 
     def close(a, b):
-        return a[0] == b[0] and all(abs(x - y) <= tol for x, y in zip(a[1], b[1]))
+        return a[0] == b[0] and all(map(_same, a[1], b[1]))
 
     seen, stack = [start], [start]
     while stack:
@@ -750,98 +728,50 @@ def _h_canon(params):
     return (_normalize_h_lambda(lam, 1),)
 
 
-def _form_matrix(*blocks):
-    return canonical_matrix(CongruenceForm(tuple(blocks)))
+def _same_up_to_inversion(ps, pd):
+    return _same(ps[0], pd[0]) or _same(1.0 / ps[0], pd[0])
 
 
-@lru_cache(maxsize=None)
-def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
-    """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
-    if kind not in ("classes", "bundles"):
-        raise ValueError("kind must be 'classes' or 'bundles'")
-    if n == 2:
-        cls_dims = {
-            "zero2": 0, "h_minus1": 1, "diag_1_0": 2,
-            "gamma2": 3, "diag_1_1": 3, "h_lambda": 3,
-        }
-        bun_dims = dict(cls_dims, h_lambda=4)
-        dims = cls_dims if kind == "classes" else bun_dims
-        mk = {
-            "zero2": lambda p: _form_matrix(Block("N", 1), Block("N", 1)),
-            "h_minus1": lambda p: _form_matrix(Block("H", 2, -1.0)),
-            "diag_1_0": lambda p: _form_matrix(Block("Gamma", 1), Block("N", 1)),
-            "gamma2": lambda p: _form_matrix(Block("Gamma", 2)),
-            "diag_1_1": lambda p: _form_matrix(Block("Gamma", 1), Block("Gamma", 1)),
-            "h_lambda": lambda p: _form_matrix(Block("H", 2, p[0])),
-        }
-        labels = {
-            "zero2": "0₂", "h_minus1": "[[0,1],[-1,0]]", "diag_1_0": "diag(1,0)",
-            "gamma2": "[[0,-1],[1,1]]", "diag_1_1": "diag(1,1)",
-            "h_lambda": "[[0,1],[λ,0]]",
-        }
-        fams = [
-            Family(
-                fid=f, label=labels[f], dim=dims[f],
-                nparams=1 if f == "h_lambda" else 0,
-                domain=_h_family_domain if f == "h_lambda" else None,
-                canon=_h_canon if f == "h_lambda" else None,
-                make=mk[f], sample=(2.0 + 0j,) if f == "h_lambda" else (),
-            )
-            for f in dims
-        ]
-        edges = [
-            ("zero2", "h_minus1"), ("zero2", "diag_1_0"),
-            ("diag_1_0", "gamma2"), ("diag_1_0", "diag_1_1"),
-            ("diag_1_0", "h_lambda"), ("h_minus1", "gamma2"),
-        ]
-        if kind == "bundles":
-            edges += [("gamma2", "h_lambda"), ("diag_1_1", "h_lambda")]
-            edges.remove(("diag_1_0", "h_lambda"))
-        arrows = [Arrow(a, b) for a, b in edges]
-        return ParametricGraph(kind=kind, families=tuple(fams), arrows=tuple(arrows))
-    if n == 3:
-        cls_dims = {
-            "zero3": 0, "h_minus1_n1": 3, "diag_1_0_0": 3,
-            "h_lambda_n1": 5, "gamma2_n1": 5, "diag_1_1_0": 5,
-            "h_minus1_gamma1": 6, "diag_1_1_1": 6, "n3": 7,
-            "h_mu_gamma1": 8, "gamma2_gamma1": 8, "gamma3": 8,
-        }
-        bun_dims = dict(cls_dims, h_lambda_n1=6, h_mu_gamma1=9)
-        dims = cls_dims if kind == "classes" else bun_dims
-        mk = {
-            "zero3": lambda p: _form_matrix(*[Block("N", 1)] * 3),
-            "h_minus1_n1": lambda p: _form_matrix(Block("H", 2, -1.0), Block("N", 1)),
-            "diag_1_0_0": lambda p: _form_matrix(Block("Gamma", 1), Block("N", 1), Block("N", 1)),
-            "h_lambda_n1": lambda p: _form_matrix(Block("H", 2, p[0]), Block("N", 1)),
-            "gamma2_n1": lambda p: _form_matrix(Block("Gamma", 2), Block("N", 1)),
-            "diag_1_1_0": lambda p: _form_matrix(Block("Gamma", 1), Block("Gamma", 1), Block("N", 1)),
-            "h_minus1_gamma1": lambda p: _form_matrix(Block("H", 2, -1.0), Block("Gamma", 1)),
-            "diag_1_1_1": lambda p: _form_matrix(*[Block("Gamma", 1)] * 3),
-            "n3": lambda p: _form_matrix(Block("N", 3)),
-            "h_mu_gamma1": lambda p: _form_matrix(Block("H", 2, p[0]), Block("Gamma", 1)),
-            "gamma2_gamma1": lambda p: _form_matrix(Block("Gamma", 2), Block("Gamma", 1)),
-            "gamma3": lambda p: _form_matrix(Block("Gamma", 3)),
-        }
-        labels = {
-            "zero3": "0₃", "h_minus1_n1": "[[0,1],[-1,0]]⊕0",
-            "diag_1_0_0": "diag(1,0,0)", "h_lambda_n1": "[[0,1],[λ,0]]⊕0",
-            "gamma2_n1": "[[0,-1],[1,1]]⊕0", "diag_1_1_0": "diag(1,1,0)",
-            "h_minus1_gamma1": "[[0,1],[-1,0]]⊕1", "diag_1_1_1": "diag(1,1,1)",
-            "n3": "N₃", "h_mu_gamma1": "[[0,1],[μ,0]]⊕1",
-            "gamma2_gamma1": "[[0,-1],[1,1]]⊕1", "gamma3": "Γ₃",
-        }
-        parametric = {"h_lambda_n1", "h_mu_gamma1"}
-        fams = [
-            Family(
-                fid=f, label=labels[f], dim=dims[f],
-                nparams=1 if f in parametric else 0,
-                domain=_h_family_domain if f in parametric else None,
-                canon=_h_canon if f in parametric else None,
-                make=mk[f], sample=(2.0 + 0j,) if f in parametric else (),
-            )
-            for f in dims
-        ]
-        shared = [
+# one row per family: id, label, class dim, bundle dim, blocks; "λ" and
+# "μ" are the free parameter of an H block
+_CONGRUENCE_FAMILIES = {
+    2: (
+        ("zero2", "0₂", 0, 0, (("N", 1), ("N", 1))),
+        ("h_minus1", "[[0,1],[-1,0]]", 1, 1, (("H", 2, -1.0),)),
+        ("diag_1_0", "diag(1,0)", 2, 2, (("Gamma", 1), ("N", 1))),
+        ("gamma2", "[[0,-1],[1,1]]", 3, 3, (("Gamma", 2),)),
+        ("diag_1_1", "diag(1,1)", 3, 3, (("Gamma", 1), ("Gamma", 1))),
+        ("h_lambda", "[[0,1],[λ,0]]", 3, 4, (("H", 2, "λ"),)),
+    ),
+    3: (
+        ("zero3", "0₃", 0, 0, (("N", 1),) * 3),
+        ("h_minus1_n1", "[[0,1],[-1,0]]⊕0", 3, 3, (("H", 2, -1.0), ("N", 1))),
+        ("diag_1_0_0", "diag(1,0,0)", 3, 3, (("Gamma", 1), ("N", 1), ("N", 1))),
+        ("h_lambda_n1", "[[0,1],[λ,0]]⊕0", 5, 6, (("H", 2, "λ"), ("N", 1))),
+        ("gamma2_n1", "[[0,-1],[1,1]]⊕0", 5, 5, (("Gamma", 2), ("N", 1))),
+        ("diag_1_1_0", "diag(1,1,0)", 5, 5, (("Gamma", 1), ("Gamma", 1), ("N", 1))),
+        ("h_minus1_gamma1", "[[0,1],[-1,0]]⊕1", 6, 6, (("H", 2, -1.0), ("Gamma", 1))),
+        ("diag_1_1_1", "diag(1,1,1)", 6, 6, (("Gamma", 1),) * 3),
+        ("n3", "N₃", 7, 7, (("N", 3),)),
+        ("h_mu_gamma1", "[[0,1],[μ,0]]⊕1", 8, 9, (("H", 2, "μ"), ("Gamma", 1))),
+        ("gamma2_gamma1", "[[0,-1],[1,1]]⊕1", 8, 8, (("Gamma", 2), ("Gamma", 1))),
+        ("gamma3", "Γ₃", 8, 8, (("Gamma", 3),)),
+    ),
+}
+
+# arrows of both graphs, then those of the class graph only, then those of
+# the bundle graph only
+_CONGRUENCE_ARROWS = {
+    2: (
+        [
+            ("zero2", "h_minus1"), ("zero2", "diag_1_0"), ("diag_1_0", "gamma2"),
+            ("diag_1_0", "diag_1_1"), ("h_minus1", "gamma2"),
+        ],
+        [("diag_1_0", "h_lambda")],
+        [("gamma2", "h_lambda"), ("diag_1_1", "h_lambda")],
+    ),
+    3: (
+        [
             ("zero3", "h_minus1_n1"), ("zero3", "diag_1_0_0"),
             ("h_minus1_n1", "gamma2_n1"),
             ("diag_1_0_0", "gamma2_n1"),
@@ -851,35 +781,41 @@ def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
             ("diag_1_1_0", "diag_1_1_1"),
             ("h_minus1_gamma1", "gamma2_gamma1"), ("diag_1_1_1", "gamma3"),
             ("n3", "gamma2_gamma1"), ("n3", "gamma3"),
-        ]
-        if kind == "classes":
-            edges = shared + [
-                ("diag_1_0_0", "h_lambda_n1"),
-                ("gamma2_n1", "n3"), ("diag_1_1_0", "n3"), ("n3", "h_mu_gamma1"),
-            ]
-        else:
-            edges = shared + [
-                ("gamma2_n1", "h_lambda_n1"), ("diag_1_1_0", "h_lambda_n1"),
-                ("gamma2_gamma1", "h_mu_gamma1"), ("gamma3", "h_mu_gamma1"),
-            ]
-        arrows = [Arrow(a, b) for a, b in edges]
-        if kind == "classes":
+        ],
+        [
+            ("diag_1_0_0", "h_lambda_n1"),
+            ("gamma2_n1", "n3"), ("diag_1_1_0", "n3"), ("n3", "h_mu_gamma1"),
             # the parameter of the nonsingular part persists in the closure:
             # the degenerate lam-family sits below the mu-family only for the
             # matching parameter (up to inversion)
-            def same_up_to_inversion(ps, pd):
-                return _same(ps[0], pd[0]) or _same(1.0 / ps[0], pd[0])
+            ("h_lambda_n1", "h_mu_gamma1", _same_up_to_inversion, "same λ up to inversion"),
+        ],
+        [
+            ("gamma2_n1", "h_lambda_n1"), ("diag_1_1_0", "h_lambda_n1"),
+            ("gamma2_gamma1", "h_mu_gamma1"), ("gamma3", "h_mu_gamma1"),
+        ],
+    ),
+}
 
-            arrows.append(
-                Arrow(
-                    "h_lambda_n1",
-                    "h_mu_gamma1",
-                    predicate=same_up_to_inversion,
-                    condition="same λ up to inversion",
-                )
-            )
-        return ParametricGraph(kind=kind, families=tuple(fams), arrows=tuple(arrows))
-    raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
+
+@lru_cache(maxsize=None)
+def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
+    """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
+    if kind not in ("classes", "bundles"):
+        raise ValueError("kind must be 'classes' or 'bundles'")
+    if n not in _CONGRUENCE_FAMILIES:
+        raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
+    fams = []
+    for fid, label, class_dim, bundle_dim, blocks in _CONGRUENCE_FAMILIES[n]:
+        fam = Family(fid, label, class_dim if kind == "classes" else bundle_dim, blocks)
+        if fam.nparams:
+            fam = replace(fam, domain=_h_family_domain, canon=_h_canon, sample=(2.0 + 0j,))
+        fams.append(fam)
+    shared, classes_only, bundles_only = _CONGRUENCE_ARROWS[n]
+    arrows = shared + (classes_only if kind == "classes" else bundles_only)
+    return ParametricGraph(
+        kind=kind, families=tuple(fams), arrows=tuple(Arrow(*a) for a in arrows)
+    )
 
 
 def _mu_nu_domain(params):
@@ -909,38 +845,24 @@ def _cone_condition(ps, pd):
 def star_graph_2x2() -> ParametricGraph:
     """Closure graph for *congruence classes of 2x2 matrices (real dims)."""
     one = lambda params: _unimodular(params[0])
-
-    def mk_diag(a, b):
-        return np.array([[a, 0.0], [0.0, b]], dtype=complex)
-
+    unit = (1.0 + 0j,)
     fams = [
-        Family("zero", "0₂", 0, 0, make=lambda p: np.zeros((2, 2), dtype=complex)),
+        Family("zero", "0₂", 0, (("N", 1), ("N", 1))),
+        Family("diag_l_0", "diag(λ,0)", 3, (("U", 1, "λ"), ("N", 1)), one, sample=unit),
+        Family("diag_l_l", "diag(λ,λ)", 4, (("U", 1, "λ"), ("U", 1, "λ")), one, sample=unit),
         Family(
-            "diag_l_0", "diag(λ,0)", 3, 1, domain=one,
-            make=lambda p: mk_diag(p[0], 0.0), sample=(1.0 + 0j,),
+            "diag_l_minus_l", "diag(λ,-λ)", 4, (("U", 1, "λ"), ("U", 1, "-λ")), one,
+            canon=_pm_canon, sample=unit,
         ),
         Family(
-            "diag_l_l", "diag(λ,λ)", 4, 1, domain=one,
-            make=lambda p: mk_diag(p[0], p[0]), sample=(1.0 + 0j,),
+            "diag_mu_nu", "diag(μ,ν)", 6, (("U", 1, "μ"), ("U", 1, "ν")), _mu_nu_domain,
+            canon=_mu_nu_canon, sample=(1.0 + 0j, 1j),
         ),
         Family(
-            "diag_l_minus_l", "diag(λ,-λ)", 4, 1, domain=one, canon=_pm_canon,
-            make=lambda p: mk_diag(p[0], -p[0]), sample=(1.0 + 0j,),
+            "h_sigma", "[[0,1],[σ,0]]", 6, (("H*", 2, "σ"),),
+            domain=lambda p: 1e-9 < abs(p[0]) < 1 - 1e-9, sample=(0.5 + 0j,),
         ),
-        Family(
-            "diag_mu_nu", "diag(μ,ν)", 6, 2, domain=_mu_nu_domain, canon=_mu_nu_canon,
-            make=lambda p: mk_diag(p[0], p[1]), sample=(1.0 + 0j, 1j),
-        ),
-        Family(
-            "h_sigma", "[[0,1],[σ,0]]", 6, 1,
-            domain=lambda p: 1e-9 < abs(p[0]) < 1 - 1e-9,
-            make=lambda p: np.array([[0.0, 1.0], [p[0], 0.0]], dtype=complex),
-            sample=(0.5 + 0j,),
-        ),
-        Family(
-            "u_tau", "τ·[[0,1],[1,i]]", 6, 1, domain=one,
-            make=lambda p: _u_matrix(2, p[0]), sample=(1.0 + 0j,),
-        ),
+        Family("u_tau", "τ·[[0,1],[1,i]]", 6, (("U", 2, "τ"),), one, sample=unit),
     ]
     arrows = [
         Arrow("zero", "diag_l_0"),
@@ -1015,11 +937,7 @@ def parametric_to_json_doc(g: ParametricGraph) -> dict:
 
 
 def parametric_to_dot(g: ParametricGraph) -> str:
-    lines = ["digraph strata {"]
-    for f in sorted(g.families, key=lambda f: (f.dim, f.fid)):
-        lines.append(f'  "{f.fid}" [label="{f.label} (dim {f.dim})"];')
-    for a in sorted(g.arrows, key=lambda a: (a.src, a.dst)):
-        attr = f' [label="{a.condition}"]' if a.condition else ""
-        lines.append(f'  "{a.src}" -> "{a.dst}"{attr};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_text(
+        [(f.fid, f.label, f.dim) for f in sorted(g.families, key=lambda f: (f.dim, f.fid))],
+        [(a.src, a.dst, a.condition) for a in sorted(g.arrows, key=lambda a: (a.src, a.dst))],
+    )

@@ -355,10 +355,18 @@ def graph_to_json_doc(g: ClosureGraph) -> dict:
 
 
 def graph_to_dot(g: ClosureGraph) -> str:
+    return dot_text(
+        [(v.id, v.notation, v.dim) for v in g.vertices], [(a, b, "") for a, b in g.edges]
+    )
+
+
+def dot_text(nodes, edges) -> str:
+    """DOT text for any closure graph: nodes are (id, label, dim) and edges
+    (src, dst, condition), a non-empty condition becoming the edge label."""
     lines = ["digraph strata {"]
-    for v in g.vertices:
-        lines.append(f'  "{v.id}" [label="{v.notation} (dim {v.dim})"];')
-    for a, b in g.edges:
-        lines.append(f'  "{a}" -> "{b}";')
+    lines += [f'  "{vid}" [label="{label} (dim {dim})"];' for vid, label, dim in nodes]
+    for a, b, condition in edges:
+        attr = f' [label="{condition}"]' if condition else ""
+        lines.append(f'  "{a}" -> "{b}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

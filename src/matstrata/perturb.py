@@ -46,10 +46,10 @@ def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     """Single-linkage grouping of the eigenvalues of A.
 
     Returns (center, multiplicity) pairs sorted by center; multiplicities
-    sum to n.
+    sum to n.  The radius must be finite and > 0.
     """
-    if cluster_radius <= 0:
-        raise ValueError("cluster radius must be positive")
+    if not (math.isfinite(cluster_radius) and cluster_radius > 0):
+        raise ValueError(f"cluster radius must be finite and > 0, got {cluster_radius}")
     A = np.asarray(A, dtype=complex)
     eigs = _eigenvalues(A)
     n = len(eigs)

@@ -22,8 +22,10 @@ from .structure import JordanType, Partition, label_layout
 from .templates import FIXED, jordan_matrix, miniversal_template, pattern_check
 
 DEFAULT_PATTERN_TOL = 1e-8
-DEFAULT_SPLIT_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 50
+SPLIT_TOL = 1e-12  # off-diagonal block norm at which splitting stops
+MAX_SWEEPS = 50
+GAP_TOL = 1e-8  # least spectral separation, relative to the data scale
+MAX_PASSES = 40  # leftover-pushing passes of the single-eigenvalue sweep
 PIVOT_FLOOR = 0.5
 
 
@@ -97,11 +99,11 @@ def apply_elementary(M, op) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sylvester_solve(J1, J2, C, gap_tol: float = 1e-8) -> np.ndarray:
+def sylvester_solve(J1, J2, C) -> np.ndarray:
     """Solve J2 M - M J1 = -C for M (shape n2 x n1).
 
     Requires the spectra of J1 and J2 to be separated by at least
-    ``gap_tol`` times the data scale; refuses otherwise.
+    GAP_TOL times the data scale; refuses otherwise.
     """
     J1 = np.asarray(J1, dtype=complex)
     J2 = np.asarray(J2, dtype=complex)
@@ -115,9 +117,9 @@ def sylvester_solve(J1, J2, C, gap_tol: float = 1e-8) -> np.ndarray:
     e2 = np.linalg.eigvals(J2)
     scale = max(1.0, float(np.abs(e1).max()), float(np.abs(e2).max()))
     gap = float(np.abs(e2[:, None] - e1[None, :]).min())
-    if gap < gap_tol * scale:
+    if gap < GAP_TOL * scale:
         raise SpectraOverlapError(
-            f"spectra separated by {gap:.3e} < threshold {gap_tol * scale:.3e}"
+            f"spectra separated by {gap:.3e} < threshold {GAP_TOL * scale:.3e}"
         )
     K = np.kron(J2, np.eye(n1)) - np.kron(np.eye(n2), J1.T)
     rhs = -C.reshape(-1)
@@ -147,7 +149,7 @@ def _spans(sizes):
     return out
 
 
-def _eliminate_block(M, S, spans, i, j, gap_tol):
+def _eliminate_block(M, S, spans, i, j):
     """One block-elimination similarity zeroing block (i, j) to first order."""
     ri, rj = spans[i], spans[j]
     C = M[ri[0] : ri[1], rj[0] : rj[1]]
@@ -155,15 +157,15 @@ def _eliminate_block(M, S, spans, i, j, gap_tol):
         return
     Dii = M[ri[0] : ri[1], ri[0] : ri[1]]
     Djj = M[rj[0] : rj[1], rj[0] : rj[1]]
-    W = sylvester_solve(Djj, Dii, C, gap_tol=gap_tol)
+    W = sylvester_solve(Djj, Dii, C)
     # T = I + embed(W at rows i, cols j); T^{-1} = I - embed (strips disjoint)
     M[:, rj[0] : rj[1]] += M[:, ri[0] : ri[1]] @ W
     M[ri[0] : ri[1], :] -= W @ M[rj[0] : rj[1], :]
     S[:, rj[0] : rj[1]] += S[:, ri[0] : ri[1]] @ W
 
 
-def _block_diagonalize(M, S, sizes, tol, max_iter, gap_tol):
-    """Drive all off-diagonal blocks of M below tol; returns sweep count."""
+def _block_diagonalize(M, S, sizes):
+    """Drive all off-diagonal blocks of M below SPLIT_TOL; returns sweep count."""
     t = len(sizes)
     if t <= 1:
         return 0
@@ -180,35 +182,29 @@ def _block_diagonalize(M, S, sizes, tol, max_iter, gap_tol):
         )
 
     sweeps = 0
-    while max_under() > tol:
-        if sweeps >= max_iter:
+    while max_under() > SPLIT_TOL:
+        if sweeps >= MAX_SWEEPS:
             raise ReductionError(
-                f"block splitting did not converge in {max_iter} sweeps; "
+                f"block splitting did not converge in {MAX_SWEEPS} sweeps; "
                 "the perturbation is too large for the eigenvalue gaps"
             )
         for d in range(1, t):
             for i in range(d, t):
-                _eliminate_block(M, S, spans, i, i - d, gap_tol)
+                _eliminate_block(M, S, spans, i, i - d)
         sweeps += 1
     # upper part clears exactly in one pass once the lower part is gone
     for d in range(1, t):
         for i in range(t - d):
-            _eliminate_block(M, S, spans, i, i + d, gap_tol)
+            _eliminate_block(M, S, spans, i, i + d)
     return sweeps
 
 
-def split_by_eigenvalue(
-    blocks,
-    E,
-    tol: float = DEFAULT_SPLIT_TOL,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
-    gap_tol: float = 1e-8,
-):
+def split_by_eigenvalue(blocks, E):
     """Block-diagonalize blkdiag(blocks) + E by a near-identity similarity.
 
     ``blocks`` are square matrices with pairwise disjoint spectra.
     Returns (S, transformed_diagonal_blocks); off-diagonal blocks of the
-    transformed matrix are below tol in Frobenius norm.
+    transformed matrix are below SPLIT_TOL in Frobenius norm.
     """
     blocks = [np.asarray(B, dtype=complex) for B in blocks]
     sizes = [B.shape[0] for B in blocks]
@@ -221,7 +217,7 @@ def split_by_eigenvalue(
         M[a:b, a:b] = B
     M += E
     S = np.eye(n, dtype=complex)
-    _block_diagonalize(M, S, sizes, tol, max_iter, gap_tol)
+    _block_diagonalize(M, S, sizes)
     out = [M[a:b, a:b].copy() for a, b in _spans(sizes)]
     return S, out
 
@@ -239,7 +235,7 @@ def _label_template_kinds(part: Partition):
     return miniversal_template(t).kinds
 
 
-def _sweep_label_block(M, S, off, part: Partition, lam, tol, max_passes=40):
+def _sweep_label_block(M, S, off, part: Partition, lam, tol):
     """Reduce the block at ``off`` with eigenvalue ``lam`` to template form.
 
     Decisions are made on the matrix shifted by -lam*I (similarities
@@ -299,7 +295,7 @@ def _sweep_label_block(M, S, off, part: Partition, lam, tol, max_passes=40):
 
     target_tol = min(tol * 1e-2, 1e-12)
     prev = np.inf
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         w = worst()
         if w <= target_tol or w >= prev:
             break
@@ -356,14 +352,7 @@ class ReductionResult:
     pattern_ok: bool
 
 
-def reduce_to_miniversal(
-    t: JordanType,
-    E,
-    tol: float = DEFAULT_PATTERN_TOL,
-    split_tol: float = DEFAULT_SPLIT_TOL,
-    max_iter: int = DEFAULT_MAX_SWEEPS,
-    gap_tol: float = 1e-8,
-) -> ReductionResult:
+def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> ReductionResult:
     """Reduce J + E to the miniversal template of the structure ``t``.
 
     ``t`` needs concrete labels.  The residual is the worst deviation of
@@ -378,9 +367,7 @@ def reduce_to_miniversal(
     M = J + E
     S = np.eye(n, dtype=complex)
     layout = label_layout(t)
-    sweeps = _block_diagonalize(
-        M, S, [p.total for _, p, _ in layout], split_tol, max_iter, gap_tol
-    )
+    sweeps = _block_diagonalize(M, S, [p.total for _, p, _ in layout])
     for label, part, off in layout:
         _sweep_label_block(M, S, off, part, label.value, tol)
     tmpl = miniversal_template(t)

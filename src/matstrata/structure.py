@@ -223,14 +223,14 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _complex_literal(z: complex) -> str:
-    re, im = z.real, z.imag
-    if im == 0:
-        return _fmt_num(re)
-    if re == 0:
-        return _fmt_num(im) + "j"
-    sign = "+" if im > 0 else "-"
-    return f"{_fmt_num(re)}{sign}{_fmt_num(abs(im))}j"
+def format_complex(z: complex, num=_fmt_num, unit: str = "j") -> str:
+    """``a``, ``b<unit>`` or ``a±b<unit>``, each number written by ``num``."""
+    if z.imag == 0:
+        return num(z.real)
+    if z.real == 0:
+        return num(z.imag) + unit
+    sign = "+" if z.imag > 0 else "-"
+    return f"{num(z.real)}{sign}{num(abs(z.imag))}{unit}"
 
 
 def _label_token(label: EigLabel) -> str:
@@ -238,7 +238,7 @@ def _label_token(label: EigLabel) -> str:
         if label.symbol > 26:
             raise ValueError("compact notation supports symbolic ids up to 26")
         return chr(ord("a") + label.symbol - 1)
-    return "(" + _complex_literal(label.value) + ")"
+    return "(" + format_complex(label.value) + ")"
 
 
 def format_compact(t: JordanType) -> str:
@@ -307,7 +307,7 @@ def label_display(label: EigLabel) -> str:
         if label.symbol <= len(GREEK_LETTERS):
             return GREEK_LETTERS[label.symbol - 1]
         return f"λ{label.symbol}"
-    text = _complex_literal(label.value)
+    text = format_complex(label.value)
     return text if len(text) == 1 else f"({text})"
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NumericalAmbiguityError
 
 DEFAULT_RANK_TOL = 1e-8
+# a singular value within this factor of the rank threshold is ambiguous
+RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
 
@@ -33,38 +35,32 @@ class OperatorMatrix:
     matrix: np.ndarray
 
 
-def _basis_images(A: np.ndarray, image) -> np.ndarray:
-    n = A.shape[0]
-    cols = []
-    for k in range(n):
-        for l in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[k, l] = 1.0
-            cols.append(image(E).reshape(-1))
-    return np.column_stack(cols)
-
-
 def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
+    """Matrix of the tangent map of ``action`` at A, in closed Kronecker form.
+
+    Column k*n + l is the image of E_kl (for *congruence, columns 2(k*n + l)
+    and 2(k*n + l) + 1 are the images of E_kl and i*E_kl); rows are the
+    row-major entries of the image (for *congruence, real parts above
+    imaginary parts).  In row-major vec, X -> X A is kron(I, A^T) and
+    X -> A X is kron(A, I); X -> X^T A permutes the columns of the former.
+    """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
-    if action == "similarity":
-        M = _basis_images(A, lambda X: X @ A - A @ X)
-    elif action == "congruence":
-        M = _basis_images(A, lambda X: X.T @ A + A @ X)
-    elif action == "star_congruence":
-        n = A.shape[0]
-        cols = []
-        for k in range(n):
-            for l in range(n):
-                for unit in (1.0, 1.0j):
-                    X = np.zeros((n, n), dtype=complex)
-                    X[k, l] = unit
-                    out = X.conj().T @ A + A @ X
-                    cols.append(np.concatenate([out.real.reshape(-1), out.imag.reshape(-1)]))
-        M = np.column_stack(cols)
-    else:
+    if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
+    n = A.shape[0]
+    right, left = np.kron(np.eye(n), A.T), np.kron(A, np.eye(n))
+    if action == "similarity":
+        M = right - left
+    else:
+        transposed = right[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
+        M = transposed + left
+        if action == "star_congruence":
+            # X = i E_kl maps to i (A E_kl - E_lk A)
+            turn = left - transposed
+            cols = (np.vstack([M.real, M.imag]), np.vstack([-turn.imag, turn.real]))
+            M = np.stack(cols, axis=2).reshape(2 * n * n, 2 * n * n)
     return OperatorMatrix(action=action, base=A, matrix=M)
 
 
@@ -83,14 +79,21 @@ def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> in
     return int(np.sum(s >= tol * ref))
 
 
-def guarded_rank(
-    M: np.ndarray,
-    tol: float = DEFAULT_RANK_TOL,
-    band: float = 10.0,
-    ref: float | None = None,
-) -> int:
-    """numeric_rank, but refuse when any singular value falls inside the
-    ambiguity band (threshold/band, threshold*band).
+def band_rank(s: np.ndarray, thr: float) -> int:
+    """Count the singular values ``s`` at or above ``thr``, refusing when any
+    lies inside the ambiguity band (thr / RANK_BAND, thr * RANK_BAND)."""
+    inside = [float(x) for x in s if thr / RANK_BAND < x < thr * RANK_BAND]
+    if inside:
+        raise NumericalAmbiguityError(
+            "singular values fall inside the rank-tolerance band",
+            details={"band": inside, "threshold": float(thr)},
+        )
+    return int(np.sum(s >= thr))
+
+
+def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL, ref: float | None = None) -> int:
+    """numeric_rank, but refuse when a singular value falls inside the
+    ambiguity band (see band_rank).
 
     ``ref`` supplies an external reference scale for the threshold; without
     it the matrix's own largest singular value is used (then a matrix that
@@ -101,14 +104,7 @@ def guarded_rank(
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    thr = tol * (ref if ref is not None else s[0])
-    inside = [float(x) for x in s if thr / band < x < thr * band]
-    if inside:
-        raise NumericalAmbiguityError(
-            "singular values fall inside the rank-tolerance band",
-            details={"band": inside, "threshold": float(thr)},
-        )
-    return int(np.sum(s >= thr))
+    return band_rank(s, tol * (ref if ref is not None else s[0]))
 
 
 def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:

@@ -11,6 +11,7 @@ codimension of the similarity class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from .structure import (
     EigLabel,
     JordanType,
     format_compact,
+    format_complex,
     label_display,
     label_layout,
 )
@@ -143,8 +145,10 @@ def pattern_check(M, tmpl: DeformationTemplate, tol: float = 1e-8) -> PatternChe
     """Does M agree with the template's pinned entries within tol?
 
     Parameter cells (star/eps/delta) are unconstrained; the residual is
-    the largest deviation over fixed cells.
+    the largest deviation over fixed cells.  ``tol`` must be finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"pattern tolerance must be finite and > 0, got {tol}")
     M = np.asarray(M, dtype=complex)
     if M.shape != (tmpl.n, tmpl.n):
         raise SizeMismatchError(f"matrix shape {M.shape} vs template size {tmpl.n}")
@@ -168,12 +172,9 @@ def _short_value(v) -> str:
     z = complex(v)
     if z == 0:
         return "0"
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    if z.real == 0:
-        return f"{z.imag:.12g}i" if z.imag != 1 else "i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
+    if z == 1j:
+        return "i"
+    return format_complex(z, "{:.12g}".format, "i")
 
 
 def _cell_text(base, kind) -> str:

@@ -137,6 +137,24 @@ class TestReduceCommand:
         path = write_matrix(tmp_path / "e.json", np.zeros((2, 2)))
         assert invoke("reduce", "--jordan", "a^2", "--pert", path)[0] == 1
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_refused(self, tmp_path, rng, capsys, tol):
+        E = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        path = write_matrix(tmp_path / "e.json", 1e-3 * E / np.linalg.norm(E))
+        code, out = invoke("reduce", "--jordan", "(0)^3 (1)", "--pert", path, f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert "pattern tolerance must be finite" in capsys.readouterr().err
+
+    def test_default_tolerance_is_the_library_default(self, tmp_path, monkeypatch, capsys):
+        from matstrata import reduction
+
+        path = write_matrix(tmp_path / "e.json", np.zeros((3, 3)))
+        assert invoke("reduce", "--jordan", "(0)^3", "--pert", path)[0] == 0
+        # without --tol the command must pass on whatever the library default is
+        monkeypatch.setattr(reduction, "DEFAULT_PATTERN_TOL", -1.0)
+        assert invoke("reduce", "--jordan", "(0)^3", "--pert", path)[0] == 1
+        assert "got -1.0" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_display(self, tmp_path):
@@ -278,6 +296,13 @@ class TestPerturbationSize:
                            "--trials", "3", "--seed", "1")
         assert code == 1 and out == ""
         assert "eps must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+    def test_survey_refuses_radius(self, capsys, radius):
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3",
+                           "--trials", "3", "--seed", "1", f"--radius={radius}")
+        assert code == 1 and out == ""
+        assert "cluster radius must be finite" in capsys.readouterr().err
 
     def test_survey_zero_eps_allowed(self):
         code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "0",

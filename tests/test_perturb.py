@@ -46,6 +46,11 @@ class TestClusters:
         with pytest.raises(ValueError):
             eigen_clusters(np.eye(2), cluster_radius=0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="cluster radius must be finite"):
+            eigen_clusters(np.eye(2), cluster_radius=radius)
+
 
 class TestNumericWeyr:
     @pytest.mark.parametrize("lam", [0.0, 1.0])

@@ -143,3 +143,39 @@ class TestScalarMatrices:
         U = Q * (np.diag(R) / abs(np.diag(R)))
         A = U @ (2j * np.eye(n)) @ U.conj().T
         assert similarity_codim_numeric(A) == n * n
+
+
+def basis_images(action, A):
+    """The tangent map by definition: the image of every basis matrix E_kl
+    (and i*E_kl for the real-linear *congruence map), one column each."""
+    n = A.shape[0]
+    units = (1.0, 1.0j) if action == "star_congruence" else (1.0,)
+    cols = []
+    for k in range(n):
+        for l in range(n):
+            for unit in units:
+                X = np.zeros((n, n), dtype=complex)
+                X[k, l] = unit
+                if action == "similarity":
+                    cols.append((X @ A - A @ X).reshape(-1))
+                elif action == "congruence":
+                    cols.append((X.T @ A + A @ X).reshape(-1))
+                else:
+                    out = X.conj().T @ A + A @ X
+                    cols.append(np.concatenate([out.real.reshape(-1), out.imag.reshape(-1)]))
+    return np.column_stack(cols)
+
+
+class TestKroneckerForm:
+    @pytest.mark.parametrize("action", ["similarity", "congruence", "star_congruence"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_basis_images(self, action, n):
+        rng = np.random.default_rng(100 + n)
+        inputs = [random_complex(rng, n), random_complex(rng, n).real.astype(complex)]
+        sparse = random_complex(rng, n)
+        sparse[rng.random((n, n)) < 0.5] = 0
+        inputs += [sparse, jordan_matrix(jt({conc(0): (n,)})), np.zeros((n, n), dtype=complex)]
+        for A in inputs:
+            got = action_operator(action, A).matrix
+            want = basis_images(action, A)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -127,6 +127,12 @@ class TestPatternCheck:
         with pytest.raises(ValueError):
             pattern_check(np.zeros((2, 2)), tmpl)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        t = jt({conc(0): (2,)})
+        with pytest.raises(ValueError, match="pattern tolerance"):
+            pattern_check(jordan_matrix(t), miniversal_template(t), tol=tol)
+
 
 class TestRendering:
     def test_json_doc(self):
