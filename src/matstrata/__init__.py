@@ -7,7 +7,7 @@ perturbation lab that validates the graphs.
 
 Names are exported lazily (PEP 562): ``import matstrata`` loads no
 submodule, and ``matstrata.<name>`` imports the submodule that defines the
-name on first use.  Graph and structure work therefore never loads numpy.
+name on first use.  Structure and closure-graph work therefore never loads numpy.
 Each access looks the name up in its submodule again, so a function
 replaced there is what the package hands out.
 """
@@ -26,8 +26,10 @@ _EXPORTS = {
         "partitions", "weyr_of",
     ),
     "graphs": (
-        "ClosureGraph", "build_bundle_graph", "build_class_graph", "bundle_down_moves",
-        "closure_leq", "graph_to_dot", "graph_to_json_doc", "reachable",
+        "ClosureGraph", "ParametricGraph", "build_bundle_graph", "build_class_graph",
+        "bundle_down_moves", "closure_leq", "congruence_graph", "graph_to_dot",
+        "graph_to_json_doc", "has_arrow", "parametric_to_dot", "parametric_to_json_doc",
+        "path_exists", "reachable", "star_graph_2x2",
     ),
     "tangent": (
         "OperatorMatrix", "action_operator", "congruence_codim_numeric",
@@ -43,10 +45,8 @@ _EXPORTS = {
         "sylvester_solve",
     ),
     "congruence": (
-        "Block", "CongruenceForm", "ParametricGraph", "StarForm", "canonical_matrix",
-        "classify_congruence", "congruence_graph", "congruence_template",
-        "form_to_json_doc", "has_arrow", "normalize_form", "parametric_to_dot",
-        "parametric_to_json_doc", "path_exists", "star_graph_2x2", "star_template",
+        "Block", "CongruenceForm", "StarForm", "canonical_matrix", "classify_congruence",
+        "congruence_template", "form_to_json_doc", "normalize_form", "star_template",
     ),
     "perturb": (
         "PerturbReport", "eigen_clusters", "find_arrow_witness", "numeric_jordan_type",

@@ -5,9 +5,9 @@ JSON document (graphs can also emit DOT).  Exit codes: 0 success, 1 usage
 or input error, 2 numerical-ambiguity error.  The environment variable
 STRATA_TOL overrides the default rank tolerance.
 
-Only the exact layers are imported up front; each numeric subcommand
-imports its layer (and so numpy) when it runs, which keeps `graph sim`
-and `graph bundle` processes free of numpy.
+Only the exact layers (structure and every closure graph) are imported up
+front; each numeric subcommand imports its layer (and so numpy) when it
+runs, which keeps every `graph` process free of numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,16 @@ import os
 import sys
 
 from .errors import NumericalAmbiguityError, StrataError
-from .graphs import build_bundle_graph, build_class_graph, graph_to_dot, graph_to_json_doc
+from .graphs import (
+    build_bundle_graph,
+    build_class_graph,
+    congruence_graph,
+    graph_to_dot,
+    graph_to_json_doc,
+    parametric_to_dot,
+    parametric_to_json_doc,
+    star_graph_2x2,
+)
 from .structure import format_compact, parse_compact
 
 
@@ -234,29 +243,19 @@ def _cmd_codim(args) -> None:
 def _cmd_graph(args) -> None:
     if args.what == "sim":
         g = build_class_graph(args.n, nilpotent=args.nilpotent)
-        doc, dot = graph_to_json_doc(g), lambda: graph_to_dot(g)
     elif args.what == "bundle":
         g = build_bundle_graph(args.n)
-        doc, dot = graph_to_json_doc(g), lambda: graph_to_dot(g)
+    elif args.what == "congr":
+        g = congruence_graph(args.n, args.kind)
+    elif args.n != 2:
+        raise _UsageError("the *congruence closure graph is available for n = 2")
     else:
-        from .congruence import (
-            congruence_graph,
-            parametric_to_dot,
-            parametric_to_json_doc,
-            star_graph_2x2,
-        )
-
-        if args.what == "congr":
-            g = congruence_graph(args.n, args.kind)
-        elif args.n != 2:
-            raise _UsageError("the *congruence closure graph is available for n = 2")
-        else:
-            g = star_graph_2x2()
-        doc, dot = parametric_to_json_doc(g), lambda: parametric_to_dot(g)
+        g = star_graph_2x2()
+    exact = args.what in ("sim", "bundle")
     if args.format == "dot":
-        sys.stdout.write(dot())
+        sys.stdout.write((graph_to_dot if exact else parametric_to_dot)(g))
     else:
-        _emit(doc)
+        _emit((graph_to_json_doc if exact else parametric_to_json_doc)(g))
 
 
 def _cmd_template(args) -> None:

@@ -15,20 +15,22 @@ eigenvalues pin down the canonical form.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CatalogError, NumericalAmbiguityError
-from .graphs import dot_text
+from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-exported here
+    PARAM_TOL,
+    _normalize_h_lambda,
+    congruence_graph,
+    parametric_to_dot,
+    parametric_to_json_doc,
+    star_graph_2x2,
+)
 from .structure import format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
 from .tangent import DEFAULT_RANK_TOL, band_rank, guarded_rank
-
-PARAM_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # blocks and forms
@@ -182,22 +184,6 @@ def _direct_sum(blocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
-
-
-def _normalize_h_lambda(lam: complex, m: int) -> complex:
-    if abs(lam) <= PARAM_TOL:
-        raise CatalogError("H-block parameter 0 is excluded (that class is N)")
-    excluded = (-1.0) ** (m + 1)
-    if abs(lam - excluded) <= PARAM_TOL:
-        raise CatalogError(
-            f"H-block parameter {excluded:+g} is excluded for m={m} "
-            "(that class is a Gamma pair)"
-        )
-    if abs(lam) < 1 - PARAM_TOL:
-        lam = 1.0 / lam
-    if abs(abs(lam) - 1) <= PARAM_TOL and lam.imag < 0:
-        lam = 1.0 / lam
-    return lam
 
 
 def _normalize_hstar_lambda(lam: complex) -> complex:
@@ -530,6 +516,8 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     Tolerance-ambiguous rank decisions raise NumericalAmbiguityError
     rather than guessing.
     """
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if A.shape != (n, n) or n not in (2, 3):
@@ -545,354 +533,6 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
         core = Q.T @ A @ Q
         blocks = _classify_core(core, tol) + blocks
     return normalize_form(CongruenceForm(tuple(blocks)))
-
-
-# ---------------------------------------------------------------------------
-# parametric closure graphs (2x2 / 3x3 congruence, 2x2 *congruence)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Family:
-    """One vertex family: a canonical shape with free parameters.
-
-    ``blocks`` are (kind, size) or (kind, size, param); a string param such
-    as "λ" or "-λ" refers to a free parameter, numbered in order of first
-    appearance, any other param is fixed.
-    """
-
-    fid: str
-    label: str
-    dim: int
-    blocks: tuple = ()
-    domain: object = None      # params -> bool
-    canon: object = None       # params -> canonical tuple (instance identity)
-    sample: tuple = ()
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        names = [b[2].lstrip("-") for b in self.blocks if len(b) > 2 and isinstance(b[2], str)]
-        return tuple(dict.fromkeys(names))
-
-    @property
-    def nparams(self) -> int:
-        return len(self.symbols)
-
-    def make(self, params) -> np.ndarray:
-        """Canonical matrix of the member with these parameters."""
-        value = dict(zip(self.symbols, params))
-        blocks = []
-        for kind, size, *param in self.blocks:
-            p = param[0] if param else None
-            if isinstance(p, str):
-                p = -value[p[1:]] if p[0] == "-" else value[p]
-            blocks.append(Block(kind, size, p))
-        return _direct_sum(blocks)
-
-    def check(self, params: tuple):
-        params = tuple(complex(p) for p in params)
-        if len(params) != self.nparams:
-            raise ValueError(
-                f"family {self.fid} takes {self.nparams} parameter(s), got {len(params)}"
-            )
-        if self.domain is not None and not self.domain(params):
-            raise ValueError(f"parameters {params} outside the domain of {self.fid}")
-        return params
-
-    def canonical(self, params: tuple) -> tuple:
-        return self.canon(params) if self.canon is not None else params
-
-
-@dataclass(frozen=True)
-class Arrow:
-    src: str
-    dst: str
-    predicate: object = None   # (src_params, dst_params) -> bool
-    condition: str = ""
-
-
-@dataclass(frozen=True)
-class ParametricGraph:
-    kind: str
-    families: tuple[Family, ...]
-    arrows: tuple[Arrow, ...]
-
-    def family(self, fid: str) -> Family:
-        for f in self.families:
-            if f.fid == fid:
-                return f
-        raise KeyError(f"no family {fid!r} in graph")
-
-
-def _inst(g: ParametricGraph, inst):
-    fid, params = (inst[0], tuple(np.atleast_1d(inst[1]))) if len(inst) == 2 else (inst[0], ())
-    fam = g.family(fid)
-    return fam, fam.check(params)
-
-
-def has_arrow(g: ParametricGraph, src_inst, dst_inst) -> bool:
-    """Direct arrow between two concrete instances (reflexive)."""
-    fs, ps = _inst(g, src_inst)
-    fd, pd = _inst(g, dst_inst)
-    if fs.fid == fd.fid and all(map(_same, fs.canonical(ps), fd.canonical(pd))):
-        return True
-    for a in g.arrows:
-        if a.src == fs.fid and a.dst == fd.fid:
-            if a.predicate is None or a.predicate(ps, pd):
-                return True
-    return False
-
-
-def _candidate_params(fam: Family, pool):
-    if fam.nparams == 0:
-        return [()]
-    cands = set()
-    for tup in itertools.product(pool, repeat=fam.nparams):
-        try:
-            tup = fam.check(tup)
-        except ValueError:
-            continue
-        cands.add(fam.canonical(tup))
-    for s in (fam.sample,):
-        if s and len(s) == fam.nparams:
-            cands.add(fam.canonical(fam.check(s)))
-    return sorted(cands, key=lambda t: tuple((z.real, z.imag) for z in t))
-
-
-def path_exists(g: ParametricGraph, src_inst, dst_inst) -> bool:
-    """Predicate-aware reachability over concrete instances.
-
-    Free parameters of intermediate families are searched over candidates
-    derived from the endpoint parameters (values, negations, conjugates,
-    inverses) plus each family's sample point; that set witnesses every
-    path the catalog's predicates admit.
-    """
-    fs, ps = _inst(g, src_inst)
-    fd, pd = _inst(g, dst_inst)
-    pool = {1.0 + 0j, -1.0 + 0j, 1j, -1j}
-    for z in (*ps, *pd):
-        pool.update({z, -z, np.conj(z), -np.conj(z)})
-        if abs(z) > 1e-12:
-            pool.update({1.0 / z, 1.0 / np.conj(z)})
-    start = (fs.fid, fs.canonical(ps))
-    goal = (fd.fid, fd.canonical(pd))
-
-    def close(a, b):
-        return a[0] == b[0] and all(map(_same, a[1], b[1]))
-
-    seen, stack = [start], [start]
-    while stack:
-        cur = stack.pop()
-        if close(cur, goal):
-            return True
-        cf, cp = g.family(cur[0]), cur[1]
-        for a in g.arrows:
-            if a.src != cf.fid:
-                continue
-            nf = g.family(a.dst)
-            targets = (
-                [goal[1]] if a.dst == goal[0] else _candidate_params(nf, pool)
-            )
-            for tp in targets:
-                try:
-                    tp = nf.check(tp)
-                except ValueError:
-                    continue
-                if a.predicate is not None and not a.predicate(cp, tp):
-                    continue
-                nxt = (nf.fid, nf.canonical(tp))
-                if not any(close(nxt, s) for s in seen):
-                    seen.append(nxt)
-                    stack.append(nxt)
-    return False
-
-
-# --- figure graphs ---------------------------------------------------------
-
-
-def _unimodular(z: complex) -> bool:
-    return abs(abs(z) - 1.0) <= 1e-9
-
-
-def _same(a: complex, b: complex) -> bool:
-    return abs(a - b) <= 1e-9
-
-
-def _h_family_domain(params):
-    (lam,) = params
-    return abs(lam) > 1e-9 and not _same(lam, 1.0) and not _same(lam, -1.0)
-
-
-def _h_canon(params):
-    (lam,) = params
-    return (_normalize_h_lambda(lam, 1),)
-
-
-def _same_up_to_inversion(ps, pd):
-    return _same(ps[0], pd[0]) or _same(1.0 / ps[0], pd[0])
-
-
-# one row per family: id, label, class dim, bundle dim, blocks; "λ" and
-# "μ" are the free parameter of an H block
-_CONGRUENCE_FAMILIES = {
-    2: (
-        ("zero2", "0₂", 0, 0, (("N", 1), ("N", 1))),
-        ("h_minus1", "[[0,1],[-1,0]]", 1, 1, (("H", 2, -1.0),)),
-        ("diag_1_0", "diag(1,0)", 2, 2, (("Gamma", 1), ("N", 1))),
-        ("gamma2", "[[0,-1],[1,1]]", 3, 3, (("Gamma", 2),)),
-        ("diag_1_1", "diag(1,1)", 3, 3, (("Gamma", 1), ("Gamma", 1))),
-        ("h_lambda", "[[0,1],[λ,0]]", 3, 4, (("H", 2, "λ"),)),
-    ),
-    3: (
-        ("zero3", "0₃", 0, 0, (("N", 1),) * 3),
-        ("h_minus1_n1", "[[0,1],[-1,0]]⊕0", 3, 3, (("H", 2, -1.0), ("N", 1))),
-        ("diag_1_0_0", "diag(1,0,0)", 3, 3, (("Gamma", 1), ("N", 1), ("N", 1))),
-        ("h_lambda_n1", "[[0,1],[λ,0]]⊕0", 5, 6, (("H", 2, "λ"), ("N", 1))),
-        ("gamma2_n1", "[[0,-1],[1,1]]⊕0", 5, 5, (("Gamma", 2), ("N", 1))),
-        ("diag_1_1_0", "diag(1,1,0)", 5, 5, (("Gamma", 1), ("Gamma", 1), ("N", 1))),
-        ("h_minus1_gamma1", "[[0,1],[-1,0]]⊕1", 6, 6, (("H", 2, -1.0), ("Gamma", 1))),
-        ("diag_1_1_1", "diag(1,1,1)", 6, 6, (("Gamma", 1),) * 3),
-        ("n3", "N₃", 7, 7, (("N", 3),)),
-        ("h_mu_gamma1", "[[0,1],[μ,0]]⊕1", 8, 9, (("H", 2, "μ"), ("Gamma", 1))),
-        ("gamma2_gamma1", "[[0,-1],[1,1]]⊕1", 8, 8, (("Gamma", 2), ("Gamma", 1))),
-        ("gamma3", "Γ₃", 8, 8, (("Gamma", 3),)),
-    ),
-}
-
-# arrows of both graphs, then those of the class graph only, then those of
-# the bundle graph only
-_CONGRUENCE_ARROWS = {
-    2: (
-        [
-            ("zero2", "h_minus1"), ("zero2", "diag_1_0"), ("diag_1_0", "gamma2"),
-            ("diag_1_0", "diag_1_1"), ("h_minus1", "gamma2"),
-        ],
-        [("diag_1_0", "h_lambda")],
-        [("gamma2", "h_lambda"), ("diag_1_1", "h_lambda")],
-    ),
-    3: (
-        [
-            ("zero3", "h_minus1_n1"), ("zero3", "diag_1_0_0"),
-            ("h_minus1_n1", "gamma2_n1"),
-            ("diag_1_0_0", "gamma2_n1"),
-            ("diag_1_0_0", "diag_1_1_0"),
-            ("gamma2_n1", "h_minus1_gamma1"),
-            ("h_lambda_n1", "n3"),
-            ("diag_1_1_0", "diag_1_1_1"),
-            ("h_minus1_gamma1", "gamma2_gamma1"), ("diag_1_1_1", "gamma3"),
-            ("n3", "gamma2_gamma1"), ("n3", "gamma3"),
-        ],
-        [
-            ("diag_1_0_0", "h_lambda_n1"),
-            ("gamma2_n1", "n3"), ("diag_1_1_0", "n3"), ("n3", "h_mu_gamma1"),
-            # the parameter of the nonsingular part persists in the closure:
-            # the degenerate lam-family sits below the mu-family only for the
-            # matching parameter (up to inversion)
-            ("h_lambda_n1", "h_mu_gamma1", _same_up_to_inversion, "same λ up to inversion"),
-        ],
-        [
-            ("gamma2_n1", "h_lambda_n1"), ("diag_1_1_0", "h_lambda_n1"),
-            ("gamma2_gamma1", "h_mu_gamma1"), ("gamma3", "h_mu_gamma1"),
-        ],
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
-    """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
-    if kind not in ("classes", "bundles"):
-        raise ValueError("kind must be 'classes' or 'bundles'")
-    if n not in _CONGRUENCE_FAMILIES:
-        raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
-    fams = []
-    for fid, label, class_dim, bundle_dim, blocks in _CONGRUENCE_FAMILIES[n]:
-        fam = Family(fid, label, class_dim if kind == "classes" else bundle_dim, blocks)
-        if fam.nparams:
-            fam = replace(fam, domain=_h_family_domain, canon=_h_canon, sample=(2.0 + 0j,))
-        fams.append(fam)
-    shared, classes_only, bundles_only = _CONGRUENCE_ARROWS[n]
-    arrows = shared + (classes_only if kind == "classes" else bundles_only)
-    return ParametricGraph(
-        kind=kind, families=tuple(fams), arrows=tuple(Arrow(*a) for a in arrows)
-    )
-
-
-def _mu_nu_domain(params):
-    mu, nu = params
-    return _unimodular(mu) and _unimodular(nu) and abs(mu - nu) > 1e-9 and abs(mu + nu) > 1e-9
-
-
-def _mu_nu_canon(params):
-    return tuple(sorted(params, key=lambda z: (z.real, z.imag)))
-
-
-def _pm_canon(params):
-    (lam,) = params
-    cands = [lam, -lam]
-    cands.sort(key=lambda z: (z.imag, z.real))
-    return (cands[-1],)
-
-
-def _cone_condition(ps, pd):
-    (lam,), (mu, nu) = ps, pd
-    M = np.array([[mu.real, nu.real], [mu.imag, nu.imag]])
-    ab = np.linalg.solve(M, np.array([lam.real, lam.imag]))
-    return bool(np.all(ab >= -1e-9))
-
-
-@lru_cache(maxsize=None)
-def star_graph_2x2() -> ParametricGraph:
-    """Closure graph for *congruence classes of 2x2 matrices (real dims)."""
-    one = lambda params: _unimodular(params[0])
-    unit = (1.0 + 0j,)
-    fams = [
-        Family("zero", "0₂", 0, (("N", 1), ("N", 1))),
-        Family("diag_l_0", "diag(λ,0)", 3, (("U", 1, "λ"), ("N", 1)), one, sample=unit),
-        Family("diag_l_l", "diag(λ,λ)", 4, (("U", 1, "λ"), ("U", 1, "λ")), one, sample=unit),
-        Family(
-            "diag_l_minus_l", "diag(λ,-λ)", 4, (("U", 1, "λ"), ("U", 1, "-λ")), one,
-            canon=_pm_canon, sample=unit,
-        ),
-        Family(
-            "diag_mu_nu", "diag(μ,ν)", 6, (("U", 1, "μ"), ("U", 1, "ν")), _mu_nu_domain,
-            canon=_mu_nu_canon, sample=(1.0 + 0j, 1j),
-        ),
-        Family(
-            "h_sigma", "[[0,1],[σ,0]]", 6, (("H*", 2, "σ"),),
-            domain=lambda p: 1e-9 < abs(p[0]) < 1 - 1e-9, sample=(0.5 + 0j,),
-        ),
-        Family("u_tau", "τ·[[0,1],[1,i]]", 6, (("U", 2, "τ"),), one, sample=unit),
-    ]
-    arrows = [
-        Arrow("zero", "diag_l_0"),
-        Arrow("zero", "diag_mu_nu"),
-        Arrow("zero", "u_tau"),
-        Arrow(
-            "diag_l_0", "diag_l_l",
-            predicate=lambda ps, pd: _same(ps[0], pd[0]),
-            condition="same λ",
-        ),
-        Arrow(
-            "diag_l_0", "diag_l_minus_l",
-            predicate=lambda ps, pd: _same(ps[0], pd[0]) or _same(ps[0], -pd[0]),
-            condition="same λ",
-        ),
-        Arrow("diag_l_0", "h_sigma"),
-        Arrow("diag_l_0", "diag_mu_nu", predicate=_cone_condition,
-              condition="λ ∈ μℝ₊+νℝ₊"),
-        Arrow(
-            "diag_l_0", "u_tau",
-            predicate=lambda ps, pd: (ps[0] * np.conj(pd[0])).imag >= -1e-9,
-            condition="Im(λτ̄) ≥ 0",
-        ),
-        Arrow(
-            "diag_l_minus_l", "u_tau",
-            predicate=lambda ps, pd: _same(pd[0], ps[0]) or _same(pd[0], -ps[0]),
-            condition="τ = ±λ",
-        ),
-    ]
-    return ParametricGraph(kind="star_classes", families=tuple(fams), arrows=tuple(arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -920,24 +560,3 @@ def form_from_json_doc(doc) -> CongruenceForm | StarForm:
         for e in doc["blocks"]
     )
     return StarForm(blocks) if doc.get("star") else CongruenceForm(blocks)
-
-
-def parametric_to_json_doc(g: ParametricGraph) -> dict:
-    return {
-        "kind": g.kind,
-        "families": [
-            {"id": f.fid, "label": f.label, "dim": f.dim, "nparams": f.nparams}
-            for f in sorted(g.families, key=lambda f: (f.dim, f.fid))
-        ],
-        "arrows": [
-            {"src": a.src, "dst": a.dst, "condition": a.condition}
-            for a in sorted(g.arrows, key=lambda a: (a.src, a.dst))
-        ],
-    }
-
-
-def parametric_to_dot(g: ParametricGraph) -> str:
-    return dot_text(
-        [(f.fid, f.label, f.dim) for f in sorted(g.families, key=lambda f: (f.dim, f.fid))],
-        [(a.src, a.dst, a.condition) for a in sorted(g.arrows, key=lambda a: (a.src, a.dst))],
-    )

@@ -1,19 +1,20 @@
-"""Closure order on Jordan structures and Hasse-diagram construction.
+"""Closure graphs under similarity, congruence and *congruence; no numpy.
 
 A structure J lies below J2 when every matrix similar to J is a limit of
-matrices similar to J2; the test is the prefix-sum inequality between the
-block-count (conjugate) sequences, one eigenvalue at a time.  Graphs are
-built for fixed eigenvalue patterns (classes) and for structures modulo
-eigenvalue renaming (bundles, which also allow eigenvalues to merge).
+matrices similar to J2; the test is partition dominance, one eigenvalue at
+a time.  Similarity graphs are built for fixed eigenvalue patterns (classes)
+and modulo eigenvalue renaming (bundles, which also let eigenvalues merge).
+The congruence graphs are parametric: a vertex is a family of canonical
+forms with free parameters, and an arrow may hold only under a condition.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import SizeMismatchError
+from .errors import CatalogError, SizeMismatchError
 from .structure import (
     BundleType,
     EigLabel,
@@ -27,7 +28,6 @@ from .structure import (
     jordan_types_for_pattern,
     orbit_dim,
     partitions,
-    weyr_of,
 )
 
 DEFAULT_MAX_N = 8
@@ -35,11 +35,9 @@ DEFAULT_MAX_N = 8
 
 def _prefix_dominates(w_lo: tuple[int, ...], w_hi: tuple[int, ...]) -> bool:
     """Every prefix sum of w_lo is >= the matching prefix sum of w_hi."""
-    k = max(len(w_lo), len(w_hi))
     s_lo = s_hi = 0
-    for j in range(k):
-        s_lo += w_lo[j] if j < len(w_lo) else 0
-        s_hi += w_hi[j] if j < len(w_hi) else 0
+    for a, b in itertools.zip_longest(w_lo, w_hi, fillvalue=0):
+        s_lo, s_hi = s_lo + a, s_hi + b
         if s_lo < s_hi:
             return False
     return True
@@ -60,21 +58,18 @@ def partition_closure_leq(q: Partition, p: Partition) -> bool:
 def closure_leq(J: JordanType, J2: JordanType) -> bool:
     """True iff the class of J is contained in the closure of the class of J2.
 
-    Requires the same eigenvalue labels with the same total multiplicity,
-    then per-label prefix-sum dominance of the block-count sequences.
-    Reflexive (a structure reaches itself by the empty perturbation).
+    Requires the same eigenvalue labels, then the single-eigenvalue closure
+    test on each label's partitions.  Reflexive (a structure reaches itself
+    by the empty perturbation).
     """
     if J.n != J2.n:
         raise SizeMismatchError(f"orders differ: {J.n} vs {J2.n}")
     if set(J.labels) != set(J2.labels):
         return False
-    for label in J.labels:
-        p, p2 = J.partition_of(label), J2.partition_of(label)
-        if p.total != p2.total:
-            return False
-        if not _prefix_dominates(weyr_of(J, label), weyr_of(J2, label)):
-            return False
-    return True
+    return all(
+        partition_closure_leq(J.partition_of(label), J2.partition_of(label))
+        for label in J.labels
+    )
 
 
 def _bundle_leq_same_labels(a: JordanType, b: JordanType) -> bool:
@@ -243,15 +238,14 @@ def build_class_graph(
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"order {n} outside supported range 1..{max_n}")
+    leq = closure_leq
     if nilpotent:
         zero = EigLabel.concrete(0)
         structs = [JordanType({zero: p}) for p in partitions(n)]
-        leq = closure_leq
     elif pattern is not None:
         if sum(pattern) != n:
             raise ValueError(f"pattern {pattern} does not sum to {n}")
         structs = list(jordan_types_for_pattern(tuple(pattern)))
-        leq = closure_leq
     else:
         structs = list(bundle_types(n))
         leq = _bundle_leq_same_labels
@@ -276,13 +270,7 @@ def bundle_down_moves(b: JordanType) -> list[BundleType]:
                 out.add(canonical_bundle_labeling(JordanType(moved)))
     for i, j in itertools.combinations(range(len(entries)), 2):
         pi, pj = entries[i][1].parts, entries[j][1].parts
-        k = max(len(pi), len(pj))
-        merged = Partition(
-            tuple(
-                (pi[m] if m < len(pi) else 0) + (pj[m] if m < len(pj) else 0)
-                for m in range(k)
-            )
-        )
+        merged = Partition(tuple(map(sum, itertools.zip_longest(pi, pj, fillvalue=0))))
         rest = [e for m, e in enumerate(entries) if m not in (i, j)]
         moved = rest + [(EigLabel.symbolic(99), merged)]
         out.add(canonical_bundle_labeling(JordanType(moved)))
@@ -340,6 +328,376 @@ def reachable(g: ClosureGraph, a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# parametric closure graphs (2x2 / 3x3 congruence, 2x2 *congruence)
+# ---------------------------------------------------------------------------
+
+PARAM_TOL = 1e-12
+
+
+def _normalize_h_lambda(lam: complex, m: int) -> complex:
+    """The member of the H-block pair {lam, 1/lam} kept as canonical."""
+    if abs(lam) <= PARAM_TOL:
+        raise CatalogError("H-block parameter 0 is excluded (that class is N)")
+    excluded = (-1.0) ** (m + 1)
+    if abs(lam - excluded) <= PARAM_TOL:
+        raise CatalogError(
+            f"H-block parameter {excluded:+g} is excluded for m={m} "
+            "(that class is a Gamma pair)"
+        )
+    if abs(lam) < 1 - PARAM_TOL:
+        lam = 1.0 / lam
+    if abs(abs(lam) - 1) <= PARAM_TOL and lam.imag < 0:
+        lam = 1.0 / lam
+    return lam
+
+
+@dataclass(frozen=True)
+class Family:
+    """One vertex family: a canonical shape with free parameters.
+
+    ``blocks`` are (kind, size) or (kind, size, param); a string param such
+    as "λ" or "-λ" refers to a free parameter, numbered in order of first
+    appearance, any other param is fixed.
+    """
+
+    fid: str
+    label: str
+    dim: int
+    blocks: tuple = ()
+    domain: object = None      # params -> bool
+    canon: object = None       # params -> canonical tuple (instance identity)
+    sample: tuple = ()
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        names = [b[2].lstrip("-") for b in self.blocks if len(b) > 2 and isinstance(b[2], str)]
+        return tuple(dict.fromkeys(names))
+
+    @property
+    def nparams(self) -> int:
+        return len(self.symbols)
+
+    def make(self, params):
+        """Canonical matrix (a numpy array) of the member with these parameters."""
+        from .congruence import Block, _direct_sum
+
+        value = dict(zip(self.symbols, params))
+        blocks = []
+        for kind, size, *param in self.blocks:
+            p = param[0] if param else None
+            if isinstance(p, str):
+                p = -value[p[1:]] if p[0] == "-" else value[p]
+            blocks.append(Block(kind, size, p))
+        return _direct_sum(blocks)
+
+    def check(self, params: tuple):
+        params = tuple(complex(p) for p in params)
+        if len(params) != self.nparams:
+            raise ValueError(
+                f"family {self.fid} takes {self.nparams} parameter(s), got {len(params)}"
+            )
+        if self.domain is not None and not self.domain(params):
+            raise ValueError(f"parameters {params} outside the domain of {self.fid}")
+        return params
+
+    def canonical(self, params: tuple) -> tuple:
+        return self.canon(params) if self.canon is not None else params
+
+
+@dataclass(frozen=True)
+class Arrow:
+    src: str
+    dst: str
+    predicate: object = None   # (src_params, dst_params) -> bool
+    condition: str = ""
+
+
+@dataclass(frozen=True)
+class ParametricGraph:
+    kind: str
+    families: tuple[Family, ...]
+    arrows: tuple[Arrow, ...]
+
+    def family(self, fid: str) -> Family:
+        for f in self.families:
+            if f.fid == fid:
+                return f
+        raise KeyError(f"no family {fid!r} in graph")
+
+
+def _inst(g: ParametricGraph, inst):
+    """Family and checked parameters of an instance ``(fid,)`` or ``(fid, params)``."""
+    params = inst[1] if len(inst) == 2 else ()
+    try:
+        params = tuple(params)
+    except TypeError:  # one bare number
+        params = (params,)
+    fam = g.family(inst[0])
+    return fam, fam.check(params)
+
+
+def has_arrow(g: ParametricGraph, src_inst, dst_inst) -> bool:
+    """Direct arrow between two concrete instances (reflexive)."""
+    fs, ps = _inst(g, src_inst)
+    fd, pd = _inst(g, dst_inst)
+    if fs.fid == fd.fid and all(map(_same, fs.canonical(ps), fd.canonical(pd))):
+        return True
+    return any(
+        a.src == fs.fid and a.dst == fd.fid and (a.predicate is None or a.predicate(ps, pd))
+        for a in g.arrows
+    )
+
+
+def _candidate_params(fam: Family, pool):
+    if fam.nparams == 0:
+        return [()]
+    cands = set()
+    for tup in itertools.product(pool, repeat=fam.nparams):
+        try:
+            tup = fam.check(tup)
+        except ValueError:
+            continue
+        cands.add(fam.canonical(tup))
+    cands.add(fam.canonical(fam.check(fam.sample)))
+    return sorted(cands, key=lambda t: tuple((z.real, z.imag) for z in t))
+
+
+def path_exists(g: ParametricGraph, src_inst, dst_inst) -> bool:
+    """Predicate-aware reachability over concrete instances.
+
+    Free parameters of intermediate families are searched over candidates
+    derived from the endpoint parameters (values, negations, conjugates,
+    inverses) plus each family's sample point; that set witnesses every
+    path the catalog's predicates admit.
+    """
+    fs, ps = _inst(g, src_inst)
+    fd, pd = _inst(g, dst_inst)
+    pool = {1.0 + 0j, -1.0 + 0j, 1j, -1j}
+    for z in (*ps, *pd):
+        zc = z.conjugate()
+        pool.update({z, -z, zc, -zc})
+        if abs(z) > 1e-12:
+            pool.update({1.0 / z, 1.0 / zc})
+    start = (fs.fid, fs.canonical(ps))
+    goal = (fd.fid, fd.canonical(pd))
+
+    def close(a, b):
+        return a[0] == b[0] and all(map(_same, a[1], b[1]))
+
+    seen, stack = [start], [start]
+    while stack:
+        cur = stack.pop()
+        if close(cur, goal):
+            return True
+        cf, cp = g.family(cur[0]), cur[1]
+        for a in g.arrows:
+            if a.src != cf.fid:
+                continue
+            nf = g.family(a.dst)
+            targets = [goal[1]] if a.dst == goal[0] else _candidate_params(nf, pool)
+            for tp in targets:
+                try:
+                    tp = nf.check(tp)
+                except ValueError:
+                    continue
+                if a.predicate is not None and not a.predicate(cp, tp):
+                    continue
+                nxt = (nf.fid, nf.canonical(tp))
+                if not any(close(nxt, s) for s in seen):
+                    seen.append(nxt)
+                    stack.append(nxt)
+    return False
+
+
+# --- parameter domains and arrow conditions ---------------------------------
+
+
+def _unimodular(params) -> bool:
+    return all(abs(abs(z) - 1.0) <= 1e-9 for z in params)
+
+
+def _same(a: complex, b: complex) -> bool:
+    return abs(a - b) <= 1e-9
+
+
+def _h_family_domain(params):
+    (lam,) = params
+    return abs(lam) > 1e-9 and not _same(lam, 1.0) and not _same(lam, -1.0)
+
+
+def _h_canon(params):
+    (lam,) = params
+    return (_normalize_h_lambda(lam, 1),)
+
+
+def _mu_nu_domain(params):
+    mu, nu = params
+    return _unimodular(params) and abs(mu - nu) > 1e-9 and abs(mu + nu) > 1e-9
+
+
+def _mu_nu_canon(params):
+    return tuple(sorted(params, key=lambda z: (z.real, z.imag)))
+
+
+def _pm_canon(params):
+    """The member of {lam, -lam} with the larger (imag, real)."""
+    return (max(params[0], -params[0], key=lambda z: (z.imag, z.real)),)
+
+
+def _same_up_to_sign(ps, pd):
+    return _same(ps[0], pd[0]) or _same(ps[0], -pd[0])
+
+
+def _same_up_to_inversion(ps, pd):
+    return _same(ps[0], pd[0]) or _same(1.0 / ps[0], pd[0])
+
+
+def _cone_condition(ps, pd):
+    """lam = a·mu + b·nu with a, b >= 0, solved by Cramer's rule (the domain
+    keeps mu and nu independent over the reals)."""
+    (lam,), (mu, nu) = ps, pd
+    det = mu.real * nu.imag - nu.real * mu.imag
+    a = (lam.real * nu.imag - nu.real * lam.imag) / det
+    b = (mu.real * lam.imag - lam.real * mu.imag) / det
+    return a >= -1e-9 and b >= -1e-9
+
+
+def _phase_condition(ps, pd):
+    return (ps[0] * pd[0].conjugate()).imag >= -1e-9
+
+
+# parameter domain of a family: membership test, canonical member of an
+# instance's class (None: the parameters themselves), sample point
+_DOMAINS = {
+    None: (None, None, ()),
+    "H": (_h_family_domain, _h_canon, (2.0 + 0j,)),
+    "unit": (_unimodular, None, (1.0 + 0j,)),
+    "unit±": (_unimodular, _pm_canon, (1.0 + 0j,)),
+    "unit pair": (_mu_nu_domain, _mu_nu_canon, (1.0 + 0j, 1j)),
+    "disc": (lambda p: 1e-9 < abs(p[0]) < 1 - 1e-9, None, (0.5 + 0j,)),
+}
+
+# --- the graphs, as row tables ----------------------------------------------
+# family row: id, label, blocks, parameter domain, then its dimension in each
+# graph kind; arrow row: src, dst, and for a conditional arrow the predicate
+# (src params, dst params) -> bool and its text
+
+_CONGRUENCE_FAMILIES = {
+    2: (
+        ("zero2", "0₂", (("N", 1), ("N", 1)), None, 0, 0),
+        ("h_minus1", "[[0,1],[-1,0]]", (("H", 2, -1.0),), None, 1, 1),
+        ("diag_1_0", "diag(1,0)", (("Gamma", 1), ("N", 1)), None, 2, 2),
+        ("gamma2", "[[0,-1],[1,1]]", (("Gamma", 2),), None, 3, 3),
+        ("diag_1_1", "diag(1,1)", (("Gamma", 1), ("Gamma", 1)), None, 3, 3),
+        ("h_lambda", "[[0,1],[λ,0]]", (("H", 2, "λ"),), "H", 3, 4),
+    ),
+    3: (
+        ("zero3", "0₃", (("N", 1),) * 3, None, 0, 0),
+        ("h_minus1_n1", "[[0,1],[-1,0]]⊕0", (("H", 2, -1.0), ("N", 1)), None, 3, 3),
+        ("diag_1_0_0", "diag(1,0,0)", (("Gamma", 1), ("N", 1), ("N", 1)), None, 3, 3),
+        ("h_lambda_n1", "[[0,1],[λ,0]]⊕0", (("H", 2, "λ"), ("N", 1)), "H", 5, 6),
+        ("gamma2_n1", "[[0,-1],[1,1]]⊕0", (("Gamma", 2), ("N", 1)), None, 5, 5),
+        ("diag_1_1_0", "diag(1,1,0)", (("Gamma", 1), ("Gamma", 1), ("N", 1)), None, 5, 5),
+        ("h_minus1_gamma1", "[[0,1],[-1,0]]⊕1", (("H", 2, -1.0), ("Gamma", 1)), None, 6, 6),
+        ("diag_1_1_1", "diag(1,1,1)", (("Gamma", 1),) * 3, None, 6, 6),
+        ("n3", "N₃", (("N", 3),), None, 7, 7),
+        ("h_mu_gamma1", "[[0,1],[μ,0]]⊕1", (("H", 2, "μ"), ("Gamma", 1)), "H", 8, 9),
+        ("gamma2_gamma1", "[[0,-1],[1,1]]⊕1", (("Gamma", 2), ("Gamma", 1)), None, 8, 8),
+        ("gamma3", "Γ₃", (("Gamma", 3),), None, 8, 8),
+    ),
+}
+
+# arrows of both graphs, then those of the class graph only, then those of
+# the bundle graph only
+_CONGRUENCE_ARROWS = {
+    2: (
+        [
+            ("zero2", "h_minus1"), ("zero2", "diag_1_0"), ("diag_1_0", "gamma2"),
+            ("diag_1_0", "diag_1_1"), ("h_minus1", "gamma2"),
+        ],
+        [("diag_1_0", "h_lambda")],
+        [("gamma2", "h_lambda"), ("diag_1_1", "h_lambda")],
+    ),
+    3: (
+        [
+            ("zero3", "h_minus1_n1"), ("zero3", "diag_1_0_0"),
+            ("h_minus1_n1", "gamma2_n1"),
+            ("diag_1_0_0", "gamma2_n1"),
+            ("diag_1_0_0", "diag_1_1_0"),
+            ("gamma2_n1", "h_minus1_gamma1"),
+            ("h_lambda_n1", "n3"),
+            ("diag_1_1_0", "diag_1_1_1"),
+            ("h_minus1_gamma1", "gamma2_gamma1"), ("diag_1_1_1", "gamma3"),
+            ("n3", "gamma2_gamma1"), ("n3", "gamma3"),
+        ],
+        [
+            ("diag_1_0_0", "h_lambda_n1"),
+            ("gamma2_n1", "n3"), ("diag_1_1_0", "n3"), ("n3", "h_mu_gamma1"),
+            # the parameter of the nonsingular part persists in the closure:
+            # the degenerate lam-family sits below the mu-family only for the
+            # matching parameter (up to inversion)
+            ("h_lambda_n1", "h_mu_gamma1", _same_up_to_inversion, "same λ up to inversion"),
+        ],
+        [
+            ("gamma2_n1", "h_lambda_n1"), ("diag_1_1_0", "h_lambda_n1"),
+            ("gamma2_gamma1", "h_mu_gamma1"), ("gamma3", "h_mu_gamma1"),
+        ],
+    ),
+}
+
+# the 2x2 *congruence class graph (real dimensions)
+_STAR_FAMILIES = (
+    ("zero", "0₂", (("N", 1), ("N", 1)), None, 0),
+    ("diag_l_0", "diag(λ,0)", (("U", 1, "λ"), ("N", 1)), "unit", 3),
+    ("diag_l_l", "diag(λ,λ)", (("U", 1, "λ"), ("U", 1, "λ")), "unit", 4),
+    ("diag_l_minus_l", "diag(λ,-λ)", (("U", 1, "λ"), ("U", 1, "-λ")), "unit±", 4),
+    ("diag_mu_nu", "diag(μ,ν)", (("U", 1, "μ"), ("U", 1, "ν")), "unit pair", 6),
+    ("h_sigma", "[[0,1],[σ,0]]", (("H*", 2, "σ"),), "disc", 6),
+    ("u_tau", "τ·[[0,1],[1,i]]", (("U", 2, "τ"),), "unit", 6),
+)
+
+_STAR_ARROWS = (
+    ("zero", "diag_l_0"),
+    ("zero", "diag_mu_nu"),
+    ("zero", "u_tau"),
+    ("diag_l_0", "diag_l_l", lambda ps, pd: _same(ps[0], pd[0]), "same λ"),
+    ("diag_l_0", "diag_l_minus_l", _same_up_to_sign, "same λ"),
+    ("diag_l_0", "h_sigma"),
+    ("diag_l_0", "diag_mu_nu", _cone_condition, "λ ∈ μℝ₊+νℝ₊"),
+    ("diag_l_0", "u_tau", _phase_condition, "Im(λτ̄) ≥ 0"),
+    ("diag_l_minus_l", "u_tau", _same_up_to_sign, "τ = ±λ"),
+)
+
+
+def _parametric_graph(kind: str, column: int, family_rows, arrow_rows) -> ParametricGraph:
+    """A parametric graph from its row tables, each family's dimension taken
+    from dimension ``column`` of its row."""
+    families = tuple(
+        Family(fid, label, dims[column], blocks, *_DOMAINS[domain])
+        for fid, label, blocks, domain, *dims in family_rows
+    )
+    return ParametricGraph(kind, families, tuple(Arrow(*a) for a in arrow_rows))
+
+
+@lru_cache(maxsize=None)
+def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
+    """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
+    if kind not in ("classes", "bundles"):
+        raise ValueError("kind must be 'classes' or 'bundles'")
+    if n not in _CONGRUENCE_FAMILIES:
+        raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
+    column = ("classes", "bundles").index(kind)
+    shared, *own = _CONGRUENCE_ARROWS[n]
+    return _parametric_graph(kind, column, _CONGRUENCE_FAMILIES[n], shared + own[column])
+
+
+@lru_cache(maxsize=None)
+def star_graph_2x2() -> ParametricGraph:
+    """Closure graph for *congruence classes of 2x2 matrices (real dims)."""
+    return _parametric_graph("star_classes", 0, _STAR_FAMILIES, _STAR_ARROWS)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -357,6 +715,27 @@ def graph_to_json_doc(g: ClosureGraph) -> dict:
 def graph_to_dot(g: ClosureGraph) -> str:
     return dot_text(
         [(v.id, v.notation, v.dim) for v in g.vertices], [(a, b, "") for a, b in g.edges]
+    )
+
+
+def parametric_to_json_doc(g: ParametricGraph) -> dict:
+    return {
+        "kind": g.kind,
+        "families": [
+            {"id": f.fid, "label": f.label, "dim": f.dim, "nparams": f.nparams}
+            for f in sorted(g.families, key=lambda f: (f.dim, f.fid))
+        ],
+        "arrows": [
+            {"src": a.src, "dst": a.dst, "condition": a.condition}
+            for a in sorted(g.arrows, key=lambda a: (a.src, a.dst))
+        ],
+    }
+
+
+def parametric_to_dot(g: ParametricGraph) -> str:
+    return dot_text(
+        [(f.fid, f.label, f.dim) for f in sorted(g.families, key=lambda f: (f.dim, f.fid))],
+        [(a.src, a.dst, a.condition) for a in sorted(g.arrows, key=lambda a: (a.src, a.dst))],
     )
 
 

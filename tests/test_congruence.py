@@ -231,6 +231,12 @@ class TestClassify:
         with pytest.raises(NumericalAmbiguityError):
             classify_congruence(A)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 2.0, 1.0, 0.0, -1e-8, float("inf")])
+    def test_tol_outside_unit_interval_refused(self, tol):
+        for A in (np.eye(2), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+                classify_congruence(A, tol=tol)
+
 
 class TestCongruenceGraphs:
     def test_2x2_bundle_counts(self):
@@ -286,6 +292,18 @@ class TestCongruenceGraphs:
         assert path_exists(g, ("h_lambda", (5.0,)), ("h_lambda", (5.0,)))
         assert not path_exists(g, ("h_lambda", (5.0,)), ("zero2", ()))
 
+    def test_instance_parameter_forms(self):
+        # the parameter part may be a bare scalar, a list, a tuple or a numpy
+        # array; a one-element instance names a family without parameters
+        g = congruence_graph(2, "classes")
+        for params in (5.0, 5 + 0j, [5.0], (5.0,), np.array([5.0]), np.array(5.0)):
+            assert has_arrow(g, ("h_lambda", params), ("h_lambda", (0.2,)))
+            assert path_exists(g, ("zero2",), ("h_lambda", params))
+            assert not path_exists(g, ("h_lambda", params), ("zero2",))
+        assert has_arrow(g, ("zero2",), ("diag_1_0", ()))
+        assert has_arrow(g, ("zero2",), ("zero2", []))
+        assert not has_arrow(g, ("diag_1_0",), ("zero2",))
+
 
 class TestStarGraph:
     def test_family_dims(self):
@@ -307,6 +325,19 @@ class TestStarGraph:
         assert not has_arrow(g, ("diag_l_0", (1,)), ("diag_l_l", (1j,)))
         mu, nu = np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)
         assert has_arrow(g, ("diag_l_0", (1,)), ("diag_mu_nu", (mu, nu)))
+
+    def test_cone_condition(self):
+        # lam -> (mu, nu) needs lam in the cone spanned by mu and nu
+        g = star_graph_2x2()
+        mu, nu = np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)
+        target = ("diag_mu_nu", (mu, nu))
+        assert has_arrow(g, ("diag_l_0", (1,)), target)  # inside
+        assert has_arrow(g, ("diag_l_0", (mu,)), target)  # on the edge
+        assert has_arrow(g, ("diag_l_0", complex(nu)), target)  # on the other edge
+        assert not has_arrow(g, ("diag_l_0", (-1,)), target)  # outside
+        assert not has_arrow(g, ("diag_l_0", (1j,)), target)
+        assert path_exists(g, ("diag_l_0", [1]), target)
+        assert not path_exists(g, ("diag_l_0", np.array([-1])), target)
 
     def test_domain_validation(self):
         g = star_graph_2x2()

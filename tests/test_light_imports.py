@@ -1,4 +1,4 @@
-"""The package and the exact graph commands start without numpy.
+"""The package and every graph command start without numpy.
 
 Each numpy check runs in a fresh interpreter, because this test process
 has long since loaded numpy through the other test modules.
@@ -58,8 +58,11 @@ def loads_numpy(code: str) -> bool:
         "from matstrata import cli\nassert cli.run(['graph', 'bundle', '--n', '4']) == 0",
         "from matstrata import cli\n"
         "assert cli.run(['graph', 'sim', '--n', '4', '--nilpotent', '--format', 'dot']) == 0",
+        "from matstrata import cli\n"
+        "assert cli.run(['graph', 'congr', '--n', '3', '--kind', 'bundles', '--format', 'dot']) == 0",
+        "from matstrata import cli\nassert cli.run(['graph', 'star', '--n', '2']) == 0",
     ],
-    ids=["package", "cli", "graph-bundle", "graph-sim-dot"],
+    ids=["package", "cli", "graph-bundle", "graph-sim-dot", "graph-congr-dot", "graph-star"],
 )
 def test_light_path_skips_numpy(code):
     assert not loads_numpy(code)
@@ -67,7 +70,7 @@ def test_light_path_skips_numpy(code):
 
 def test_numeric_command_loads_numpy():
     # the probe itself can see numpy, so the light-path checks above can fail
-    code = "from matstrata import cli\nassert cli.run(['graph', 'congr', '--n', '2']) == 0"
+    code = "from matstrata import cli\nassert cli.run(['template', 'sim', '--jordan', '(0)^2']) == 0"
     assert loads_numpy(code)
 
 
