@@ -144,7 +144,7 @@ def _parse_jordan(text: str):
 
 def _default_tol(args) -> float:
     """--tol, else STRATA_TOL, else the library default; always in (0, 1)."""
-    from .tangent import DEFAULT_RANK_TOL
+    from .tangent import DEFAULT_RANK_TOL, check_tol
 
     tol = getattr(args, "tol", None)
     env = os.environ.get("STRATA_TOL")
@@ -155,8 +155,7 @@ def _default_tol(args) -> float:
             raise _UsageError(f"STRATA_TOL={env!r} is not a number") from exc
     if tol is None:
         tol = DEFAULT_RANK_TOL
-    if not 0 < tol < 1:
-        raise _UsageError(f"tol must lie in (0, 1), got {tol}")
+    check_tol(tol)
     return tol
 
 

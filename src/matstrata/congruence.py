@@ -30,7 +30,7 @@ from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-
 )
 from .structure import format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
-from .tangent import DEFAULT_RANK_TOL, band_rank, guarded_rank
+from .tangent import DEFAULT_RANK_TOL, band_rank, check_tol, guarded_rank
 
 # ---------------------------------------------------------------------------
 # blocks and forms
@@ -516,8 +516,7 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     Tolerance-ambiguous rank decisions raise NumericalAmbiguityError
     rather than guessing.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_tol(tol)
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if A.shape != (n, n) or n not in (2, 3):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,32 +27,39 @@ from .structure import (
     format_compact,
     format_display,
 )
-from .tangent import DEFAULT_RANK_TOL, guarded_rank
+from .tangent import DEFAULT_RANK_TOL, RANK_BAND, band_rank, check_tol
 from .templates import jordan_matrix
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
+# trials a survey estimates together; a fixed size keeps its memory flat
+SURVEY_STACK = 64
+# a stacked |z| may differ from the scalar one in the last bit, so a trial
+# counts as having all eigenvalues apart only with this much room
+_APART_MARGIN = 1.0 + 1e-9
+
+
+def _check_radius(cluster_radius: float) -> None:
+    if not (math.isfinite(cluster_radius) and cluster_radius > 0):
+        raise ValueError(f"cluster radius must be finite and > 0, got {cluster_radius}")
 
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of the stack A (k, n, n), as (k, n)."""
+    i = np.arange(A.shape[1])
+    lower = i[:, None] > i
     # exactly triangular matrices keep their diagonal as exact eigenvalues;
     # generic eig would scatter defective ones by roundoff^(1/m)
-    if not np.tril(A, -1).any():
-        return np.diag(A).astype(complex)
-    if not np.triu(A, 1).any():
-        return np.diag(A).astype(complex)
-    return np.linalg.eigvals(A)
+    full = A[:, lower].any(axis=1) & A[:, lower.T].any(axis=1)
+    if full.all():
+        return np.linalg.eigvals(A)
+    eigs = np.diagonal(A, axis1=1, axis2=2).copy()
+    if full.any():
+        eigs[full] = np.linalg.eigvals(A[full])
+    return eigs
 
 
-def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
-    """Single-linkage grouping of the eigenvalues of A.
-
-    Returns (center, multiplicity) pairs sorted by center; multiplicities
-    sum to n.  The radius must be finite and > 0.
-    """
-    if not (math.isfinite(cluster_radius) and cluster_radius > 0):
-        raise ValueError(f"cluster radius must be finite and > 0, got {cluster_radius}")
-    A = np.asarray(A, dtype=complex)
-    eigs = _eigenvalues(A)
+def _linkage(eigs: np.ndarray, cluster_radius: float) -> list[tuple[complex, int]]:
+    """Single-linkage clusters of one eigenvalue vector, sorted by center."""
     n = len(eigs)
     parent = list(range(n))
 
@@ -72,6 +80,136 @@ def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     return out
 
 
+def _clusters(eigs: np.ndarray, cluster_radius: float) -> list:
+    """_linkage of each row of eigs (k, n).
+
+    A row whose eigenvalues are all farther apart than the radius is all
+    singletons, sorted by center; equal rows (every strictly upper
+    perturbation of one Jordan matrix) share one linkage.
+    """
+    close = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius * _APART_MARGIN
+    apart = close.sum(axis=(1, 2)) == eigs.shape[1]  # each eigenvalue close to itself only
+    ordered = []
+    if apart.any():
+        order = np.lexsort((eigs.imag, eigs.real), axis=1)
+        ordered = np.take_along_axis(eigs, order, axis=1).tolist()
+    out, memo = [], {}
+    for k, sep in enumerate(apart.tolist()):
+        if sep:
+            out.append([(z, 1) for z in ordered[k]])
+            continue
+        key = eigs[k].tobytes()
+        if key not in memo:
+            memo[key] = _linkage(eigs[k], cluster_radius)
+        out.append(memo[key])
+    return out
+
+
+def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
+    """numeric_weyr of each A[k] at lam[k]: the block-count tuple, or the
+    NumericalAmbiguityError it raises.
+
+    Every row takes the same power, SVD and band steps as on its own; only
+    a row with a singular value in the band calls band_rank, which raises
+    the error.
+    """
+    m, n = A.shape[0], A.shape[1]
+    P = np.eye(n, dtype=complex)  # broadcast against the stack by the first product
+    B = A - lam[:, None, None] * P
+    out: list = [None] * m
+    running = [(k, [], n) for k in range(m)]  # (row, block counts so far, previous rank)
+    for _ in range(n):
+        P = P @ B
+        s = np.linalg.svd(P, compute_uv=False)
+        thr = tol * s[:, :1]
+        inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
+        rows = zip(running, s[:, 0].tolist(), inside.tolist(), (s >= thr).tolist())
+        kept, running = [], []
+        for i, ((k, w, prev), top, band, above) in enumerate(rows):
+            if top == 0.0:
+                r = 0
+            elif any(band):
+                try:
+                    band_rank(s[i], thr[i, 0])
+                except NumericalAmbiguityError as exc:
+                    out[k] = exc
+                continue
+            else:
+                r = sum(above)
+            wj = prev - r
+            if wj < 0 or (w and wj > w[-1]):
+                out[k] = NumericalAmbiguityError(
+                    "rank sequence of powers is not monotone",
+                    details={"w": w + [wj]},
+                )
+                continue
+            if wj:
+                w.append(wj)
+            if wj == 0 or r == 0:
+                out[k] = tuple(w)
+                continue
+            kept.append(i)
+            running.append((k, w, r))
+        if not running:
+            break
+        if len(kept) < len(s):
+            P, B = P[kept], B[kept]
+    for k, w, _ in running:  # only when n = 0
+        out[k] = tuple(w)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _block_sizes(w: tuple[int, ...]) -> Partition:
+    return conjugate_partition(Partition(w))
+
+
+def _jordan_type(found, n: int):
+    """JordanType from (center, multiplicity, weyr result) per cluster, or
+    the first error met in center order."""
+    entries = {}
+    for center, mult, w in found:
+        if isinstance(w, NumericalAmbiguityError):
+            return w
+        if sum(w) != mult:
+            return NumericalAmbiguityError(
+                f"cluster at {center:.6g} has multiplicity {mult} but the "
+                f"rank sequence accounts for {sum(w)}",
+                details={"center": center, "w": w},
+            )
+        entries[EigLabel.concrete(center)] = _block_sizes(w)
+    t = JordanType(entries)
+    assert t.n == n
+    return t
+
+
+def _estimate(A: np.ndarray, cluster_radius: float, tol: float) -> list:
+    """numeric_jordan_type of each matrix of the stack A (k, n, n): the
+    JordanType, or the NumericalAmbiguityError it raises on its own."""
+    clusters = _clusters(_eigenvalues(A), cluster_radius)
+    # one Weyr stack for every cluster of multiplicity > 1, read back in order
+    jobs = [(k, c) for k, cs in enumerate(clusters) for c, mult in cs if mult > 1]
+    ws = iter(())
+    if jobs:
+        rows, centers = zip(*jobs)
+        ws = iter(_weyr(A[list(rows)], np.array(centers), tol))
+    return [
+        _jordan_type([(c, mult, (1,) if mult == 1 else next(ws)) for c, mult in cs], A.shape[1])
+        for cs in clusters
+    ]
+
+
+def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
+    """Single-linkage grouping of the eigenvalues of A.
+
+    Returns (center, multiplicity) pairs sorted by center; multiplicities
+    sum to n.  The radius must be finite and > 0.
+    """
+    _check_radius(cluster_radius)
+    A = np.asarray(A, dtype=complex)
+    return _clusters(_eigenvalues(A[None]), cluster_radius)[0]
+
+
 def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """Block-count sequence of A at the eigenvalue lam.
 
@@ -80,28 +218,12 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     singular value.  Ill-separated singular values raise
     NumericalAmbiguityError.
     """
+    check_tol(tol)
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    B = A - complex(lam) * np.eye(n)
-    P = np.eye(n, dtype=complex)
-    prev = n
-    w = []
-    for _ in range(n):
-        P = P @ B
-        r = guarded_rank(P, tol)
-        wj = prev - r
-        if wj < 0 or (w and wj > w[-1]):
-            raise NumericalAmbiguityError(
-                "rank sequence of powers is not monotone",
-                details={"w": w + [wj]},
-            )
-        if wj == 0:
-            break
-        w.append(wj)
-        prev = r
-        if r == 0:
-            break
-    return tuple(w)
+    w = _weyr(A[None], np.array([complex(lam)]), tol)[0]
+    if isinstance(w, NumericalAmbiguityError):
+        raise w
+    return w
 
 
 def numeric_jordan_type(
@@ -110,20 +232,12 @@ def numeric_jordan_type(
     tol: float = DEFAULT_RANK_TOL,
 ) -> JordanType:
     """Jordan structure estimate with cluster centers as eigenvalues."""
+    _check_radius(cluster_radius)
+    check_tol(tol)
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    entries = {}
-    for center, mult in eigen_clusters(A, cluster_radius):
-        w = (1,) if mult == 1 else numeric_weyr(A, center, tol)
-        if sum(w) != mult:
-            raise NumericalAmbiguityError(
-                f"cluster at {center:.6g} has multiplicity {mult} but the "
-                f"rank sequence accounts for {sum(w)}",
-                details={"center": center, "w": w},
-            )
-        entries[EigLabel.concrete(center)] = conjugate_partition(Partition(w))
-    t = JordanType(entries)
-    assert t.n == n
+    t = _estimate(A[None], cluster_radius, tol)[0]
+    if isinstance(t, NumericalAmbiguityError):
+        raise t
     return t
 
 
@@ -157,14 +271,15 @@ class PerturbReport:
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _random_direction(rng, n: int, mode: str) -> np.ndarray:
-    R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _random_directions(children, n: int, mode: str) -> np.ndarray:
+    """One unit-Frobenius-norm direction per seed sequence, as a (k, n, n)
+    stack; each draw is normalised on its own, as a lone draw would be."""
+    X = np.array([np.random.default_rng(c).standard_normal((2, n, n)) for c in children])
+    R = X[:, 0] + 1j * X[:, 1]
     if mode == "strict_upper":
         R = np.triu(R, 1)
-    elif mode != "dense":
-        raise ValueError(f"unknown perturbation mode {mode!r}")
-    norm = np.linalg.norm(R)
-    return R / norm if norm > 0 else R
+    norms = np.array([np.linalg.norm(r) for r in R])
+    return R / np.where(norms > 0, norms, 1.0)[:, None, None]
 
 
 def random_survey(
@@ -181,8 +296,11 @@ def random_survey(
 
     Every observed bundle must be reachable from the bundle of ``t`` in
     the bundle closure graph; trials that are not (or whose structure
-    estimate is ambiguous) land in the violation list.  Identical seeds
-    give identical reports.
+    estimate is ambiguous) land in the violation list.  Trial k draws its
+    direction from the k-th child of ``SeedSequence(seed)``, so identical
+    seeds give identical reports.  Trials are estimated SURVEY_STACK at a
+    time with the estimator behind numeric_jordan_type; the report equals
+    one estimated a trial at a time.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -193,24 +311,31 @@ def random_survey(
     if graph is None:
         graph = build_bundle_graph(n)
     base = canonical_bundle_labeling(t)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    if mode not in ("dense", "strict_upper"):
+        raise ValueError(f"unknown perturbation mode {mode!r}")
+    _check_radius(cluster_radius)
+    check_tol(tol)
+    seeds = np.random.SeedSequence(seed)
+    # sorted block sizes -> (notation, reachable from the base)
+    labels: dict[tuple, tuple[str, bool]] = {}
     observed, violations = [], []
-    for k in range(trials):
-        rng = np.random.default_rng(children[k])
-        A = J + eps * _random_direction(rng, n, mode)
-        try:
-            est = numeric_jordan_type(A, cluster_radius, tol)
-            b = canonical_bundle_labeling(est)
-        except NumericalAmbiguityError as exc:
-            violations.append({"trial": k, "reason": f"ambiguous estimate: {exc}"})
-            observed.append((k, "?"))
-            continue
-        notation = format_display(b)
-        observed.append((k, notation))
-        if not reachable(graph, base, b):
-            violations.append(
-                {"trial": k, "reason": "unreachable bundle", "observed": notation}
-            )
+    for start in range(0, trials, SURVEY_STACK):
+        A = J + eps * _random_directions(seeds.spawn(min(SURVEY_STACK, trials - start)), n, mode)
+        for k, est in enumerate(_estimate(A, cluster_radius, tol), start):
+            if isinstance(est, NumericalAmbiguityError):
+                violations.append({"trial": k, "reason": f"ambiguous estimate: {est}"})
+                observed.append((k, "?"))
+                continue
+            key = tuple(sorted(p.parts for _, p in est.entries))
+            if key not in labels:
+                b = canonical_bundle_labeling(est)
+                labels[key] = (format_display(b), reachable(graph, base, b))
+            notation, ok = labels[key]
+            observed.append((k, notation))
+            if not ok:
+                violations.append(
+                    {"trial": k, "reason": "unreachable bundle", "observed": notation}
+                )
     return PerturbReport(
         base=t,
         eps=eps,

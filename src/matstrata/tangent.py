@@ -22,6 +22,12 @@ RANK_BAND = 10.0
 ACTIONS = ("similarity", "congruence", "star_congruence")
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a relative rank tolerance outside (0, 1), NaN included."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Assembled matrix of the tangent map for one group action.
@@ -71,8 +77,7 @@ def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> in
     own largest singular value instead would count roundoff as rank when M
     should be exactly zero.
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_tol(tol)
     if ref == 0.0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
@@ -99,8 +104,7 @@ def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL, ref: float | None
     it the matrix's own largest singular value is used (then a matrix that
     should be exactly zero but carries roundoff would keep full rank).
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_tol(tol)
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

@@ -13,6 +13,7 @@ from matstrata import (
     similarity_codim_numeric,
     star_congruence_codim_numeric,
 )
+from matstrata.tangent import check_tol, guarded_rank, numeric_rank
 from conftest import random_complex, well_conditioned
 
 conc = EigLabel.concrete
@@ -179,3 +180,20 @@ class TestKroneckerForm:
             got = action_operator(action, A).matrix
             want = basis_images(action, A)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestToleranceCheck:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 2.0, 1.0, 0.0, -1e-8])
+    def test_one_message_everywhere(self, tol):
+        msg = r"tol must lie in \(0, 1\), got "
+        for call in (
+            lambda: check_tol(tol),
+            lambda: numeric_rank(np.eye(2), 1.0, tol),
+            lambda: guarded_rank(np.eye(2), tol),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-8, 0.5, 0.999])
+    def test_accepts_the_open_interval(self, tol):
+        check_tol(tol)
