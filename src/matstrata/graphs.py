@@ -21,8 +21,9 @@ from .structure import (
     JordanType,
     Partition,
     bundle_dim,
+    bundle_key,
+    bundle_of_key,
     bundle_types,
-    canonical_bundle_labeling,
     format_compact,
     format_display,
     jordan_types_for_pattern,
@@ -72,41 +73,6 @@ def closure_leq(J: JordanType, J2: JordanType) -> bool:
     )
 
 
-def _bundle_leq_same_labels(a: JordanType, b: JordanType) -> bool:
-    """Exists an eigenvalue bijection under which closure_leq(a, b) holds."""
-    a_parts = [p for _, p in a.entries]
-    b_parts = [p for _, p in b.entries]
-    if len(a_parts) != len(b_parts):
-        return False
-    if sorted(p.total for p in a_parts) != sorted(p.total for p in b_parts):
-        return False
-    # bipartite matching: a_i may pair with b_j when totals agree and
-    # dominance holds
-    k = len(a_parts)
-    allowed = [
-        [
-            j
-            for j in range(k)
-            if a_parts[i].total == b_parts[j].total
-            and partition_closure_leq(a_parts[i], b_parts[j])
-        ]
-        for i in range(k)
-    ]
-    match_of_b = [None] * k
-
-    def augment(i, seen):
-        for j in allowed[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_of_b[j] is None or augment(match_of_b[j], seen):
-                match_of_b[j] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(k))
-
-
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -133,35 +99,42 @@ class ClosureGraph:
     edges: tuple[tuple[str, str], ...]
 
     @cached_property
-    def _by_key(self) -> dict[str, GraphVertex]:
+    def _by_key(self) -> dict[str, int]:
         # a key names the first vertex whose id or notation it equals
-        by_key: dict[str, GraphVertex] = {}
-        for v in self.vertices:
-            by_key.setdefault(v.id, v)
-            by_key.setdefault(v.notation, v)
+        by_key: dict[str, int] = {}
+        for i, v in enumerate(self.vertices):
+            by_key.setdefault(v.id, i)
+            by_key.setdefault(v.notation, i)
         return by_key
 
     @cached_property
-    def _successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {}
+    def _below(self) -> list[int]:
+        """Strict down-set bitset of each vertex, read off the edges alone,
+        vertex by vertex in dimension order: an edge (a, b) raises the
+        dimension (checked), so ``below[a]`` is final when b ORs it in."""
+        preds: list[list[int]] = [[] for _ in self.vertices]
         for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        return succ
+            i, j = self._by_key[a], self._by_key[b]
+            if self.vertices[i].dim >= self.vertices[j].dim:
+                raise ValueError(f"edge {a!r} -> {b!r} does not raise the dimension")
+            preds[j].append(i)
+        below = [0] * len(preds)
+        for j in sorted(range(len(preds)), key=lambda j: self.vertices[j].dim):
+            for i in preds[j]:
+                below[j] |= 1 << i | below[i]
+        return below
 
-    def vertex(self, key) -> GraphVertex:
+    def _index(self, key) -> int:
         try:
-            return self._by_key[_vertex_key(key)]
+            return self._by_key[format_compact(key) if isinstance(key, JordanType) else str(key)]
         except KeyError:
             raise KeyError(f"no vertex {key!r} in graph") from None
 
+    def vertex(self, key) -> GraphVertex:
+        return self.vertices[self._index(key)]
+
     def successors(self, vid: str) -> list[str]:
-        return list(self._successors.get(vid, ()))
-
-
-def _vertex_key(key) -> str:
-    if isinstance(key, JordanType):
-        return format_compact(key)
-    return str(key)
+        return [b for a, b in self.edges if a == vid]
 
 
 def _bits(x: int):
@@ -235,10 +208,10 @@ def build_class_graph(
     ``nilpotent`` restricts to the single concrete eigenvalue 0;
     ``pattern`` fixes symbolic labels with the given multiplicities;
     with neither, all structures appear once modulo eigenvalue renaming.
+    Those classes are the bundles, ordered by single-partition moves.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"order {n} outside supported range 1..{max_n}")
-    leq = closure_leq
     if nilpotent:
         zero = EigLabel.concrete(0)
         structs = [JordanType({zero: p}) for p in partitions(n)]
@@ -247,61 +220,66 @@ def build_class_graph(
             raise ValueError(f"pattern {pattern} does not sum to {n}")
         structs = list(jordan_types_for_pattern(tuple(pattern)))
     else:
-        structs = list(bundle_types(n))
-        leq = _bundle_leq_same_labels
+        return _move_graph("classes", n, merge=False)
     verts = _sorted_vertices(structs, orbit_dim)
-    below = _strict_below([v.structure for v in verts], leq)
+    below = _strict_below([v.structure for v in verts], closure_leq)
     return _assemble("classes", verts, below, below)
 
 
-def bundle_down_moves(b: JordanType) -> list[BundleType]:
-    """Bundles one degeneration step below ``b``.
+@lru_cache(maxsize=None)
+def _coarsenings(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The partitions q != p of the same total that p dominates: one
+    eigenvalue's block sizes strictly below p in the closure order."""
+    return tuple(
+        q.parts for q in partitions(sum(p)) if q.parts != p and _prefix_dominates(p, q.parts)
+    )
+
+
+@lru_cache(maxsize=None)
+def _key_moves(key: tuple[tuple[int, ...], ...], merge: bool) -> tuple:
+    """Bundle keys one degeneration step below ``key``.
 
     Either one eigenvalue's partition coarsens (strictly lower in the
-    single-eigenvalue closure order) or two eigenvalues merge, the merged
-    block sizes being the part-wise sum of the two sorted size lists.
+    single-eigenvalue closure order) or, with ``merge``, two eigenvalues
+    merge, the merged block sizes being the part-wise sum of the two sorted
+    size lists.  Coarsenings alone generate the order of classes modulo
+    eigenvalue renaming: a ≤ b there when some bijection of the eigenvalues
+    pairs each partition of a with one of b that dominates it.
     """
     out = set()
-    entries = list(b.entries)
-    for i, (label, p) in enumerate(entries):
-        for q in partitions(p.total):
-            if q != p and partition_closure_leq(q, p):
-                moved = entries[:i] + [(label, q)] + entries[i + 1 :]
-                out.add(canonical_bundle_labeling(JordanType(moved)))
-    for i, j in itertools.combinations(range(len(entries)), 2):
-        pi, pj = entries[i][1].parts, entries[j][1].parts
-        merged = Partition(tuple(map(sum, itertools.zip_longest(pi, pj, fillvalue=0))))
-        rest = [e for m, e in enumerate(entries) if m not in (i, j)]
-        moved = rest + [(EigLabel.symbolic(99), merged)]
-        out.add(canonical_bundle_labeling(JordanType(moved)))
-    return sorted(out, key=format_compact)
+    for i, p in enumerate(key):
+        rest = key[:i] + key[i + 1 :]
+        out.update(bundle_key(rest + (q,)) for q in _coarsenings(p))
+        for j in range(i + 1, len(key)) if merge else ():
+            merged = tuple(map(sum, itertools.zip_longest(p, key[j], fillvalue=0)))
+            out.add(bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
+    return tuple(out)
 
 
-def build_bundle_graph(n: int, max_n: int = DEFAULT_MAX_N) -> ClosureGraph:
-    """Closure graph for similarity bundles of n x n matrices.
+def bundle_down_moves(b: JordanType) -> list[BundleType]:
+    """Bundles one degeneration step below ``b`` (see ``_key_moves``),
+    sorted by compact notation."""
+    key = bundle_key(p.parts for _, p in b.entries)
+    return sorted(map(bundle_of_key, _key_moves(key, True)), key=format_compact)
 
-    One pass over the bundles in ``(bundle_dim, notation)`` order, calling
-    ``bundle_down_moves`` once per bundle.  Every down-move strictly lowers
-    the bundle dimension, so the moves of vertex j point to lower indices
-    (checked, not assumed) whose strict down-sets are already known, and
-    ``below[j]`` is the OR over moves d of ``bit d | below[d]``, a
-    Python-int bitset.  Anything below j lies at or below one of its moves,
-    so the moves generate ``below[j]`` and ``_hasse_edges`` reads the
-    covers of j off them directly.
-    """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"order {n} outside supported range 1..{max_n}")
-    verts = _sorted_vertices(bundle_types(n), bundle_dim)
-    index = {v.structure: i for i, v in enumerate(verts)}
+
+def _move_graph(kind: str, n: int, merge: bool) -> ClosureGraph:
+    """Closure graph of the bundles of order n under ``_key_moves``, in one
+    pass over them in ``(dim, notation)`` order.  The moves of vertex j lower
+    the dimension, so they point to earlier vertices (checked), and
+    ``below[j]`` is the OR over moves d of ``bit d | below[d]``; the moves
+    generate ``below[j]``, so ``_hasse_edges`` reads the covers off them."""
+    verts = _sorted_vertices(bundle_types(n), bundle_dim if merge else orbit_dim)
+    index = {bundle_key(p.parts for _, p in v.structure.entries): j for j, v in enumerate(verts)}
     below, moves = [], []
-    for j, v in enumerate(verts):
+    for j, key in enumerate(index):
         step = 0
-        for d in bundle_down_moves(v.structure):
+        for d in _key_moves(key, merge):
             i = index[d]
             if i >= j:
                 raise RuntimeError(
-                    f"down-move {format_compact(d)} of {v.id} does not come "
-                    "earlier in the bundle-dimension order"
+                    f"down-move {verts[i].id} of {verts[j].id} does not come earlier "
+                    f"in the {'bundle' if merge else 'orbit'}-dimension order"
                 )
             step |= 1 << i
         down = step
@@ -309,22 +287,21 @@ def build_bundle_graph(n: int, max_n: int = DEFAULT_MAX_N) -> ClosureGraph:
             down |= below[i]
         below.append(down)
         moves.append(step)
-    return _assemble("bundles", verts, below, moves)
+    return _assemble(kind, verts, below, moves)
+
+
+def build_bundle_graph(n: int, max_n: int = DEFAULT_MAX_N) -> ClosureGraph:
+    """Closure graph for similarity bundles of n x n matrices."""
+    if not 1 <= n <= max_n:
+        raise ValueError(f"order {n} outside supported range 1..{max_n}")
+    return _move_graph("bundles", n, merge=True)
 
 
 def reachable(g: ClosureGraph, a, b) -> bool:
-    """Directed path (possibly empty) from vertex a to vertex b."""
-    src, dst = g.vertex(a).id, g.vertex(b).id
-    stack, seen = [src], {src}
-    while stack:
-        cur = stack.pop()
-        if cur == dst:
-            return True
-        for nxt in g.successors(cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+    """Directed path (possibly empty) from vertex a to vertex b: one bit
+    test in b's strict down-set."""
+    i, j = g._index(a), g._index(b)
+    return i == j or bool(g._below[j] >> i & 1)
 
 
 # ---------------------------------------------------------------------------

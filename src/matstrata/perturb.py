@@ -22,6 +22,8 @@ from .structure import (
     EigLabel,
     JordanType,
     Partition,
+    bundle_key,
+    bundle_of_key,
     canonical_bundle_labeling,
     conjugate_partition,
     format_compact,
@@ -164,10 +166,10 @@ def _block_sizes(w: tuple[int, ...]) -> Partition:
     return conjugate_partition(Partition(w))
 
 
-def _jordan_type(found, n: int):
-    """JordanType from (center, multiplicity, weyr result) per cluster, or
-    the first error met in center order."""
-    entries = {}
+def _cluster_sizes(found):
+    """(center, block sizes) per cluster from (center, multiplicity, weyr
+    result) per cluster, or the first error met in center order."""
+    out = []
     for center, mult, w in found:
         if isinstance(w, NumericalAmbiguityError):
             return w
@@ -177,15 +179,12 @@ def _jordan_type(found, n: int):
                 f"rank sequence accounts for {sum(w)}",
                 details={"center": center, "w": w},
             )
-        entries[EigLabel.concrete(center)] = _block_sizes(w)
-    t = JordanType(entries)
-    assert t.n == n
-    return t
+        out.append((center, _block_sizes(w)))
+    return out
 
 
-def _estimate(A: np.ndarray, cluster_radius: float, tol: float) -> list:
-    """numeric_jordan_type of each matrix of the stack A (k, n, n): the
-    JordanType, or the NumericalAmbiguityError it raises on its own."""
+def _estimate_sizes(A: np.ndarray, cluster_radius: float, tol: float) -> list:
+    """_cluster_sizes of each matrix of the stack A (k, n, n)."""
     clusters = _clusters(_eigenvalues(A), cluster_radius)
     # one Weyr stack for every cluster of multiplicity > 1, read back in order
     jobs = [(k, c) for k, cs in enumerate(clusters) for c, mult in cs if mult > 1]
@@ -194,8 +193,18 @@ def _estimate(A: np.ndarray, cluster_radius: float, tol: float) -> list:
         rows, centers = zip(*jobs)
         ws = iter(_weyr(A[list(rows)], np.array(centers), tol))
     return [
-        _jordan_type([(c, mult, (1,) if mult == 1 else next(ws)) for c, mult in cs], A.shape[1])
+        _cluster_sizes([(c, mult, (1,) if mult == 1 else next(ws)) for c, mult in cs])
         for cs in clusters
+    ]
+
+
+def _estimate(A: np.ndarray, cluster_radius: float, tol: float) -> list:
+    """numeric_jordan_type of each matrix of the stack A (k, n, n): the
+    JordanType, or the NumericalAmbiguityError it raises on its own."""
+    return [
+        s if isinstance(s, NumericalAmbiguityError)
+        else JordanType({EigLabel.concrete(c): p for c, p in s})
+        for s in _estimate_sizes(A, cluster_radius, tol)
     ]
 
 
@@ -321,14 +330,14 @@ def random_survey(
     observed, violations = [], []
     for start in range(0, trials, SURVEY_STACK):
         A = J + eps * _random_directions(seeds.spawn(min(SURVEY_STACK, trials - start)), n, mode)
-        for k, est in enumerate(_estimate(A, cluster_radius, tol), start):
+        for k, est in enumerate(_estimate_sizes(A, cluster_radius, tol), start):
             if isinstance(est, NumericalAmbiguityError):
                 violations.append({"trial": k, "reason": f"ambiguous estimate: {est}"})
                 observed.append((k, "?"))
                 continue
-            key = tuple(sorted(p.parts for _, p in est.entries))
+            key = tuple(sorted(p.parts for _, p in est))
             if key not in labels:
-                b = canonical_bundle_labeling(est)
+                b = bundle_of_key(bundle_key(key))
                 labels[key] = (format_display(b), reachable(graph, base, b))
             notation, ok = labels[key]
             observed.append((k, notation))

@@ -78,6 +78,7 @@ class EigLabel:
     value: complex | None = None
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def symbolic(k: int) -> "EigLabel":
         if k < 1:
             raise ValueError("symbolic label ids start at 1")
@@ -155,19 +156,29 @@ class BundleType(JordanType):
 
     def __init__(self, entries):
         super().__init__(entries)
-        if self.entries != _canonical_entries(self):
+        parts = sorted((p for _, p in self.entries), key=_partition_order_key)
+        if self.entries != tuple((EigLabel.symbolic(i + 1), p) for i, p in enumerate(parts)):
             raise ValueError("BundleType labels are not canonically numbered")
 
 
-def _partition_order_key(p: Partition):
+@lru_cache(maxsize=None)
+def _partition_order_key(p):
     # Larger total first, then descending lexicographic on parts; this is
     # the label order the closure-graph figures use (λ before μ before ν).
-    return (-p.total,) + tuple(-x for x in p.parts)
+    # Takes a Partition or a plain tuple of parts.
+    return (-sum(p),) + tuple(-x for x in p)
 
 
-def _canonical_entries(t: JordanType):
-    parts = sorted((p for _, p in t.entries), key=_partition_order_key)
-    return tuple((EigLabel.symbolic(i + 1), p) for i, p in enumerate(parts))
+def bundle_key(parts) -> tuple[tuple[int, ...], ...]:
+    """A bundle as a plain key: the block-size tuples of its eigenvalues,
+    sorted into canonical label order.  ``parts`` is any iterable of tuples."""
+    return tuple(sorted(parts, key=_partition_order_key))
+
+
+@lru_cache(maxsize=None)
+def bundle_of_key(key: tuple[tuple[int, ...], ...]) -> BundleType:
+    """The BundleType of a bundle key, one shared object per key."""
+    return BundleType(tuple((EigLabel.symbolic(i + 1), Partition(p)) for i, p in enumerate(key)))
 
 
 def canonical_bundle_labeling(t: JordanType) -> BundleType:
@@ -176,7 +187,7 @@ def canonical_bundle_labeling(t: JordanType) -> BundleType:
     Labels are renumbered by a fixed total order on their partitions, so
     structures differing only by a label bijection collapse to one value.
     """
-    return BundleType(_canonical_entries(t))
+    return bundle_of_key(bundle_key(p.parts for _, p in t.entries))
 
 
 def weyr_of(t: JordanType, label: EigLabel) -> tuple[int, ...]:
@@ -190,12 +201,19 @@ def weyr_of(t: JordanType, label: EigLabel) -> tuple[int, ...]:
     return conjugate_partition(p).parts
 
 
+@lru_cache(maxsize=None)
+def _partition_codim(parts: tuple[int, ...]) -> int:
+    """Codimension contributed by one eigenvalue with these block sizes: the
+    sum of its squared block counts, in closed form sum (2i-1) p_i."""
+    return sum((2 * i + 1) * p for i, p in enumerate(parts))
+
+
 def orbit_codim(t: JordanType) -> int:
     """Codimension of the similarity class of the structure's Jordan matrix.
 
     Closed form: sum over labels of the squared block-count sequence.
     """
-    return sum(sum(w * w for w in weyr_of(t, l)) for l in t.labels)
+    return sum(_partition_codim(p.parts) for _, p in t.entries)
 
 
 def orbit_dim(t: JordanType) -> int:
@@ -345,11 +363,14 @@ def partitions(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def bundle_types(n: int) -> tuple[BundleType, ...]:
-    """All bundle structures of order n (multisets of partitions)."""
+    """All bundle structures of order n (multisets of partitions).
 
+    They are enumerated as keys, by nondecreasing indices into the
+    partitions in label order: each multiset once, already in label order,
+    and the multisets in lexicographic order of their partitions.
+    """
     universe = sorted(
-        (p for m in range(1, n + 1) for p in partitions(m)),
-        key=_partition_order_key,
+        (p.parts for m in range(1, n + 1) for p in partitions(m)), key=_partition_order_key
     )
 
     def gen(remaining, start):
@@ -358,20 +379,11 @@ def bundle_types(n: int) -> tuple[BundleType, ...]:
             return
         for idx in range(start, len(universe)):
             p = universe[idx]
-            if p.total > remaining:
-                continue
-            for rest in gen(remaining - p.total, idx):
-                yield (p,) + rest
+            if sum(p) <= remaining:
+                for rest in gen(remaining - sum(p), idx):
+                    yield (p,) + rest
 
-    out = []
-    for combo in gen(n, 0):
-        entries = tuple(
-            (EigLabel.symbolic(i + 1), p)
-            for i, p in enumerate(sorted(combo, key=_partition_order_key))
-        )
-        out.append(BundleType(entries))
-    out = sorted(set(out), key=lambda b: tuple(_partition_order_key(p) for _, p in b.entries))
-    return tuple(out)
+    return tuple(map(bundle_of_key, gen(n, 0)))
 
 
 def jordan_types_for_pattern(mults: tuple[int, ...]) -> tuple[JordanType, ...]:

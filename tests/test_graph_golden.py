@@ -107,9 +107,10 @@ def test_closure_leq_is_reversed_dominance(n):
 
 
 def test_upward_down_move_is_refused(monkeypatch):
-    real = graphs.bundle_down_moves
+    real = graphs._key_moves
     top = max(bundle_types(3), key=bundle_dim)
-    monkeypatch.setattr(graphs, "bundle_down_moves", lambda b: real(b) + [top])
+    top_key = tuple(p.parts for _, p in top.entries)
+    monkeypatch.setattr(graphs, "_key_moves", lambda key, merge: real(key, merge) + (top_key,))
     with pytest.raises(RuntimeError, match="bundle-dimension order"):
         graphs.build_bundle_graph(3)
 
