@@ -39,11 +39,7 @@ _EXPORTS = {
         "DeformationTemplate", "jordan_matrix", "miniversal_template", "pattern_check",
         "real_param_count", "star_count", "template_ascii", "template_to_json_doc",
     ),
-    "reduction": (
-        "AddCol", "ReductionResult", "Scale", "Swap", "apply_elementary",
-        "reduce_single_eigenvalue", "reduce_to_miniversal", "split_by_eigenvalue",
-        "sylvester_solve",
-    ),
+    "reduction": ("ReductionResult", "reduce_to_miniversal", "sylvester_solve"),
     "congruence": (
         "Block", "CongruenceForm", "StarForm", "canonical_matrix", "classify_congruence",
         "congruence_template", "form_to_json_doc", "normalize_form", "star_template",

@@ -141,14 +141,19 @@ class PatternCheck(NamedTuple):
     residual: float
 
 
+def check_pattern_tol(tol: float) -> None:
+    """Refuse a pattern tolerance that is not finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"pattern tolerance must be finite and > 0, got {tol}")
+
+
 def pattern_check(M, tmpl: DeformationTemplate, tol: float = 1e-8) -> PatternCheck:
     """Does M agree with the template's pinned entries within tol?
 
     Parameter cells (star/eps/delta) are unconstrained; the residual is
     the largest deviation over fixed cells.  ``tol`` must be finite and > 0.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"pattern tolerance must be finite and > 0, got {tol}")
+    check_pattern_tol(tol)
     M = np.asarray(M, dtype=complex)
     if M.shape != (tmpl.n, tmpl.n):
         raise SizeMismatchError(f"matrix shape {M.shape} vs template size {tmpl.n}")

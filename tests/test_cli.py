@@ -155,6 +155,14 @@ class TestReduceCommand:
         assert invoke("reduce", "--jordan", "(0)^3", "--pert", path)[0] == 1
         assert "got -1.0" in capsys.readouterr().err
 
+    def test_close_eigenvalues_refused(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "e.json", 1e-5 * np.ones((3, 3)))
+        code, out = invoke("reduce", "--jordan", "(0)^2 (1e-06)", "--pert", path)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error:")
+        code, out = invoke("reduce", "--jordan", "(0)^2 (0.1)", "--pert", path)
+        assert code == 0 and json.loads(out)["pattern_ok"]
+
 
 class TestClassifyCommand:
     def test_display(self, tmp_path):

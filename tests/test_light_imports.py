@@ -16,24 +16,24 @@ import matstrata
 
 SRC = str(Path(matstrata.__file__).resolve().parent.parent)
 
-# the package's exports, frozen: 74 names from the submodules plus the 8 submodules
+# the package's exports, frozen: 68 names from the submodules plus the 8 submodules
 EXPORTS = [
-    "AddCol", "Block", "BundleType", "CatalogError", "ClosureGraph", "CompactParseError",
+    "Block", "BundleType", "CatalogError", "ClosureGraph", "CompactParseError",
     "CongruenceForm", "DeformationTemplate", "EigLabel", "JordanType",
     "NumericalAmbiguityError", "OperatorMatrix", "ParametricGraph", "Partition",
-    "PerturbReport", "ReductionError", "ReductionResult", "Scale", "SizeMismatchError",
-    "SpectraOverlapError", "StarForm", "StrataError", "Swap", "action_operator",
-    "apply_elementary", "build_bundle_graph", "build_class_graph", "bundle_dim",
-    "bundle_down_moves", "bundle_types", "canonical_bundle_labeling", "canonical_matrix",
+    "PerturbReport", "ReductionError", "ReductionResult", "SizeMismatchError",
+    "SpectraOverlapError", "StarForm", "StrataError", "action_operator",
+    "build_bundle_graph", "build_class_graph", "bundle_dim", "bundle_down_moves",
+    "bundle_types", "canonical_bundle_labeling", "canonical_matrix",
     "classify_congruence", "closure_leq", "congruence", "congruence_codim_numeric",
     "congruence_graph", "congruence_template", "conjugate_partition", "eigen_clusters",
-    "errors", "find_arrow_witness", "form_to_json_doc", "format_compact", "format_display",
-    "graph_to_dot", "graph_to_json_doc", "graphs", "has_arrow", "jordan_matrix",
-    "miniversal_template", "normalize_form", "numeric_jordan_type", "numeric_weyr",
-    "orbit_codim", "orbit_dim", "parametric_to_dot", "parametric_to_json_doc",
-    "parse_compact", "partitions", "path_exists", "pattern_check", "perturb",
-    "random_survey", "reachable", "real_param_count", "reduce_single_eigenvalue",
-    "reduce_to_miniversal", "reduction", "similarity_codim_numeric", "split_by_eigenvalue",
+    "errors", "find_arrow_witness", "form_to_json_doc", "format_compact",
+    "format_display", "graph_to_dot", "graph_to_json_doc", "graphs", "has_arrow",
+    "jordan_matrix", "miniversal_template", "normalize_form", "numeric_jordan_type",
+    "numeric_weyr", "orbit_codim", "orbit_dim", "parametric_to_dot",
+    "parametric_to_json_doc", "parse_compact", "partitions", "path_exists",
+    "pattern_check", "perturb", "random_survey", "reachable", "real_param_count",
+    "reduce_to_miniversal", "reduction", "similarity_codim_numeric",
     "star_congruence_codim_numeric", "star_count", "star_graph_2x2", "star_template",
     "structure", "sylvester_solve", "tangent", "template_ascii", "template_to_json_doc",
     "templates", "weyr_of",
@@ -76,7 +76,7 @@ def test_numeric_command_loads_numpy():
 
 class TestLazyExports:
     def test_exported_names_frozen(self):
-        assert len(EXPORTS) == 82
+        assert len(EXPORTS) == 76
         assert sorted(matstrata.__all__) == EXPORTS
 
     def test_names_resolve_to_submodule_objects(self):

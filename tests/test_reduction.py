@@ -2,22 +2,16 @@ import numpy as np
 import pytest
 
 from matstrata import (
-    AddCol,
     EigLabel,
     JordanType,
     Partition,
     ReductionError,
-    Scale,
     SpectraOverlapError,
-    Swap,
-    apply_elementary,
     jordan_matrix,
     miniversal_template,
     numeric_weyr,
     pattern_check,
-    reduce_single_eigenvalue,
     reduce_to_miniversal,
-    split_by_eigenvalue,
     sylvester_solve,
 )
 from conftest import random_complex
@@ -27,42 +21,6 @@ conc = EigLabel.concrete
 
 def jt(d):
     return JordanType({k: Partition(v) for k, v in d.items()})
-
-
-def charpoly(M):
-    return np.poly(M)
-
-
-class TestElementary:
-    def test_scale_commutes_with_diagonal(self):
-        M = np.diag([1.0, 2.0]).astype(complex)
-        out = apply_elementary(M, Scale(0, 3.0))
-        assert np.allclose(out, M)
-
-    def test_addcol_on_nilpotent_block(self):
-        # T = I + b E_10 conjugation of [[0,1],[0,0]]
-        for b in (0.3, -1.5 + 0.5j):
-            J2 = np.array([[0, 1], [0, 0]], dtype=complex)
-            out = apply_elementary(J2, AddCol(src=1, dst=0, b=b))
-            expect = np.array([[b, 1], [-b * b, -b]], dtype=complex)
-            assert np.allclose(out, expect)
-
-    def test_swap(self):
-        M = np.diag([1.0, 2.0]).astype(complex)
-        out = apply_elementary(M, Swap(0, 1))
-        assert np.allclose(out, np.diag([2.0, 1.0]))
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            apply_elementary(np.eye(2), Scale(0, 0.0))
-
-    def test_similarity_invariants_preserved(self, rng):
-        M = random_complex(rng, 4)
-        ops = [Scale(2, 1.7 - 0.3j), AddCol(0, 3, 0.8j), Swap(1, 2)]
-        out = M
-        for op in ops:
-            out = apply_elementary(out, op)
-        assert np.allclose(charpoly(out), charpoly(M))
 
 
 class TestSylvester:
@@ -87,61 +45,6 @@ class TestSylvester:
         J = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(SpectraOverlapError):
             sylvester_solve(J, J.copy(), np.eye(2))
-
-
-class TestSplit:
-    def test_identity_when_unperturbed(self):
-        blocks = [np.array([[0.0]]), np.array([[1.0]])]
-        S, out = split_by_eigenvalue(blocks, np.zeros((2, 2)))
-        assert np.array_equal(S, np.eye(2))
-        assert np.allclose(out[0], blocks[0]) and np.allclose(out[1], blocks[1])
-
-    def test_two_points_converge_fast(self, rng):
-        E = random_complex(rng, 2, norm=1e-4)
-        S, out = split_by_eigenvalue([np.array([[0.0]]), np.array([[1.0]])], E)
-        M = np.zeros((2, 2), dtype=complex)
-        M[0, 0], M[1, 1] = out[0][0, 0], out[1][0, 0]
-        residual = np.linalg.norm(np.linalg.solve(S, (np.diag([0.0, 1.0]) + E) @ S) - M)
-        assert residual <= 1e-12
-        # the iteration count is visible through the full reduction
-        res = reduce_to_miniversal(jt({conc(0): (1,), conc(1): (1,)}), E)
-        assert res.iterations <= 5
-
-    def test_single_group_is_identity_operation(self):
-        J = np.array([[0, 1], [0, 0]], dtype=complex)
-        S, out = split_by_eigenvalue([J], np.zeros((2, 2)))
-        assert np.array_equal(S, np.eye(2))
-        assert np.allclose(out[0], J)
-
-
-class TestSingleEigenvalue:
-    def test_unperturbed(self):
-        t = jt({conc(0.5): (2, 1)})
-        S, D = reduce_single_eigenvalue(jordan_matrix(t), (2, 1), lam=0.5)
-        assert np.array_equal(S, np.eye(3))
-        assert np.allclose(D, jordan_matrix(t))
-
-    def test_blocks_3_2(self, rng):
-        t = jt({conc(0): (3, 2)})
-        M = jordan_matrix(t) + random_complex(rng, 5, norm=1e-3)
-        S, D = reduce_single_eigenvalue(M, (3, 2), lam=0.0)
-        res = pattern_check(D, miniversal_template(t), tol=1e-10)
-        assert res.ok
-        assert np.linalg.norm(S @ D - M @ S) <= 1e-10
-
-    def test_small_coupling_realizes_single_block(self):
-        # two 2x2 blocks plus one coupling entry carry the full 4x4 structure
-        for lam in (0.0, 1.0):
-            t = jt({conc(lam): (2, 2)})
-            M = jordan_matrix(t)
-            M[1, 2] = 1e-4
-            S, D = reduce_single_eigenvalue(M, (2, 2), lam=lam)
-            assert numeric_weyr(D, lam, tol=1e-8) == (1, 1, 1, 1)
-
-    def test_collapsed_pivot_rejected(self):
-        M = np.array([[0, 0.1], [0, 0]], dtype=complex)
-        with pytest.raises(ReductionError):
-            reduce_single_eigenvalue(M, (2,), lam=0.0)
 
 
 class TestFullReduction:
@@ -195,3 +98,58 @@ class TestFullReduction:
             for j in range(4):
                 if tmpl.kinds[i][j] == "fixed":
                     assert abs(res.D[i, j] - base[i, j]) <= 1e-8
+
+    def test_unperturbed_groups(self):
+        for t in (jt({conc(0.5): (2, 1)}), jt({conc(0): (1,), conc(1): (1,)})):
+            res = reduce_to_miniversal(t, np.zeros((t.n, t.n)))
+            assert np.array_equal(res.S, np.eye(t.n))
+            assert np.array_equal(res.D, jordan_matrix(t)) and res.iterations == 0
+
+    def test_blocks_3_2(self, rng):
+        t = jt({conc(0): (3, 2)})
+        E = random_complex(rng, 5, norm=1e-3)
+        res = reduce_to_miniversal(t, E)
+        assert pattern_check(res.D, miniversal_template(t), tol=1e-10).ok
+        assert np.linalg.norm(res.S @ res.D - (jordan_matrix(t) + E) @ res.S) <= 1e-10
+
+    def test_small_coupling_realizes_single_block(self):
+        # two 2x2 blocks plus one coupling entry carry the full 4x4 structure
+        for lam in (0.0, 1.0):
+            E = np.zeros((4, 4))
+            E[1, 2] = 1e-4
+            res = reduce_to_miniversal(jt({conc(lam): (2, 2)}), E)
+            assert numeric_weyr(res.D, lam, tol=1e-8) == (1, 1, 1, 1)
+
+    def test_two_points_converge_fast(self, rng):
+        E = random_complex(rng, 2, norm=1e-4)
+        res = reduce_to_miniversal(jt({conc(0): (1,), conc(1): (1,)}), E)
+        assert res.pattern_ok and res.iterations <= 5
+
+    def test_collapsed_pivot_rejected(self):
+        # J2(0) + E has superdiagonal 0.1: no near-identity S restores the 1
+        E = np.array([[0, -0.9], [0, 0]], dtype=complex)
+        with pytest.raises(ReductionError):
+            reduce_to_miniversal(jt({conc(0): (2,)}), E)
+
+    def test_close_eigenvalues_refused(self):
+        # a gap of 1e-6 needs S far from the identity; it used to be returned
+        E = 1e-5 * np.ones((3, 3))
+        with pytest.raises(ReductionError):
+            reduce_to_miniversal(jt({conc(0): (2,), conc(1e-6): (1,)}), E)
+        res = reduce_to_miniversal(jt({conc(0): (2,), conc(1e-1): (1,)}), E)
+        assert res.pattern_ok and np.linalg.norm(res.S - np.eye(3)) <= 1e3 * np.linalg.norm(E)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_refused_before_any_step(self, tol):
+        # this perturbation would be refused by the first step
+        E = np.array([[0, -0.9], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="pattern tolerance must be finite"):
+            reduce_to_miniversal(jt({conc(0): (2,)}), E, tol=tol)
+
+    def test_parameter_cells_only_take_no_step(self, rng):
+        t = jt({conc(0): (3, 1), conc(2): (2,)})
+        stars = np.array(miniversal_template(t).kinds) != "fixed"
+        E = np.where(stars, random_complex(rng, t.n, norm=1e-3), 0)
+        res = reduce_to_miniversal(t, E)
+        assert res.iterations == 0 and np.array_equal(res.S, np.eye(t.n))
+        assert np.array_equal(res.D, jordan_matrix(t) + E)
