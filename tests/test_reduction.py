@@ -47,6 +47,57 @@ class TestSylvester:
             sylvester_solve(J, J.copy(), np.eye(2))
 
 
+class TestSplit:
+    # several eigenvalue groups: the between-group Sylvester steps
+    def test_identity_when_unperturbed(self):
+        t = jt({conc(0): (1,), conc(1): (1,)})
+        res = reduce_to_miniversal(t, np.zeros((2, 2)))
+        assert np.array_equal(res.S, np.eye(2))
+        assert np.array_equal(res.D, jordan_matrix(t)) and res.iterations == 0
+
+    def test_two_points_converge_fast(self, rng):
+        E = random_complex(rng, 2, norm=1e-4)
+        res = reduce_to_miniversal(jt({conc(0): (1,), conc(1): (1,)}), E)
+        assert res.pattern_ok and res.iterations <= 5
+        assert np.linalg.norm(res.S @ res.D - (np.diag([0.0, 1.0]) + E) @ res.S) <= 1e-12
+
+    def test_single_group_is_identity_operation(self):
+        t = jt({conc(0): (2,)})
+        res = reduce_to_miniversal(t, np.zeros((2, 2)))
+        assert np.array_equal(res.S, np.eye(2))
+        assert np.array_equal(res.D, jordan_matrix(t)) and res.iterations == 0
+
+
+class TestSingleEigenvalue:
+    # one eigenvalue: the triangular recursion over the block grid
+    def test_unperturbed(self):
+        t = jt({conc(0.5): (2, 1)})
+        res = reduce_to_miniversal(t, np.zeros((3, 3)))
+        assert np.array_equal(res.S, np.eye(3))
+        assert np.array_equal(res.D, jordan_matrix(t)) and res.iterations == 0
+
+    def test_blocks_3_2(self, rng):
+        t = jt({conc(0): (3, 2)})
+        E = random_complex(rng, 5, norm=1e-3)
+        res = reduce_to_miniversal(t, E)
+        assert pattern_check(res.D, miniversal_template(t), tol=1e-10).ok
+        assert np.linalg.norm(res.S @ res.D - (jordan_matrix(t) + E) @ res.S) <= 1e-10
+
+    def test_small_coupling_realizes_single_block(self):
+        # two 2x2 blocks plus one coupling entry carry the full 4x4 structure
+        for lam in (0.0, 1.0):
+            E = np.zeros((4, 4))
+            E[1, 2] = 1e-4
+            res = reduce_to_miniversal(jt({conc(lam): (2, 2)}), E)
+            assert numeric_weyr(res.D, lam, tol=1e-8) == (1, 1, 1, 1)
+
+    def test_collapsed_pivot_rejected(self):
+        # J2(0) + E has superdiagonal 0.1: no near-identity S restores the 1
+        E = np.array([[0, -0.9], [0, 0]], dtype=complex)
+        with pytest.raises(ReductionError):
+            reduce_to_miniversal(jt({conc(0): (2,)}), E)
+
+
 class TestFullReduction:
     def test_unperturbed(self):
         t = jt({conc(0): (3, 2), conc(1): (1,)})
@@ -98,38 +149,6 @@ class TestFullReduction:
             for j in range(4):
                 if tmpl.kinds[i][j] == "fixed":
                     assert abs(res.D[i, j] - base[i, j]) <= 1e-8
-
-    def test_unperturbed_groups(self):
-        for t in (jt({conc(0.5): (2, 1)}), jt({conc(0): (1,), conc(1): (1,)})):
-            res = reduce_to_miniversal(t, np.zeros((t.n, t.n)))
-            assert np.array_equal(res.S, np.eye(t.n))
-            assert np.array_equal(res.D, jordan_matrix(t)) and res.iterations == 0
-
-    def test_blocks_3_2(self, rng):
-        t = jt({conc(0): (3, 2)})
-        E = random_complex(rng, 5, norm=1e-3)
-        res = reduce_to_miniversal(t, E)
-        assert pattern_check(res.D, miniversal_template(t), tol=1e-10).ok
-        assert np.linalg.norm(res.S @ res.D - (jordan_matrix(t) + E) @ res.S) <= 1e-10
-
-    def test_small_coupling_realizes_single_block(self):
-        # two 2x2 blocks plus one coupling entry carry the full 4x4 structure
-        for lam in (0.0, 1.0):
-            E = np.zeros((4, 4))
-            E[1, 2] = 1e-4
-            res = reduce_to_miniversal(jt({conc(lam): (2, 2)}), E)
-            assert numeric_weyr(res.D, lam, tol=1e-8) == (1, 1, 1, 1)
-
-    def test_two_points_converge_fast(self, rng):
-        E = random_complex(rng, 2, norm=1e-4)
-        res = reduce_to_miniversal(jt({conc(0): (1,), conc(1): (1,)}), E)
-        assert res.pattern_ok and res.iterations <= 5
-
-    def test_collapsed_pivot_rejected(self):
-        # J2(0) + E has superdiagonal 0.1: no near-identity S restores the 1
-        E = np.array([[0, -0.9], [0, 0]], dtype=complex)
-        with pytest.raises(ReductionError):
-            reduce_to_miniversal(jt({conc(0): (2,)}), E)
 
     def test_close_eigenvalues_refused(self):
         # a gap of 1e-6 needs S far from the identity; it used to be returned
