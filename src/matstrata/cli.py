@@ -94,10 +94,7 @@ def _load_matrix(path: str):
             f"{MAX_MATRIX_N}x{MAX_MATRIX_N}"
         )
     try:
-        A = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
+        A = np.array([[complex(x, y) for x, y in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, ValueError) as exc:
         raise _UsageError(
             f"matrix file {path}: rows must be [[re,im], ...] lists"

@@ -50,6 +50,8 @@ class Block:
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
             raise CatalogError(f"unknown block kind {self.kind!r}")
+        if self.size < 1:
+            raise CatalogError(f"block size must be positive, got {self.size}")
         if self.kind in ("H", "H*"):
             if self.size % 2:
                 raise CatalogError("H blocks have even size 2m")
@@ -550,12 +552,11 @@ def form_to_json_doc(form) -> dict:
 
 
 def form_from_json_doc(doc) -> CongruenceForm | StarForm:
+    sizes = [e["size"] for e in doc["blocks"]]
+    if not all(type(size) is int for size in sizes):
+        raise CatalogError(f"block sizes must be integers, got {sizes}")
     blocks = tuple(
-        Block(
-            e["kind"],
-            int(e["size"]),
-            complex(e["param"][0], e["param"][1]) if "param" in e else None,
-        )
-        for e in doc["blocks"]
+        Block(e["kind"], size, complex(e["param"][0], e["param"][1]) if "param" in e else None)
+        for e, size in zip(doc["blocks"], sizes)
     )
     return StarForm(blocks) if doc.get("star") else CongruenceForm(blocks)

@@ -2,10 +2,12 @@
 
 A structure J lies below J2 when every matrix similar to J is a limit of
 matrices similar to J2; the test is partition dominance, one eigenvalue at
-a time.  Similarity graphs are built for fixed eigenvalue patterns (classes)
-and modulo eigenvalue renaming (bundles, which also let eigenvalues merge).
-The congruence graphs are parametric: a vertex is a family of canonical
-forms with free parameters, and an arrow may hold only under a condition.
+a time.  Similarity graphs are built for the nilpotent chain, for fixed
+eigenvalue patterns (classes) and modulo eigenvalue renaming (classes, and
+bundles, which also let eigenvalues merge), all four by one pass over
+down-moves on plain block-size keys.  The congruence graphs are
+parametric: a vertex is a family of canonical forms with free parameters,
+and an arrow may hold only under a condition.
 """
 
 from __future__ import annotations
@@ -151,10 +153,10 @@ def _hasse_edges(below: list[int], steps: list[int]) -> list[tuple[int, int]]:
     The order is given as Python-int bitsets over vertex indices: bit i of
     ``below[j]`` is set when vertex i lies strictly below vertex j.
     ``steps[j]`` is a subset of ``below[j]`` that generates it: every vertex
-    below j lies at or below some vertex of ``steps[j]`` (``below[j]``
-    itself always qualifies; the down-moves of a bundle are smaller).  Then
-    j covers exactly the vertices of ``below[j]`` that lie strictly below no
-    vertex of ``steps[j]``: one OR per step, no scan over all triples.
+    below j lies at or below some vertex of ``steps[j]``, as the down-moves
+    of j do.  Then j covers exactly the vertices of ``below[j]`` that lie
+    strictly below no vertex of ``steps[j]``: one OR per step, no scan over
+    all triples.
     """
     edges = []
     for j, (down, step) in enumerate(zip(below, steps)):
@@ -165,43 +167,10 @@ def _hasse_edges(below: list[int], steps: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _strict_below(structs, leq) -> list[int]:
-    """Strict down-set bitsets of the order ``leq`` on ``structs``.
-
-    ``below[j]`` has bit i set when ``leq(structs[i], structs[j])`` holds
-    for i != j, from k^2 ``leq`` calls.  Two structures below each other
-    make the relation no order, which raises.
-    """
-    below = [0] * len(structs)
-    for j, b in enumerate(structs):
-        for i, a in enumerate(structs):
-            if i != j and leq(a, b):
-                below[j] |= 1 << i
-    for j, down in enumerate(below):
-        if any(below[i] >> j & 1 for i in _bits(down)):
-            raise ValueError("closure relation is not antisymmetric")
-    return below
-
-
-def _sorted_vertices(structs, dim_of) -> list[GraphVertex]:
-    verts = [
-        GraphVertex(format_compact(s), format_display(s), dim_of(s), s) for s in structs
-    ]
-    verts.sort(key=lambda v: (v.dim, v.notation))
-    return verts
-
-
-def _assemble(kind, verts, below, steps) -> ClosureGraph:
-    edges = [(verts[i].id, verts[j].id) for i, j in _hasse_edges(below, steps)]
-    edges.sort()
-    return ClosureGraph(kind=kind, vertices=tuple(verts), edges=tuple(edges))
-
-
 def build_class_graph(
     n: int,
     pattern: tuple[int, ...] | None = None,
     nilpotent: bool = False,
-    max_n: int = DEFAULT_MAX_N,
 ) -> ClosureGraph:
     """Closure graph for similarity classes of n x n matrices.
 
@@ -210,20 +179,23 @@ def build_class_graph(
     with neither, all structures appear once modulo eigenvalue renaming.
     Those classes are the bundles, ordered by single-partition moves.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"order {n} outside supported range 1..{max_n}")
+    if not 1 <= n <= DEFAULT_MAX_N:
+        raise ValueError(f"order {n} outside supported range 1..{DEFAULT_MAX_N}")
+    if nilpotent and pattern is not None:
+        raise ValueError("a nilpotent class graph takes no eigenvalue pattern")
     if nilpotent:
         zero = EigLabel.concrete(0)
         structs = [JordanType({zero: p}) for p in partitions(n)]
     elif pattern is not None:
+        pattern = tuple(pattern)
+        if not all(isinstance(m, int) and m >= 1 for m in pattern):
+            raise ValueError(f"pattern {pattern} needs positive integer multiplicities")
         if sum(pattern) != n:
             raise ValueError(f"pattern {pattern} does not sum to {n}")
-        structs = list(jordan_types_for_pattern(tuple(pattern)))
+        structs = jordan_types_for_pattern(pattern)
     else:
-        return _move_graph("classes", n, merge=False)
-    verts = _sorted_vertices(structs, orbit_dim)
-    below = _strict_below([v.structure for v in verts], closure_leq)
-    return _assemble("classes", verts, below, below)
+        return _move_graph("classes", bundle_types(n), orbit_dim, lambda k: _key_moves(k, False))
+    return _move_graph("classes", structs, orbit_dim, _label_moves)
 
 
 @lru_cache(maxsize=None)
@@ -233,6 +205,13 @@ def _coarsenings(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(
         q.parts for q in partitions(sum(p)) if q.parts != p and _prefix_dominates(p, q.parts)
     )
+
+
+def _label_moves(key: tuple[tuple[int, ...], ...]) -> list:
+    """Keys one coarsening below ``key``, every eigenvalue kept in place.
+    They generate the product of the single-eigenvalue orders, which is
+    ``closure_leq`` on structures with the same eigenvalues."""
+    return [key[:i] + (q,) + key[i + 1 :] for i, p in enumerate(key) for q in _coarsenings(p)]
 
 
 @lru_cache(maxsize=None)
@@ -263,38 +242,42 @@ def bundle_down_moves(b: JordanType) -> list[BundleType]:
     return sorted(map(bundle_of_key, _key_moves(key, True)), key=format_compact)
 
 
-def _move_graph(kind: str, n: int, merge: bool) -> ClosureGraph:
-    """Closure graph of the bundles of order n under ``_key_moves``, in one
-    pass over them in ``(dim, notation)`` order.  The moves of vertex j lower
-    the dimension, so they point to earlier vertices (checked), and
-    ``below[j]`` is the OR over moves d of ``bit d | below[d]``; the moves
-    generate ``below[j]``, so ``_hasse_edges`` reads the covers off them."""
-    verts = _sorted_vertices(bundle_types(n), bundle_dim if merge else orbit_dim)
-    index = {bundle_key(p.parts for _, p in v.structure.entries): j for j, v in enumerate(verts)}
-    below, moves = [], []
+def _move_graph(kind: str, structs, dim_of, moves) -> ClosureGraph:
+    """Closure graph of ``structs``, each keyed by its eigenvalues' block-size
+    tuples in label order, ``moves(key)`` giving the keys one degeneration
+    step below.  One pass over the vertices in ``(dim, notation)`` order:
+    the moves of vertex j lower ``dim_of``, so they point to earlier
+    vertices (checked), and ``below[j]`` is the OR over moves d of
+    ``bit d | below[d]``; the moves generate ``below[j]``, so
+    ``_hasse_edges`` reads the covers off them."""
+    verts = [GraphVertex(format_compact(s), format_display(s), dim_of(s), s) for s in structs]
+    verts.sort(key=lambda v: (v.dim, v.notation))
+    index = {tuple(p.parts for _, p in v.structure.entries): j for j, v in enumerate(verts)}
+    below, steps = [], []
     for j, key in enumerate(index):
         step = 0
-        for d in _key_moves(key, merge):
+        for d in moves(key):
             i = index[d]
             if i >= j:
                 raise RuntimeError(
                     f"down-move {verts[i].id} of {verts[j].id} does not come earlier "
-                    f"in the {'bundle' if merge else 'orbit'}-dimension order"
+                    f"in the {dim_of.__name__.removesuffix('_dim')}-dimension order"
                 )
             step |= 1 << i
         down = step
         for i in _bits(step):
             down |= below[i]
         below.append(down)
-        moves.append(step)
-    return _assemble(kind, verts, below, moves)
+        steps.append(step)
+    edges = sorted((verts[i].id, verts[j].id) for i, j in _hasse_edges(below, steps))
+    return ClosureGraph(kind=kind, vertices=tuple(verts), edges=tuple(edges))
 
 
-def build_bundle_graph(n: int, max_n: int = DEFAULT_MAX_N) -> ClosureGraph:
+def build_bundle_graph(n: int) -> ClosureGraph:
     """Closure graph for similarity bundles of n x n matrices."""
-    if not 1 <= n <= max_n:
-        raise ValueError(f"order {n} outside supported range 1..{max_n}")
-    return _move_graph("bundles", n, merge=True)
+    if not 1 <= n <= DEFAULT_MAX_N:
+        raise ValueError(f"order {n} outside supported range 1..{DEFAULT_MAX_N}")
+    return _move_graph("bundles", bundle_types(n), bundle_dim, lambda k: _key_moves(k, True))
 
 
 def reachable(g: ClosureGraph, a, b) -> bool:

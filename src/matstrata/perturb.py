@@ -228,8 +228,11 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     NumericalAmbiguityError.
     """
     check_tol(tol)
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"eigenvalue {lam} is not finite")
     A = np.asarray(A, dtype=complex)
-    w = _weyr(A[None], np.array([complex(lam)]), tol)[0]
+    w = _weyr(A[None], np.array([lam]), tol)[0]
     if isinstance(w, NumericalAmbiguityError):
         raise w
     return w

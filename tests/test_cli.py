@@ -38,6 +38,15 @@ class TestWeyrCommand:
         code, out = invoke("weyr", "--matrix", path, "--lambda", "1j")
         assert code == 0 and json.loads(out)["weyr"] == [2]
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+    @pytest.mark.parametrize("lam", ["nan", "inf", "1+infj"])
+    def test_non_finite_lambda_refused(self, tmp_path, capsys, lam):
+        path = write_matrix(tmp_path / "m.json", np.zeros((3, 3)))
+        code, out = invoke("weyr", "--matrix", path, "--lambda", lam)
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: eigenvalue") and err.count("\n") == 1, err
+
     def test_ambiguity_exit_code(self, tmp_path):
         path = write_matrix(tmp_path / "m.json", np.diag([1.0, 1e-8]))
         code, _ = invoke("weyr", "--matrix", path, "--lambda", "0")
@@ -224,6 +233,22 @@ class TestInputValidation:
         path = tmp_path / "rows.json"
         path.write_text(json.dumps({"rows": 5}))
         assert invoke("codim", "--action", "sim", "--matrix", str(path))[0] == 1
+
+    @pytest.mark.parametrize("entry", [[0, 0, 5], [0], [], 0])
+    def test_entry_not_a_pair(self, tmp_path, capsys, entry):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 1, "rows": [[entry]]}))
+        assert invoke("weyr", "--matrix", str(path), "--lambda", "0") == (1, "")
+        assert "[[re,im], ...]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "N", "size": -2}, {"kind": "N", "size": 0}, {"kind": "Gamma", "size": 1.5},
+    ])
+    def test_bad_block_size(self, tmp_path, capsys, block):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"star": False, "blocks": [block, {"kind": "N", "size": 1}]}))
+        assert invoke("template", "congr", "--form", str(path)) == (1, "")
+        assert "block size" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert invoke("frobnicate")[0] == 1

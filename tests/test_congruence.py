@@ -78,6 +78,11 @@ class TestBlocks:
         with pytest.raises(CatalogError):
             CongruenceForm((U(2, 1.0),))  # star block in the wrong catalog
 
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_size_must_be_positive(self, size):
+        with pytest.raises(CatalogError, match="must be positive"):
+            Block("N", size)
+
 
 class TestNormalize:
     def test_inverts_small_lambda(self):
@@ -367,6 +372,12 @@ class TestSerialization:
         assert form_equal(form_from_json_doc(doc), form)
         sf = StarForm((U(2, 1j), N(1)))
         assert form_equal(form_from_json_doc(form_to_json_doc(sf)), sf)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, "2", True])
+    def test_non_integer_size_refused(self, size):
+        doc = {"star": False, "blocks": [{"kind": "Gamma", "size": size}]}
+        with pytest.raises(CatalogError, match="must be integers"):
+            form_from_json_doc(doc)
 
     def test_parametric_docs(self):
         g = star_graph_2x2()

@@ -3,7 +3,9 @@
 The references below are written out here from the engines that came
 before the tuple-key one: a bipartite-matching closure test for classes
 modulo eigenvalue renaming, JordanType-level down-moves, the enumeration
-of bundles as BundleTypes, and a DFS for reachability.
+of bundles as BundleTypes, a DFS for reachability, and the pairwise
+``closure_leq`` scan with its Hasse reduction that built the nilpotent and
+fixed-pattern class graphs.
 """
 
 import itertools
@@ -20,15 +22,19 @@ from matstrata import (
     bundle_down_moves,
     bundle_types,
     canonical_bundle_labeling,
+    closure_leq,
     format_compact,
+    format_display,
     graphs,
     orbit_codim,
+    orbit_dim,
     partitions,
     reachable,
     structure,
     weyr_of,
 )
 from matstrata.graphs import ClosureGraph, GraphVertex, partition_closure_leq
+from matstrata.structure import jordan_types_for_pattern
 
 
 def reference_bundle_leq(a, b) -> bool:
@@ -116,6 +122,33 @@ def dfs_reachable(g, a, b) -> bool:
     return False
 
 
+def reference_scan_graph(structs):
+    """Class graph from ``closure_leq`` on every ordered pair of vertices:
+    j covers i when i lies strictly below j and below no vertex that lies
+    strictly below j."""
+    verts = [GraphVertex(format_compact(s), format_display(s), orbit_dim(s), s) for s in structs]
+    verts.sort(key=lambda v: (v.dim, v.notation))
+    below = [
+        {i for i, a in enumerate(verts) if a is not b and closure_leq(a.structure, b.structure)}
+        for b in verts
+    ]
+    edges = sorted(
+        (verts[i].id, verts[j].id)
+        for j, down in enumerate(below)
+        for i in down
+        if not any(i in below[m] for m in down)
+    )
+    return ClosureGraph("classes", tuple(verts), tuple(edges))
+
+
+def compositions(n):
+    """Every ordered tuple of positive integers summing to n."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        yield from ((first,) + rest for rest in compositions(n - first))
+
+
 def key_of(b):
     return tuple(p.parts for _, p in b.entries)
 
@@ -156,6 +189,20 @@ def test_class_order_modulo_renaming_equals_bipartite_matching(n):
         assert reachable(g, a.id, b.id) == reference_bundle_leq(a.structure, b.structure), (
             a.id, b.id,
         )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nilpotent_graph_equals_pairwise_scan(n):
+    zero = EigLabel.concrete(0)
+    want = reference_scan_graph([JordanType({zero: p}) for p in partitions(n)])
+    assert build_class_graph(n, nilpotent=True) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fixed_pattern_graphs_equal_pairwise_scan(n):
+    for pattern in compositions(n):
+        want = reference_scan_graph(jordan_types_for_pattern(pattern))
+        assert build_class_graph(n, pattern=pattern) == want, pattern
 
 
 def _graphs_for_reachability():

@@ -113,8 +113,3 @@ def test_upward_down_move_is_refused(monkeypatch):
     monkeypatch.setattr(graphs, "_key_moves", lambda key, merge: real(key, merge) + (top_key,))
     with pytest.raises(RuntimeError, match="bundle-dimension order"):
         graphs.build_bundle_graph(3)
-
-
-def test_non_antisymmetric_relation_is_refused():
-    with pytest.raises(ValueError, match="antisymmetric"):
-        graphs._strict_below(["x", "y"], lambda a, b: True)

@@ -102,6 +102,15 @@ class TestClassGraphs:
         with pytest.raises(ValueError):
             build_class_graph(4, pattern=(3,))
 
+    @pytest.mark.parametrize("pattern", [(-1, 4), (0, 3), (1.5, 1.5), (3, 0)])
+    def test_malformed_pattern_refused(self, pattern):
+        with pytest.raises(ValueError, match="positive integer multiplicities"):
+            build_class_graph(3, pattern=pattern)
+
+    def test_nilpotent_with_pattern_refused(self):
+        with pytest.raises(ValueError, match="takes no eigenvalue pattern"):
+            build_class_graph(4, nilpotent=True, pattern=(2, 2))
+
 
 class TestBundleMoves:
     def test_coalescence_example(self):

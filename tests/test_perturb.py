@@ -79,6 +79,11 @@ class TestNumericWeyr:
         with pytest.raises(NumericalAmbiguityError):
             numeric_weyr(A, 0.0, tol=1e-8)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_eigenvalue_refused(self, lam):
+        with pytest.raises(ValueError, match="not finite"):
+            numeric_weyr(np.zeros((3, 3)), lam)
+
     def test_rising_block_counts_abstain(self):
         # ranks 4, 2 against each power's own scale: one block, then two
         A = np.diag([1e-6, 1e-6, 1.0, 1.0], 1)
