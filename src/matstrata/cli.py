@@ -28,7 +28,7 @@ from .graphs import (
     parametric_to_json_doc,
     star_graph_2x2,
 )
-from .structure import format_compact, parse_compact
+from .structure import complex_from_pair, format_compact, parse_compact
 
 
 # design envelope: matrices up to 12 x 12 (graphs have their own bound)
@@ -44,12 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sig12(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _stable(obj):
-    """Round floats to 12 significant digits for byte-stable output."""
+    """Round floats to 12 significant digits for byte-stable output; a
+    complex number becomes [re, im]."""
     if isinstance(obj, dict):
         return {k: _stable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -57,9 +54,9 @@ def _stable(obj):
     if hasattr(obj, "dtype"):  # numpy scalar
         obj = obj.item()
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, complex):
-        return [_sig12(obj.real), _sig12(obj.imag)]
+        return [_stable(obj.real), _stable(obj.imag)]
     return obj
 
 
@@ -68,10 +65,7 @@ def _emit(doc) -> None:
 
 
 def _matrix_to_doc(A) -> dict:
-    return {
-        "n": A.shape[0],
-        "rows": [[[_sig12(z.real), _sig12(z.imag)] for z in row] for row in A],
-    }
+    return {"n": A.shape[0], "rows": A.tolist()}
 
 
 def _load_matrix(path: str):
@@ -94,16 +88,14 @@ def _load_matrix(path: str):
             f"{MAX_MATRIX_N}x{MAX_MATRIX_N}"
         )
     try:
-        A = np.array([[complex(x, y) for x, y in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise _UsageError(
-            f"matrix file {path}: rows must be [[re,im], ...] lists"
-        ) from exc
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != n:
+        entries = [[complex_from_pair(e) for e in row] for row in rows]
+    except TypeError as exc:
+        raise _UsageError(f"matrix file {path}: rows must be [[re,im], ...] lists") from exc
+    except ValueError as exc:
+        raise _UsageError(f"matrix file {path}: entries must be finite") from exc
+    if n == 0 or len(entries) != n or any(len(row) != n for row in entries):
         raise _UsageError(f"matrix file {path}: expected a square {n}x{n} matrix")
-    if not np.all(np.isfinite(A)):
-        raise _UsageError(f"matrix file {path}: entries must be finite")
-    return A
+    return np.array(entries, dtype=complex)
 
 
 def _load_form(path: str):
@@ -116,7 +108,7 @@ def _load_form(path: str):
         raise _UsageError(f"cannot read form file {path}: {exc}") from exc
     try:
         return form_from_json_doc(doc)
-    except (KeyError, TypeError, StrataError) as exc:
+    except (KeyError, TypeError, ValueError, StrataError) as exc:
         raise _UsageError(f"form file {path}: {exc}") from exc
 
 

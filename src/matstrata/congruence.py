@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CatalogError, NumericalAmbiguityError
+from .errors import CatalogError, NumericalAmbiguityError, raise_ambiguous
 from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-exported here
     PARAM_TOL,
     _normalize_h_lambda,
@@ -28,9 +28,9 @@ from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-
     parametric_to_json_doc,
     star_graph_2x2,
 )
-from .structure import format_complex
+from .structure import complex_from_pair, format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
-from .tangent import DEFAULT_RANK_TOL, band_rank, check_tol, guarded_rank
+from .tangent import DEFAULT_RANK_TOL, band_ranks, check_tol, guarded_rank
 
 # ---------------------------------------------------------------------------
 # blocks and forms
@@ -438,7 +438,7 @@ def _common_kernel(A: np.ndarray, tol: float):
     """Orthonormal bases (complement, kernel) of ker A ∩ ker A^T."""
     _, s, vh = np.linalg.svd(np.vstack([A, A.T]))
     V = np.conj(vh).T
-    r = band_rank(s, tol * s[0]) if s[0] > 0 else 0
+    r = raise_ambiguous(band_ranks(s[None], tol))[0]
     return V[:, :r], V[:, r:]
 
 
@@ -447,12 +447,9 @@ def _classify_core(A: np.ndarray, tol: float) -> list[Block]:
     n = A.shape[0]
     if n == 1:
         return [Block("Gamma", 1)]
-    s = np.linalg.svd(A, compute_uv=False)
-    scale = float(s[0])
-    r = band_rank(s, tol * scale)
-    rp = guarded_rank(A + A.T, tol, ref=scale)
-    rm = guarded_rank(A - A.T, tol, ref=scale)
-    key = (r, rp, rm)
+    # the ranks of A, A + A^T and A - A^T, all against the scale of A
+    s = np.linalg.svd(np.stack([A, A + A.T, A - A.T]), compute_uv=False)
+    key = tuple(raise_ambiguous(band_ranks(s, tol, s[0, 0])))
     if n == 2:
         table = {
             (2, 2, 0): [Block("Gamma", 1), Block("Gamma", 1)],
@@ -523,10 +520,8 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     n = A.shape[0]
     if A.shape != (n, n) or n not in (2, 3):
         raise CatalogError(f"classification covers 2x2 and 3x3 matrices, got {A.shape}")
-    norm = float(np.linalg.norm(A))
-    if norm == 0:
-        return CongruenceForm(tuple([Block("N", 1)] * n))
-    A = A * (np.sqrt(n) / norm)  # scalar congruence scaling
+    if norm := float(np.linalg.norm(A)):  # the zero matrix has rank 0: all N1 blocks
+        A = A * (np.sqrt(n) / norm)  # scalar congruence scaling
     Q, V = _common_kernel(A, tol)
     k = V.shape[1]
     blocks = [Block("N", 1)] * k
@@ -556,7 +551,7 @@ def form_from_json_doc(doc) -> CongruenceForm | StarForm:
     if not all(type(size) is int for size in sizes):
         raise CatalogError(f"block sizes must be integers, got {sizes}")
     blocks = tuple(
-        Block(e["kind"], size, complex(e["param"][0], e["param"][1]) if "param" in e else None)
+        Block(e["kind"], size, complex_from_pair(e["param"]) if "param" in e else None)
         for e, size in zip(doc["blocks"], sizes)
     )
     return StarForm(blocks) if doc.get("star") else CongruenceForm(blocks)

@@ -42,3 +42,12 @@ class NumericalAmbiguityError(StrataError, RuntimeError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details or {}
+
+
+def raise_ambiguous(results: list) -> list:
+    """``results`` once none of them is a NumericalAmbiguityError; else
+    raise the first that is."""
+    for r in results:
+        if isinstance(r, NumericalAmbiguityError):
+            raise r
+    return results

@@ -1,10 +1,13 @@
 """Empirical side: numerical Jordan structure of perturbed matrices.
 
-Eigenvalues are clustered by single linkage, the block-count sequence of
-each cluster comes from rank differences of powers, and Monte-Carlo
-surveys check that every structure observed near a canonical matrix is
-reachable in the bundle closure graph.  A small search routine finds
-sparse perturbations realizing individual graph edges.
+One estimator works on a stack of matrices, a single matrix being a stack
+of one.  It clusters the eigenvalues of every matrix by single linkage in
+one vectorised pass, and takes the block-count sequence of each cluster
+from rank differences of powers, every rank decided by the band rule of
+``tangent.band_ranks``.  Monte-Carlo surveys check that every structure
+observed near a canonical matrix is reachable in the bundle closure graph.
+A small search routine finds sparse perturbations realizing individual
+graph edges.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalAmbiguityError
+from .errors import NumericalAmbiguityError, raise_ambiguous
 from .graphs import build_bundle_graph, closure_leq, reachable
 from .structure import (
     EigLabel,
@@ -29,15 +32,12 @@ from .structure import (
     format_compact,
     format_display,
 )
-from .tangent import DEFAULT_RANK_TOL, RANK_BAND, band_rank, check_tol
+from .tangent import DEFAULT_RANK_TOL, band_ranks, check_tol
 from .templates import jordan_matrix
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 # trials a survey estimates together; a fixed size keeps its memory flat
 SURVEY_STACK = 64
-# a stacked |z| may differ from the scalar one in the last bit, so a trial
-# counts as having all eigenvalues apart only with this much room
-_APART_MARGIN = 1.0 + 1e-9
 
 
 def _check_radius(cluster_radius: float) -> None:
@@ -60,50 +60,30 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _linkage(eigs: np.ndarray, cluster_radius: float) -> list[tuple[complex, int]]:
-    """Single-linkage clusters of one eigenvalue vector, sorted by center."""
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(n), 2):
-        if abs(eigs[i] - eigs[j]) <= cluster_radius:
-            parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(eigs[i])
-    out = [(complex(np.mean(v)), len(v)) for v in groups.values()]
-    out.sort(key=lambda cm: (cm[0].real, cm[0].imag))
-    return out
-
-
 def _clusters(eigs: np.ndarray, cluster_radius: float) -> list:
-    """_linkage of each row of eigs (k, n).
+    """Single-linkage clusters of each row of eigs (k, n): (center,
+    multiplicity) pairs sorted by center.
 
-    A row whose eigenvalues are all farther apart than the radius is all
-    singletons, sorted by center; equal rows (every strictly upper
-    perturbation of one Jordan matrix) share one linkage.
+    Eigenvalues within the radius are linked; ceil(log2(n - 1)) boolean
+    squarings close the links over chains of up to n - 1 steps.  A cluster
+    is named by its lowest member and centered at the mean of its members.
     """
-    close = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius * _APART_MARGIN
-    apart = close.sum(axis=(1, 2)) == eigs.shape[1]  # each eigenvalue close to itself only
-    ordered = []
-    if apart.any():
-        order = np.lexsort((eigs.imag, eigs.real), axis=1)
-        ordered = np.take_along_axis(eigs, order, axis=1).tolist()
-    out, memo = [], {}
-    for k, sep in enumerate(apart.tolist()):
-        if sep:
-            out.append([(z, 1) for z in ordered[k]])
-            continue
-        key = eigs[k].tobytes()
-        if key not in memo:
-            memo[key] = _linkage(eigs[k], cluster_radius)
-        out.append(memo[key])
+    k, n = eigs.shape
+    linked = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius
+    for _ in range(max(n - 2, 0).bit_length()):
+        linked = linked @ linked
+    i = np.arange(n)
+    rows, heads = np.nonzero(~(linked & (i[:, None] > i)).any(axis=2))
+    members = linked[rows, heads]
+    mults = members.sum(axis=1)
+    centers = eigs[rows, heads]
+    for m in set(mults.tolist()) - {1}:  # sum members contiguously, in order, as np.mean does
+        at = mults == m
+        centers[at] = eigs[rows[at]][members[at]].reshape(-1, m).sum(axis=1) / m
+    order = np.lexsort((centers.imag, centers.real, rows))
+    out = [[] for _ in range(k)]
+    for r, c, m in zip(rows.tolist(), centers[order].tolist(), mults[order].tolist()):
+        out[r].append((c, m))
     return out
 
 
@@ -111,33 +91,21 @@ def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
     """numeric_weyr of each A[k] at lam[k]: the block-count tuple, or the
     NumericalAmbiguityError it raises.
 
-    Every row takes the same power, SVD and band steps as on its own; only
-    a row with a singular value in the band calls band_rank, which raises
-    the error.
+    Every row takes the same power, SVD and band_ranks steps as on its own.
     """
     m, n = A.shape[0], A.shape[1]
     P = np.eye(n, dtype=complex)  # broadcast against the stack by the first product
     B = A - lam[:, None, None] * P
-    out: list = [None] * m
+    out: list = [()] * m  # what each row gets when n = 0 and no power is taken
     running = [(k, [], n) for k in range(m)]  # (row, block counts so far, previous rank)
     for _ in range(n):
         P = P @ B
-        s = np.linalg.svd(P, compute_uv=False)
-        thr = tol * s[:, :1]
-        inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
-        rows = zip(running, s[:, 0].tolist(), inside.tolist(), (s >= thr).tolist())
+        rows = zip(running, band_ranks(np.linalg.svd(P, compute_uv=False), tol))
         kept, running = [], []
-        for i, ((k, w, prev), top, band, above) in enumerate(rows):
-            if top == 0.0:
-                r = 0
-            elif any(band):
-                try:
-                    band_rank(s[i], thr[i, 0])
-                except NumericalAmbiguityError as exc:
-                    out[k] = exc
+        for i, ((k, w, prev), r) in enumerate(rows):
+            if isinstance(r, NumericalAmbiguityError):
+                out[k] = r
                 continue
-            else:
-                r = sum(above)
             wj = prev - r
             if wj < 0 or (w and wj > w[-1]):
                 out[k] = NumericalAmbiguityError(
@@ -154,10 +122,8 @@ def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
             running.append((k, w, r))
         if not running:
             break
-        if len(kept) < len(s):
+        if len(kept) < len(P):
             P, B = P[kept], B[kept]
-    for k, w, _ in running:  # only when n = 0
-        out[k] = tuple(w)
     return out
 
 
@@ -232,10 +198,7 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue {lam} is not finite")
     A = np.asarray(A, dtype=complex)
-    w = _weyr(A[None], np.array([lam]), tol)[0]
-    if isinstance(w, NumericalAmbiguityError):
-        raise w
-    return w
+    return raise_ambiguous(_weyr(A[None], np.array([lam]), tol))[0]
 
 
 def numeric_jordan_type(
@@ -247,10 +210,7 @@ def numeric_jordan_type(
     _check_radius(cluster_radius)
     check_tol(tol)
     A = np.asarray(A, dtype=complex)
-    t = _estimate(A[None], cluster_radius, tol)[0]
-    if isinstance(t, NumericalAmbiguityError):
-        raise t
-    return t
+    return raise_ambiguous(_estimate(A[None], cluster_radius, tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +262,6 @@ def random_survey(
     mode: str = "dense",
     cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
     tol: float = DEFAULT_RANK_TOL,
-    graph=None,
 ) -> PerturbReport:
     """Perturb the canonical matrix of ``t`` and record observed bundles.
 
@@ -320,8 +279,7 @@ def random_survey(
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     J = jordan_matrix(t)
     n = t.n
-    if graph is None:
-        graph = build_bundle_graph(n)
+    graph = build_bundle_graph(n)
     base = canonical_bundle_labeling(t)
     if mode not in ("dense", "strict_upper"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -401,23 +359,12 @@ def find_arrow_witness(
     target = J2.entries[0][1]
     Jm = jordan_matrix(J)
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def try_entries(entries, value):
-        E = np.zeros((n, n), dtype=complex)
-        for i, j in entries:
-            E[i, j] = value
-        A = Jm + E
-        w = numeric_weyr(A, 0.0, tol)
-        if sum(w) == n and conjugate_partition(Partition(w)) == target:
-            return ArrowWitness(positions=tuple(entries), matrix=E)
-        return None
-
-    for pos in positions:
-        hit = try_entries([pos], eps)
-        if hit:
-            return hit
-    for pair in itertools.combinations(positions, 2):
-        hit = try_entries(list(pair), eps / np.sqrt(2))
-        if hit:
-            return hit
+    for size, value in ((1, eps), (2, eps / np.sqrt(2))):
+        for entries in itertools.combinations(positions, size):
+            E = np.zeros((n, n), dtype=complex)
+            for i, j in entries:
+                E[i, j] = value
+            w = numeric_weyr(Jm + E, 0.0, tol)
+            if sum(w) == n and conjugate_partition(Partition(w)) == target:
+                return ArrowWitness(positions=entries, matrix=E)
     return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -249,6 +250,21 @@ def format_complex(z: complex, num=_fmt_num, unit: str = "j") -> str:
         return num(z.imag) + unit
     sign = "+" if z.imag > 0 else "-"
     return f"{num(z.real)}{sign}{num(abs(z.imag))}{unit}"
+
+
+def complex_from_pair(entry) -> complex:
+    """complex(re, im) of a JSON pair ``[re, im]``.
+
+    Raises TypeError unless the entry is a list of exactly two numbers
+    (booleans are not numbers here), and ValueError when either is NaN,
+    infinite or an integer beyond the float range.
+    """
+    if not (isinstance(entry, list) and len(entry) == 2
+            and all(type(x) in (int, float) for x in entry)):
+        raise TypeError(f"a complex entry must be [re, im], two numbers, got {entry!r}")
+    if not all(abs(x) <= sys.float_info.max for x in entry):
+        raise ValueError(f"a complex entry must be finite, got {entry!r}")
+    return complex(*entry)
 
 
 def _label_token(label: EigLabel) -> str:

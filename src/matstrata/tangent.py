@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalAmbiguityError
+from .errors import NumericalAmbiguityError, raise_ambiguous
 
 DEFAULT_RANK_TOL = 1e-8
 # a singular value within this factor of the rank threshold is ambiguous
@@ -84,31 +84,39 @@ def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> in
     return int(np.sum(s >= tol * ref))
 
 
-def band_rank(s: np.ndarray, thr: float) -> int:
-    """Count the singular values ``s`` at or above ``thr``, refusing when any
-    lies inside the ambiguity band (thr / RANK_BAND, thr * RANK_BAND)."""
-    inside = [float(x) for x in s if thr / RANK_BAND < x < thr * RANK_BAND]
-    if inside:
-        raise NumericalAmbiguityError(
-            "singular values fall inside the rank-tolerance band",
-            details={"band": inside, "threshold": float(thr)},
-        )
-    return int(np.sum(s >= thr))
+def band_ranks(s: np.ndarray, tol: float, ref: float | None = None) -> list:
+    """Guarded rank of each row of a stack of singular values s (k, m), each
+    row in descending order.
+
+    A row counts its values at or above thr = ``tol * ref``; ``ref``
+    defaults to the row's largest value (0 for an empty row), and a zero
+    ``ref`` gives rank 0.  A row with a value inside the ambiguity band
+    (thr / RANK_BAND, thr * RANK_BAND) gets, in place of its rank, the
+    NumericalAmbiguityError that ranking that row alone raises.
+    """
+    top = s[:, :1] if s.shape[1] else np.zeros((len(s), 1))
+    thr = tol * (top if ref is None else np.full((len(s), 1), ref))
+    inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
+    out = [sum(above) if t > 0 else 0 for t, above in zip(thr[:, 0].tolist(), (s >= thr).tolist())]
+    for i, band in enumerate(inside.tolist()):
+        if any(band):
+            out[i] = NumericalAmbiguityError(
+                "singular values fall inside the rank-tolerance band",
+                details={"band": s[i, inside[i]].tolist(), "threshold": float(thr[i, 0])},
+            )
+    return out
 
 
 def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL, ref: float | None = None) -> int:
-    """numeric_rank, but refuse when a singular value falls inside the
-    ambiguity band (see band_rank).
+    """band_ranks of the singular values of M: numeric_rank, but refuse when
+    a singular value falls inside the ambiguity band.
 
     ``ref`` supplies an external reference scale for the threshold; without
     it the matrix's own largest singular value is used (then a matrix that
     should be exactly zero but carries roundoff would keep full rank).
     """
     check_tol(tol)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return band_rank(s, tol * (ref if ref is not None else s[0]))
+    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol, ref))[0]
 
 
 def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:

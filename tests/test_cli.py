@@ -347,3 +347,40 @@ class TestPerturbationSize:
         code, out = invoke("witness", "--from", "(0)^2", "--to", "(0)^2", f"--eps={eps}")
         assert code == 1 and out == ""
         assert "eps must be finite" in capsys.readouterr().err
+
+
+class TestComplexEntries:
+    """Form parameters and matrix entries pass one check: [re, im], two
+    finite JSON numbers, no booleans."""
+
+    def write_form(self, tmp_path, param_json):
+        path = tmp_path / "form.json"
+        path.write_text('{"star": false, "blocks": [{"kind": "H", "size": 2, "param": %s}]}' % param_json)
+        return str(path)
+
+    @pytest.mark.parametrize("param", [
+        "[2, 0, 5]", "[2]", "[1e400, 0]", "[NaN, 0]", "[Infinity, 0]", "[true, 0]", "[2, false]",
+        '"2"', '["2", 0]', pytest.param("[%s, 0]" % ("9" * 400), id="int-beyond-float"),
+    ])
+    def test_bad_form_parameter_refused(self, tmp_path, capsys, param):
+        assert invoke("template", "congr", "--form", self.write_form(tmp_path, param)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: form file") and err.count("\n") == 1
+
+    def test_good_form_parameter_unchanged(self, tmp_path):
+        code, out = invoke("template", "congr", "--form", self.write_form(tmp_path, "[2, 0]"))
+        code_f, out_f = invoke("template", "congr", "--form", self.write_form(tmp_path, "[2.0, 0.0]"))
+        assert code == code_f == 0 and out == out_f
+        assert json.loads(out)["source"] == "H1(2)"
+
+    @pytest.mark.parametrize("entry, message", [
+        ("[true, 0]", "[[re,im], ...]"), ("[0, false]", "[[re,im], ...]"),
+        ("[NaN, 0]", "entries must be finite"),
+        pytest.param("[%s, 0]" % ("9" * 400), "entries must be finite", id="int-beyond-float"),
+    ])
+    def test_bad_matrix_entry_refused(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "rows": [[%s]]}' % entry)
+        assert invoke("codim", "--action", "sim", "--matrix", str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("error: ") and err.count("\n") == 1

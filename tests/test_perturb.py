@@ -21,7 +21,7 @@ from matstrata import (
 from matstrata import perturb
 from matstrata.graphs import build_bundle_graph, build_class_graph, reachable
 from matstrata.structure import format_display
-from matstrata.tangent import guarded_rank
+from matstrata.tangent import band_ranks, guarded_rank
 from conftest import random_complex
 
 conc = EigLabel.concrete
@@ -379,3 +379,38 @@ class TestStackedSurvey:
             assert got == outcome(numeric_jordan_type, A, radius, tol)
             assert got == outcome(reference_jordan_type, A, radius, tol)
         assert kinds == {"estimate", "rank", "singular", "cluster"}
+
+
+class TestOneDecisionPath:
+    @pytest.mark.parametrize("radius", [1e-6, 1e-3, 0.5])
+    def test_chain_of_twelve_is_one_cluster(self, radius):
+        # neighbours lie 0.9 radius apart, so only the closure over the whole
+        # 11-link chain joins the two ends
+        A = np.diag(0.9 * radius * np.arange(12)).astype(complex)
+        want = reference_clusters(A, radius)
+        assert [m for _, m in want] == [12]
+        assert eigen_clusters(A, radius) == want
+        assert perturb._clusters(np.array([np.diag(A)] * 3), radius) == [want] * 3
+
+    @pytest.mark.parametrize("ref", [None, 2.0, 0.0])
+    def test_stacked_band_rule_equals_each_matrix_alone(self, ref):
+        mats = [
+            np.diag([2.0, 1.0, 0.0]),  # clean: rank 2
+            np.zeros((3, 3)),  # all zero
+            np.diag([1.0, 1e-8, 0.0]),  # a singular value on the threshold
+        ]
+        s = np.linalg.svd(np.array(mats), compute_uv=False)
+        rows = band_ranks(s, 1e-8, ref)
+        assert len(rows) == len(mats)
+        for M, got in zip(mats, rows):
+            try:
+                want = guarded_rank(M, 1e-8, ref)
+            except NumericalAmbiguityError as exc:
+                assert isinstance(got, NumericalAmbiguityError)
+                assert (str(got), got.details) == (str(exc), exc.details)
+            else:
+                assert got == want
+        if ref is None:
+            assert rows[:2] == [2, 0] and isinstance(rows[2], NumericalAmbiguityError)
+        if ref == 0.0:
+            assert rows == [0, 0, 0]
