@@ -64,14 +64,15 @@ def _clusters(eigs: np.ndarray, cluster_radius: float) -> list:
     """Single-linkage clusters of each row of eigs (k, n): (center,
     multiplicity) pairs sorted by center.
 
-    Eigenvalues within the radius are linked; ceil(log2(n - 1)) boolean
-    squarings close the links over chains of up to n - 1 steps.  A cluster
-    is named by its lowest member and centered at the mean of its members.
+    Eigenvalues within the radius are linked; boolean squaring until the
+    links no longer change closes them over chains of any length (a
+    reflexive relation equal to its square is transitive).  A cluster is
+    named by its lowest member and centered at the mean of its members.
     """
     k, n = eigs.shape
     linked = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius
-    for _ in range(max(n - 2, 0).bit_length()):
-        linked = linked @ linked
+    while not np.array_equal(linked, closer := linked @ linked):
+        linked = closer
     i = np.arange(n)
     rows, heads = np.nonzero(~(linked & (i[:, None] > i)).any(axis=2))
     members = linked[rows, heads]

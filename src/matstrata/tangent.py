@@ -107,16 +107,13 @@ def band_ranks(s: np.ndarray, tol: float, ref: float | None = None) -> list:
     return out
 
 
-def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL, ref: float | None = None) -> int:
-    """band_ranks of the singular values of M: numeric_rank, but refuse when
-    a singular value falls inside the ambiguity band.
-
-    ``ref`` supplies an external reference scale for the threshold; without
-    it the matrix's own largest singular value is used (then a matrix that
-    should be exactly zero but carries roundoff would keep full rank).
+def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+    """band_ranks of the singular values of M: numeric_rank against M's own
+    largest singular value, but refuse when a singular value falls inside
+    the ambiguity band.
     """
     check_tol(tol)
-    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol, ref))[0]
+    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol))[0]
 
 
 def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:

@@ -402,15 +402,20 @@ class TestOneDecisionPath:
         s = np.linalg.svd(np.array(mats), compute_uv=False)
         rows = band_ranks(s, 1e-8, ref)
         assert len(rows) == len(mats)
-        for M, got in zip(mats, rows):
-            try:
-                want = guarded_rank(M, 1e-8, ref)
-            except NumericalAmbiguityError as exc:
-                assert isinstance(got, NumericalAmbiguityError)
-                assert (str(got), got.details) == (str(exc), exc.details)
-            else:
-                assert got == want
         if ref is None:
+            for M, got in zip(mats, rows):
+                try:
+                    want = guarded_rank(M, 1e-8)
+                except NumericalAmbiguityError as exc:
+                    assert isinstance(got, NumericalAmbiguityError)
+                    assert (str(got), got.details) == (str(exc), exc.details)
+                else:
+                    assert got == want
             assert rows[:2] == [2, 0] and isinstance(rows[2], NumericalAmbiguityError)
-        if ref == 0.0:
+        elif ref == 2.0:
+            # threshold 2e-8 against the fixed scale: 1e-8 lies in the band
+            assert rows[:2] == [2, 0]
+            assert isinstance(rows[2], NumericalAmbiguityError)
+            assert rows[2].details == {"band": [1e-8], "threshold": 2e-8}
+        else:
             assert rows == [0, 0, 0]
