@@ -5,11 +5,11 @@ the Jordan matrix J (Arnold, "On matrices depending on parameters", 1971).
 Each step takes R, the part of M - J on the template's pinned cells,
 solves XJ - JX = R on those cells, and replaces M by T^{-1} M T with
 T = I + X, accumulating S <- S T.  The step splits over J's eigenvalue
-groups: a block between two groups is all pinned and is one Sylvester
-solve; inside a group each sub-block of the block grid is a triangular
-recursion along its diagonals, whose free row or column is the
-template's parameter cells.  Each step shrinks the pinned residual by a
-factor of about |E|, and S stays within a constant times |E| of the
+groups: a block between two groups is all pinned and is one column sweep
+of triangular solves; inside a group each sub-block of the block grid is
+a triangular recursion along its diagonals, whose free row or column is
+the template's parameter cells.  Each step shrinks the pinned residual
+by a factor of about |E|, and S stays within a constant times |E| of the
 identity.  The iteration refuses rather than leave that regime.
 """
 
@@ -30,10 +30,12 @@ MAX_STEPS = 20  # chord steps before the iteration gives up
 
 
 def sylvester_solve(J1, J2, C) -> np.ndarray:
-    """Solve J2 M - M J1 = -C for M (shape n2 x n1).
+    """Solve J2 M - M J1 = -C for M (n2 x n1), J1 and J2 upper triangular.
 
-    Requires the spectra of J1 and J2 to be separated by at least
-    GAP_TOL times the data scale; refuses otherwise.
+    Column j is the triangular solve (J2 - J1[j,j] I) M[:, j] =
+    M[:, :j] J1[:j, j] - C[:, j] (Bartels-Stewart with no Schur step).
+    Refuses entries below the diagonal, diagonals closer than GAP_TOL
+    times the data scale, and a residual above 1e-10 |C| (or NaN).
     """
     J1 = np.asarray(J1, dtype=complex)
     J2 = np.asarray(J2, dtype=complex)
@@ -43,22 +45,21 @@ def sylvester_solve(J1, J2, C) -> np.ndarray:
         raise SizeMismatchError(
             f"incompatible shapes {J1.shape}, {J2.shape}, {C.shape}"
         )
-    e1 = np.linalg.eigvals(J1)
-    e2 = np.linalg.eigvals(J2)
+    if np.tril(J1, -1).any() or np.tril(J2, -1).any():
+        raise ValueError("sylvester_solve needs upper-triangular J1 and J2")
+    e1, e2 = np.diag(J1), np.diag(J2)
     scale = max(1.0, float(np.abs(e1).max()), float(np.abs(e2).max()))
     gap = float(np.abs(e2[:, None] - e1[None, :]).min())
     if gap < GAP_TOL * scale:
         raise SpectraOverlapError(
             f"spectra separated by {gap:.3e} < threshold {GAP_TOL * scale:.3e}"
         )
-    K = np.kron(J2, np.eye(n1)) - np.kron(np.eye(n2), J1.T)
-    rhs = -C.reshape(-1)
-    x = np.linalg.solve(K, rhs)
-    x += np.linalg.solve(K, rhs - K @ x)  # one refinement step
-    M = x.reshape(n2, n1)
-    norm_c = float(np.linalg.norm(C))
+    shifted = np.linalg.inv(J2 - e1[:, None, None] * np.eye(n2))  # one per column
+    M = np.empty((n2, n1), dtype=complex)
+    for j in range(n1):
+        M[:, j] = shifted[j] @ (M[:, :j] @ J1[:j, j] - C[:, j])
     residual = float(np.linalg.norm(J2 @ M - M @ J1 + C))
-    if norm_c > 0 and residual > 1e-10 * norm_c:
+    if not residual <= 1e-10 * np.linalg.norm(C):
         raise ReductionError(
             f"Sylvester residual {residual:.3e} exceeds 1e-10*|C|; "
             f"spectral gap {gap:.3e} too small for a reliable solve"
@@ -122,12 +123,12 @@ class ReductionResult:
 def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> ReductionResult:
     """Reduce J + E to the miniversal template of the structure ``t``.
 
-    ``t`` needs concrete labels.  The iteration stops once the pinned
-    residual is at most min(tol/100, 1e-12) max(1, |J|_F).  It raises
-    ReductionError when a step X has |X|_2 > MAX_STEP, when the pinned
-    residual fails to halve, or after MAX_STEPS steps: the perturbation
-    is then too large for the eigenvalue gaps or the Jordan structure,
-    and no near-identity S is certain.
+    ``t`` needs concrete labels, ``E`` finite entries.  The iteration stops
+    once the pinned residual is at most min(tol/100, 1e-12) max(1, |J|_F).
+    It raises ReductionError when a step X has |X|_2 > MAX_STEP, when the
+    pinned residual fails to halve, or after MAX_STEPS steps: the
+    perturbation is then too large for the eigenvalue gaps or the Jordan
+    structure, and no near-identity S is certain.
     """
     check_pattern_tol(tol)
     J = jordan_matrix(t)
@@ -135,6 +136,8 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
     E = np.asarray(E, dtype=complex)
     if E.shape != (n, n):
         raise SizeMismatchError(f"perturbation shape {E.shape} vs order {n}")
+    if not np.isfinite(E).all():
+        raise ValueError("perturbation must be finite")
     pinned = np.array(miniversal_template(t).kinds) == FIXED
     layout = label_layout(t)
     spans = [(off, off + part.total) for _, part, off in layout]

@@ -157,12 +157,8 @@ def pattern_check(M, tmpl: DeformationTemplate, tol: float = 1e-8) -> PatternChe
     M = np.asarray(M, dtype=complex)
     if M.shape != (tmpl.n, tmpl.n):
         raise SizeMismatchError(f"matrix shape {M.shape} vs template size {tmpl.n}")
-    base = tmpl.base_matrix()
-    residual = 0.0
-    for i in range(tmpl.n):
-        for j in range(tmpl.n):
-            if tmpl.kinds[i][j] == FIXED:
-                residual = max(residual, abs(M[i, j] - base[i, j]))
+    pinned = np.array(tmpl.kinds) == FIXED
+    residual = float(np.abs(M - tmpl.base_matrix())[pinned].max(initial=0.0))  # NaN propagates
     return PatternCheck(ok=residual <= tol, residual=residual)
 
 

@@ -23,7 +23,45 @@ def jt(d):
     return JordanType({k: Partition(v) for k, v in d.items()})
 
 
+def kron_sylvester(J1, J2, C):
+    """Reference: J2 M - M J1 = -C as one dense Kronecker system."""
+    n1, n2 = len(J1), len(J2)
+    K = np.kron(J2, np.eye(n1)) - np.kron(np.eye(n2), J1.T)
+    return np.linalg.solve(K, -C.reshape(-1)).reshape(n2, n1)
+
+
 class TestSylvester:
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 4), (4, 1), (2, 5), (5, 3), (6, 6)])
+    def test_matches_kronecker_on_triangular(self, rng, n1, n2):
+        # non-constant diagonals, one spectrum shifted away from the other
+        J1 = np.triu(random_complex(rng, n1))
+        J2 = np.triu(random_complex(rng, n2)) + 5 * np.eye(n2)
+        C = rng.standard_normal((n2, n1)) + 1j * rng.standard_normal((n2, n1))
+        M = sylvester_solve(J1, J2, C)
+        ref = kron_sylvester(J1, J2, C)
+        assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a,b", [((1,), (3,)), ((3,), (1,)), ((2, 1), (3,)), ((3, 2), (2, 2))])
+    def test_matches_kronecker_on_jordan(self, rng, a, b):
+        J1, J2 = jordan_matrix(jt({conc(0.3j): a})), jordan_matrix(jt({conc(1): b}))
+        C = rng.standard_normal((len(J2), len(J1))) + 1j * rng.standard_normal((len(J2), len(J1)))
+        M = sylvester_solve(J1, J2, C)
+        ref = kron_sylvester(J1, J2, C)
+        assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_triangular_refused(self, which):
+        J = [jordan_matrix(jt({conc(0): (2,)})), jordan_matrix(jt({conc(1): (3,)}))]
+        J[which][-1, 0] = 1e-9
+        with pytest.raises(ValueError, match="upper-triangular"):
+            sylvester_solve(J[0], J[1], np.ones((3, 2)))
+
+    def test_nan_rhs_refused(self):
+        C = np.ones((3, 2), dtype=complex)
+        C[1, 0] = np.nan
+        with pytest.raises(ReductionError, match="residual"):
+            sylvester_solve(jordan_matrix(jt({conc(0): (2,)})), jordan_matrix(jt({conc(1): (3,)})), C)
+
     def test_scalar(self):
         M = sylvester_solve(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.5]]))
         assert np.allclose(M, [[-2.5]])
@@ -164,6 +202,15 @@ class TestFullReduction:
         E = np.array([[0, -0.9], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="pattern tolerance must be finite"):
             reduce_to_miniversal(jt({conc(0): (2,)}), E, tol=tol)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (0, 2)])
+    def test_non_finite_perturbation_refused_before_any_step(self, bad, cell):
+        # (1, 0) is a parameter cell, which the pinned residual never reads
+        E = np.zeros((3, 3), dtype=complex)
+        E[cell] = bad
+        with pytest.raises(ValueError, match="perturbation must be finite"):
+            reduce_to_miniversal(jt({conc(0): (2,), conc(1): (1,)}), E)
 
     def test_parameter_cells_only_take_no_step(self, rng):
         t = jt({conc(0): (3, 1), conc(2): (2,)})

@@ -117,6 +117,14 @@ class TestPatternCheck:
         assert not res.ok
         assert res.residual == pytest.approx(1e-3)
 
+    def test_nan_on_pinned_cell_fails(self):
+        # a NaN must fail the check, not drop out of the max
+        t = jt({conc(0): (2,), conc(1): (1,)})
+        M = jordan_matrix(t)
+        M[0, 2] = np.nan
+        res = pattern_check(M, miniversal_template(t), tol=1e-8)
+        assert not res.ok and np.isnan(res.residual)
+
     def test_size_mismatch(self):
         t = jt({conc(0): (2,)})
         with pytest.raises(SizeMismatchError):
