@@ -6,8 +6,8 @@ block Gamma(s), and the nilpotent block N(k).  For *congruence the blocks
 are H*(m, lam) with |lam| != 0, 1, the unimodular anti-triangular block
 U(s, mu) with |mu| = 1, and N(k).
 
-The 2x2 and 3x3 deformation tables are transcribed literally; their
-parameter counts are cross-checked against the numeric tangent ranks.
+The 2x2 and 3x3 congruence deformations are derived from the tangent map;
+the *congruence table, whose eps and delta cells depend on mu, is transcribed.
 Classification of small matrices goes through the Kronecker data of the
 pencil (A, A^T): common-kernel deflation, three ranks, and the pencil
 eigenvalues pin down the canonical form.
@@ -16,6 +16,8 @@ eigenvalues pin down the canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-
 )
 from .structure import complex_from_pair, format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
-from .tangent import DEFAULT_RANK_TOL, band_ranks, check_tol, guarded_rank
+from .tangent import DEFAULT_RANK_TOL, action_operator, band_ranks, check_finite, check_tol, guarded_rank
 
 # ---------------------------------------------------------------------------
 # blocks and forms
@@ -76,33 +78,28 @@ def _block_sort_key(b: Block):
 
 
 @dataclass(frozen=True)
-class CongruenceForm:
+class _Form:
+    """Direct sum of canonical blocks, none of them of a ``_FOREIGN`` kind."""
+
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         for b in self.blocks:
-            if b.kind in ("H*", "U"):
-                raise CatalogError(f"{b.kind} blocks belong to the *congruence catalog")
+            if b.kind in self._FOREIGN:
+                raise CatalogError(f"{b.kind} blocks belong to the {self._OTHER} catalog")
 
     @property
     def n(self) -> int:
         return sum(b.size for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class StarForm:
-    blocks: tuple[Block, ...]
+class CongruenceForm(_Form):
+    _FOREIGN, _OTHER = ("H*", "U"), "*congruence"
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for b in self.blocks:
-            if b.kind in ("H", "Gamma"):
-                raise CatalogError(f"{b.kind} blocks belong to the congruence catalog")
 
-    @property
-    def n(self) -> int:
-        return sum(b.size for b in self.blocks)
+class StarForm(_Form):
+    _FOREIGN, _OTHER = ("H", "Gamma"), "congruence"
 
 
 def block_display(b: Block) -> str:
@@ -221,7 +218,7 @@ def normalize_form(form):
 
 
 # ---------------------------------------------------------------------------
-# deformation tables (2x2 and 3x3, transcribed)
+# deformation templates (2x2 and 3x3)
 # ---------------------------------------------------------------------------
 
 # signature elements: ("H", m, "gen"|"neg1"), ("H*", m), ("Gamma", s),
@@ -238,29 +235,23 @@ def _signature(form) -> tuple:
     return tuple(sig)
 
 
-_CONGRUENCE_STARS = {
-    # 2x2
-    (("N", 1), ("N", 1)): [(0, 0), (0, 1), (1, 0), (1, 1)],
-    (("Gamma", 1), ("N", 1)): [(1, 0), (1, 1)],
-    (("Gamma", 1), ("Gamma", 1)): [(1, 0)],
-    (("H", 1, "neg1"),): [(0, 0), (1, 0), (1, 1)],
-    (("Gamma", 2),): [(0, 0)],
-    (("H", 1, "gen"),): [(1, 0)],
-    # 3x3
-    (("N", 1), ("N", 1), ("N", 1)): [(i, j) for i in range(3) for j in range(3)],
-    (("Gamma", 1), ("N", 1), ("N", 1)): [(i, j) for i in (1, 2) for j in range(3)],
-    (("Gamma", 1), ("Gamma", 1), ("N", 1)): [(1, 0), (2, 0), (2, 1), (2, 2)],
-    (("Gamma", 1), ("Gamma", 1), ("Gamma", 1)): [(1, 0), (2, 0), (2, 1)],
-    (("H", 1, "neg1"), ("N", 1)): [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)],
-    (("H", 1, "gen"), ("N", 1)): [(1, 0), (2, 0), (2, 1), (2, 2)],
-    (("N", 2), ("N", 1)): [(1, 0), (1, 2), (2, 0), (2, 2)],
-    (("Gamma", 2), ("N", 1)): [(0, 0), (2, 0), (2, 1), (2, 2)],
-    (("H", 1, "neg1"), ("Gamma", 1)): [(0, 0), (1, 0), (1, 1)],
-    (("H", 1, "gen"), ("Gamma", 1)): [(1, 0)],
-    (("Gamma", 2), ("Gamma", 1)): [(0, 0)],
-    (("N", 3),): [(2, 0), (2, 2)],
-    (("Gamma", 3),): [(1, 0)],
-}
+@lru_cache(maxsize=None)
+def _congruence_stars(sig: tuple) -> tuple:
+    """Star cells of a congruence signature: walking the cells on and below
+    the diagonal, then those above it, each bottom row first and left to
+    right, keep each matrix unit that raises the rank of the tangent map at
+    the canonical matrix (lam = 2 in generic H) joined with units kept so far."""
+    A = canonical_matrix(TableEntry(sig, star=False).make(lam=2.0))
+    n = len(A)
+    M = action_operator("congruence", A).matrix
+    rank, stars = guarded_rank(M), []
+    for i, j in sorted(np.ndindex(n, n), key=lambda c: (c[1] > c[0], -c[0], c[1])):
+        joined = np.hstack([M, np.eye(n * n)[:, [i * n + j]]])
+        if (r := guarded_rank(joined)) > rank:
+            M, rank = joined, r
+            stars.append((i, j))
+    return tuple(stars)
+
 
 # slots: (i, j) for a star | ("eps", l, i, j) | ("delta", l, r, i, j)
 # with l, r 1-based indices into the entry's U parameters in block order
@@ -297,6 +288,8 @@ _STAR_SLOTS = {
     (("H*", 1), ("U", 1)): [(1, 0), ("eps", 1, 2, 2)],
     (("H*", 1), ("N", 1)): [(1, 0), (2, 0), (2, 1), (2, 2)],
     (("N", 2), ("N", 1)): [(1, 0), (1, 2), (2, 0), (2, 2)],
+    (("N", 2),): [(1, 0)],
+    (("U", 1), ("N", 2)): [("eps", 1, 0, 0), (2, 1)],
     # the anti-triangular 3x3 entry carries a corner star next to eps_1:
     # that is the unique completion whose parameter directions span a
     # complement of the tangent space (checked numerically for sampled mu),
@@ -307,8 +300,8 @@ _STAR_SLOTS = {
 
 
 def congruence_template(form: CongruenceForm) -> DeformationTemplate:
-    """Tabulated miniversal deformation of a 2x2 or 3x3 congruence form."""
-    return _tabulated_template(normalize_form(form), _CONGRUENCE_STARS)
+    """Miniversal deformation of a 2x2 or 3x3 congruence form."""
+    return _tabulated_template(normalize_form(form), _congruence_stars)
 
 
 def star_template(form: StarForm) -> DeformationTemplate:
@@ -319,21 +312,15 @@ def star_template(form: StarForm) -> DeformationTemplate:
     vanish unless the two parameters agree up to sign.  Parameters are
     taken as given (both |lam| > 1 and |lam| < 1 are accepted).
     """
-    for b in form.blocks:
-        if b.kind == "H*":
-            lam = b.param
-            if abs(lam) <= PARAM_TOL or abs(abs(lam) - 1) <= PARAM_TOL:
-                raise CatalogError("H*-block parameter must have |lam| not in {0, 1}")
-        elif b.kind == "U" and abs(abs(b.param) - 1) > PARAM_TOL:
-            raise CatalogError("U-block parameter must be unimodular")
-    return _tabulated_template(StarForm(sorted(form.blocks, key=_block_sort_key)), _STAR_SLOTS)
+    normalize_form(form)  # refuses parameters outside their domains
+    return _tabulated_template(StarForm(sorted(form.blocks, key=_block_sort_key)), _STAR_SLOTS.get)
 
 
-def _tabulated_template(form, table) -> DeformationTemplate:
+def _tabulated_template(form, lookup) -> DeformationTemplate:
     n = form.n
     if n not in (2, 3):
         raise CatalogError(f"deformation tables cover sizes 2 and 3, not {n}")
-    slots = table.get(_signature(form))
+    slots = lookup(_signature(form))
     if slots is None:
         raise CatalogError(f"no tabulated deformation for {form_display(form)}")
     mus = [b.param for b in form.blocks if b.kind == "U"]
@@ -399,17 +386,22 @@ class TableEntry:
 
 
 def congruence_entries(size: int) -> tuple[TableEntry, ...]:
-    return _entries(_CONGRUENCE_STARS, size, star=False)
+    own = (("H", 1, "neg1"), ("H", 1, "gen"), ("Gamma", 3), ("Gamma", 2), ("Gamma", 1))
+    return _entries(own, size, star=False)
 
 
 def star_entries(size: int) -> tuple[TableEntry, ...]:
-    return _entries(_STAR_SLOTS, size, star=True)
+    return _entries((("H*", 1), ("U", 3), ("U", 2), ("U", 1)), size, star=True)
 
 
-def _entries(table, size: int, star: bool) -> tuple[TableEntry, ...]:
+def _entries(own, size: int, star: bool) -> tuple[TableEntry, ...]:
+    """Every form of ``size`` (2 or 3) made of the catalog's ``own`` block
+    kinds and N blocks, in catalog order."""
+    kinds = own + (("N", 3), ("N", 2), ("N", 1))
     return tuple(
         TableEntry(sig, star=star)
-        for sig in table
+        for r in range(1, size + 1)
+        for sig in combinations_with_replacement(kinds, r)
         if sum(s[1] * (2 if s[0] in ("H", "H*") else 1) for s in sig) == size
     )
 
@@ -516,7 +508,7 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     rather than guessing.
     """
     check_tol(tol)
-    A = np.asarray(A, dtype=complex)
+    A = check_finite(A)
     n = A.shape[0]
     if A.shape != (n, n) or n not in (2, 3):
         raise CatalogError(f"classification covers 2x2 and 3x3 matrices, got {A.shape}")

@@ -32,7 +32,7 @@ from .structure import (
     format_compact,
     format_display,
 )
-from .tangent import DEFAULT_RANK_TOL, band_ranks, check_tol
+from .tangent import DEFAULT_RANK_TOL, band_ranks, check_finite, check_tol
 from .templates import jordan_matrix
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
@@ -182,7 +182,7 @@ def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     sum to n.  The radius must be finite and > 0.
     """
     _check_radius(cluster_radius)
-    A = np.asarray(A, dtype=complex)
+    A = check_finite(A)
     return _clusters(_eigenvalues(A[None]), cluster_radius)[0]
 
 
@@ -198,7 +198,7 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue {lam} is not finite")
-    A = np.asarray(A, dtype=complex)
+    A = check_finite(A)
     return raise_ambiguous(_weyr(A[None], np.array([lam]), tol))[0]
 
 
@@ -210,7 +210,7 @@ def numeric_jordan_type(
     """Jordan structure estimate with cluster centers as eigenvalues."""
     _check_radius(cluster_radius)
     check_tol(tol)
-    A = np.asarray(A, dtype=complex)
+    A = check_finite(A)
     return raise_ambiguous(_estimate(A[None], cluster_radius, tol))[0]
 
 

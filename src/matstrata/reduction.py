@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
 from .structure import JordanType, label_layout
+from .tangent import check_finite
 from .templates import FIXED, check_pattern_tol, jordan_matrix, miniversal_template
 
 DEFAULT_PATTERN_TOL = 1e-8
@@ -133,11 +134,9 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
     check_pattern_tol(tol)
     J = jordan_matrix(t)
     n = t.n
-    E = np.asarray(E, dtype=complex)
+    E = check_finite(E, "perturbation")
     if E.shape != (n, n):
         raise SizeMismatchError(f"perturbation shape {E.shape} vs order {n}")
-    if not np.isfinite(E).all():
-        raise ValueError("perturbation must be finite")
     pinned = np.array(miniversal_template(t).kinds) == FIXED
     layout = label_layout(t)
     spans = [(off, off + part.total) for _, part, off in layout]

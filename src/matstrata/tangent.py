@@ -28,6 +28,14 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
+def check_finite(A, what: str = "matrix") -> np.ndarray:
+    """A as a complex array; refuse a NaN or infinite entry."""
+    A = np.asarray(A, dtype=complex)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{what} must be finite, got a NaN or infinite entry")
+    return A
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Assembled matrix of the tangent map for one group action.
@@ -50,7 +58,7 @@ def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
     imaginary parts).  In row-major vec, X -> X A is kron(I, A^T) and
     X -> A X is kron(A, I); X -> X^T A permutes the columns of the former.
     """
-    A = np.asarray(A, dtype=complex)
+    A = check_finite(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"need a square matrix, got shape {A.shape}")
     if action not in ACTIONS:

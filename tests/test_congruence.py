@@ -145,14 +145,18 @@ class TestCongruenceTables:
         stars = {(i, j) for i in range(3) for j in range(3) if tmpl.kinds[i][j] == STAR}
         assert stars == {(1, 0), (1, 2), (2, 0), (2, 2)}
 
+    def test_gamma1_n2_has_one_star(self):
+        tmpl = congruence_template(CongruenceForm((N(2), G(1))))
+        assert [(i, j) for i, j in np.ndindex(3, 3) if tmpl.kinds[i][j] == STAR] == [(2, 1)]
+
     def test_out_of_catalog(self):
         with pytest.raises(CatalogError):
             congruence_template(CongruenceForm((G(1),)))
         with pytest.raises(CatalogError):
             congruence_template(CongruenceForm((G(1), G(1), G(1), G(1))))
-        # a standalone 2x2 nilpotent block has no tabulated row
-        with pytest.raises(CatalogError):
-            congruence_template(CongruenceForm((N(2),)))
+        # a standalone 2x2 nilpotent block has codim 1: one star below the 1
+        tmpl = congruence_template(CongruenceForm((N(2),)))
+        assert [(i, j) for i, j in np.ndindex(2, 2) if tmpl.kinds[i][j] == STAR] == [(1, 0)]
 
 
 class TestStarTables:
@@ -184,6 +188,11 @@ class TestStarTables:
     def test_u2_single_star(self):
         tmpl = star_template(StarForm((U(2, np.exp(0.3j)),)))
         assert tmpl.kinds[0][0] == STAR and real_param_count(tmpl) == 2
+
+    @pytest.mark.parametrize("block", [HS(1, 0.0), HS(1, 1j), U(1, 1.1), U(2, 0.5)])
+    def test_parameter_outside_domain_refused(self, block):
+        with pytest.raises(CatalogError):
+            star_template(StarForm((block,)))
 
 
 class TestClassify:
@@ -235,6 +244,11 @@ class TestClassify:
         A = np.array([[1, 0], [0, 1e-8]], dtype=complex)
         with pytest.raises(NumericalAmbiguityError):
             classify_congruence(A)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_matrix_refused(self, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            classify_congruence(np.array([[0, 1], [0, bad]]))
 
     @pytest.mark.parametrize("tol", [float("nan"), 2.0, 1.0, 0.0, -1e-8, float("inf")])
     def test_tol_outside_unit_interval_refused(self, tol):

@@ -4,7 +4,9 @@ The sha256 values were taken from the CLI output of the catalogue as it
 stood before the tangent operators moved to Kronecker form and the
 congruence graphs and deformation tables became row tables; any change to
 a family, an arrow, a template cell, a classified block or the formatting
-changes a digest.
+changes a digest.  The congruence template rows added later were taken
+while the congruence cells still came from a transcribed table, before
+they were derived from the tangent map.
 """
 
 import contextlib
@@ -57,7 +59,9 @@ def _block(kind, size, param=None):
 
 _W = complex(np.exp(0.3j))
 
-# a sample of deformation-table rows, by catalogue and block list
+# every row of the transcribed congruence table that the tangent-map
+# derivation replaced, and a sample of *congruence rows, by catalogue and
+# block list
 FORMS = {
     "congr/zero2": (False, [_block("N", 1), _block("N", 1)]),
     "congr/h_minus1": (False, [_block("H", 2, -1)]),
@@ -69,6 +73,15 @@ FORMS = {
     "congr/n3": (False, [_block("N", 3)]),
     "congr/gamma3": (False, [_block("Gamma", 3)]),
     "congr/h_minus1_gamma1": (False, [_block("H", 2, -1), _block("Gamma", 1)]),
+    "congr/gamma1_n1": (False, [_block("Gamma", 1), _block("N", 1)]),
+    "congr/gamma1_gamma1": (False, [_block("Gamma", 1), _block("Gamma", 1)]),
+    "congr/zero3": (False, [_block("N", 1), _block("N", 1), _block("N", 1)]),
+    "congr/gamma1_n1_n1": (False, [_block("Gamma", 1), _block("N", 1), _block("N", 1)]),
+    "congr/gamma1_x3": (False, [_block("Gamma", 1), _block("Gamma", 1), _block("Gamma", 1)]),
+    "congr/h_minus1_n1": (False, [_block("H", 2, -1), _block("N", 1)]),
+    "congr/gamma2_n1": (False, [_block("Gamma", 2), _block("N", 1)]),
+    "congr/h_lambda_gamma1": (False, [_block("H", 2, 2 - 1j), _block("Gamma", 1)]),
+    "congr/gamma2_gamma1": (False, [_block("Gamma", 2), _block("Gamma", 1)]),
     "star/zero2": (True, [_block("N", 1), _block("N", 1)]),
     "star/u1_n1": (True, [_block("U", 1, 1j), _block("N", 1)]),
     "star/u1_u1_delta": (True, [_block("U", 1, 1), _block("U", 1, -1)]),
@@ -104,6 +117,24 @@ TEMPLATES = {
     ("congr/gamma3", "ascii"): "457ea7b7ed00cbf076cda201380552eb38b5c0e94b6a99cc89538b11ed77afd4",
     ("congr/h_minus1_gamma1", "json"): "175ee4db34a77313bd42a5b944119c83d65c7fe8f5e2bd3dc38820455edba5f3",
     ("congr/h_minus1_gamma1", "ascii"): "4a6acc9587a42dc1fb0ef63fa97d0c8f46252e9846fcc71382346f6101cfc3d9",
+    ("congr/gamma1_n1", "json"): "ce403f436da664c88d97179941c6cc390bfc296c41b178a120b1f74b58ce75b3",
+    ("congr/gamma1_n1", "ascii"): "27c04b34f1b916b162319cdd22faf94f993214d42c459183dfbc320106c516cf",
+    ("congr/gamma1_gamma1", "json"): "90f233caeaf57178343ed6f41eb981483eda6c4e848424841c38020179cc84a9",
+    ("congr/gamma1_gamma1", "ascii"): "9c8273457f3f3acdb7914acc9e695a166e4758da2f0d04a0a8e51a6aea8f8e85",
+    ("congr/zero3", "json"): "28f388090990873ac4f765d058129c9c7a6af7e05511f2de59880d72377f0b62",
+    ("congr/zero3", "ascii"): "2025290983074b33c1cb4879666e986e45eaf6b9d826367b115fde21f09a167f",
+    ("congr/gamma1_n1_n1", "json"): "4f7680e63f6e1f30a7d7f4f27d36082a8e869927c871e6c2f8c0e4512aacd1dd",
+    ("congr/gamma1_n1_n1", "ascii"): "23dffb95e5a259acbc5b63b6d74c3d1bce954ab851b7863b8c6bb31a47b7eb7d",
+    ("congr/gamma1_x3", "json"): "a974713b1bdf2adc2e2b6909f856ea55cac59c412b5f858cb3f587bf8c36c2b8",
+    ("congr/gamma1_x3", "ascii"): "d3e381c33daf1231c58d4348cd434f4c7a70ff259a7fc6e601f6b5aec6121789",
+    ("congr/h_minus1_n1", "json"): "0b8f52158b2817dbc4609471014470a649b8afd62cc541376537f126a8a9a305",
+    ("congr/h_minus1_n1", "ascii"): "7e7070e0b7fa57ff400717c7b416cb05633d5b5cb4b7a394399f1a8ba1bb4d13",
+    ("congr/gamma2_n1", "json"): "ffccd2f9747977781aeb8fa8dcda2d5d9190ad085720823c5e722bdc36e81e08",
+    ("congr/gamma2_n1", "ascii"): "948580f745c72b5c667eff469b38e4b34083f793776ceee91ffea7918a5e37f8",
+    ("congr/h_lambda_gamma1", "json"): "48c706a9b28131edd844aa0bfd604cb65c85ef3638b5801e63b393aebbfb6b62",
+    ("congr/h_lambda_gamma1", "ascii"): "9e5e3cff5bffc6dc83c6a6099f940c9a5eada501a9239461e64126dab88d2cfb",
+    ("congr/gamma2_gamma1", "json"): "8213a49cc50de5693236ffc7c7f26ebbbc2c2a86a9c8810bd926576db4ba6c34",
+    ("congr/gamma2_gamma1", "ascii"): "0c3c88c8fbbe31c455b87b825d449d38057b32189d0bdeecfe0a8535951dacc8",
     ("star/zero2", "json"): "e9d297de23c7c246197008a79d15b9d2bc933e24e354185cc0e2ed0fbf0db6e9",
     ("star/zero2", "ascii"): "1bd95cf956b07365f5d074471a3f6592bf65bc43f7162ce012909920e1ed4c65",
     ("star/u1_n1", "json"): "720448f8169ad7cc8bbc7c64f68f1a95a1f09cfbfdf476c6408bf6245528b91c",

@@ -213,6 +213,25 @@ class TestPerturbationSize:
             find_arrow_witness(J, J, eps=eps)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+class TestNonFiniteMatrixRefused:
+    @staticmethod
+    def matrix(bad):
+        return np.array([[0, 1], [0, bad]])
+
+    def test_eigen_clusters(self, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            eigen_clusters(self.matrix(bad))
+
+    def test_numeric_weyr(self, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            numeric_weyr(self.matrix(bad), 0.0)
+
+    def test_numeric_jordan_type(self, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            numeric_jordan_type(self.matrix(bad))
+
+
 class TestToleranceRefused:
     @pytest.mark.parametrize("tol", [5.0, float("nan"), -1.0, 0.0, 1.0])
     def test_survey_refuses_tol_before_any_trial(self, tol):

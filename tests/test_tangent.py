@@ -131,6 +131,12 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             action_operator("unitary", np.eye(2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    def test_non_finite_matrix_refused(self, bad):
+        for action in ("similarity", "congruence", "star_congruence"):
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                action_operator(action, np.array([[0, 1], [0, bad]]))
+
 
 class TestScalarMatrices:
     """A scalar matrix commutes with everything, so its similarity orbit is a
