@@ -12,6 +12,7 @@ and an arrow may hold only under a condition.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -31,6 +32,7 @@ from .structure import (
     jordan_types_for_pattern,
     orbit_dim,
     partitions,
+    _partition_order_key,
 )
 
 DEFAULT_MAX_N = 8
@@ -228,11 +230,17 @@ def _key_moves(key: tuple[tuple[int, ...], ...], merge: bool) -> tuple:
     out = set()
     for i, p in enumerate(key):
         rest = key[:i] + key[i + 1 :]
-        out.update(bundle_key(rest + (q,)) for q in _coarsenings(p))
+        out.update(_insert_part(rest, q) for q in _coarsenings(p))
         for j in range(i + 1, len(key)) if merge else ():
             merged = tuple(map(sum, itertools.zip_longest(p, key[j], fillvalue=0)))
-            out.add(bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
+            out.add(_insert_part(key[:i] + key[i + 1 : j] + key[j + 1 :], merged))
     return tuple(out)
+
+
+def _insert_part(key: tuple[tuple[int, ...], ...], part: tuple[int, ...]) -> tuple:
+    """``bundle_key(key + (part,))`` for a ``key`` already in label order."""
+    at = bisect.bisect_right(key, _partition_order_key(part), key=_partition_order_key)
+    return key[:at] + (part,) + key[at:]
 
 
 def bundle_down_moves(b: JordanType) -> list[BundleType]:

@@ -5,12 +5,13 @@ the Jordan matrix J (Arnold, "On matrices depending on parameters", 1971).
 Each step takes R, the part of M - J on the template's pinned cells,
 solves XJ - JX = R on those cells, and replaces M by T^{-1} M T with
 T = I + X, accumulating S <- S T.  The step splits over J's eigenvalue
-groups: a block between two groups is all pinned and is one column sweep
-of triangular solves; inside a group each sub-block of the block grid is
-a triangular recursion along its diagonals, whose free row or column is
-the template's parameter cells.  Each step shrinks the pinned residual
-by a factor of about |E|, and S stays within a constant times |E| of the
-identity.  The iteration refuses rather than leave that regime.
+groups: every cell between two groups is pinned, and all of them are
+solved at once by a masked fixed-point pass over the whole grid; inside a
+group each sub-block of the block grid is a triangular recursion along its
+diagonals, whose free row or column is the template's parameter cells.
+Each step shrinks the pinned residual by a factor of about |E|, and S
+stays within a constant times |E| of the identity.  The iteration refuses
+rather than leave that regime.
 """
 
 from __future__ import annotations
@@ -30,13 +31,72 @@ MAX_STEP = 0.25  # largest spectral norm of one step X
 MAX_STEPS = 20  # chord steps before the iteration gives up
 
 
+class _BetweenGroups:
+    """XJ - JX = R on every cell between two diagonal blocks (the groups) of
+    a block-diagonal, upper-triangular J, all pairs of groups at once.
+
+    With J = L + N, L diagonal, it repeats X <- (R + NX - XN) / (L_j - L_i)
+    from X = 0.  A cell depends only on cells below it or to its left, so
+    depth_a + depth_b - 1 passes are exact, ``depths`` bounding the groups'
+    nilpotency indices.  It refuses a pair to solve whose diagonals lie
+    closer than GAP_TOL times the data scale, and a residual above
+    1e-10 |R| (or NaN).  What depends only on J is computed once, here.
+    """
+
+    def __init__(self, J, spans, depths):
+        lam = np.diag(J)
+        self.J, self.N = J, J - np.diag(lam)
+        self.starts = [a0 for a0, _ in spans]
+        group = np.repeat(np.arange(len(spans)), [a1 - a0 for a0, a1 in spans])
+        self.between = group[:, None] != group[None, :]
+        gap = lam[None, :] - lam[:, None]
+        self.gap = self._blocks(np.minimum, np.abs(gap))
+        top = np.maximum.reduceat(np.abs(lam), self.starts)
+        self.threshold = GAP_TOL * np.maximum(1.0, np.maximum.outer(top, top))
+        self.close = (self.gap < self.threshold) & ~np.eye(len(spans), dtype=bool)
+        solved = self.between & ~self.close[group][:, group]
+        self.inv_gap = np.divide(1, gap, out=np.zeros_like(gap), where=solved)
+        self.passes = sum(sorted(depths)[-2:]) - 1
+
+    def _blocks(self, ufunc, cells):
+        """``cells`` reduced by ``ufunc`` over each pair of groups."""
+        return ufunc.reduceat(ufunc.reduceat(cells, self.starts, 0), self.starts, 1)
+
+    def refuse_close(self, pairs) -> None:
+        """Raise SpectraOverlapError for the first too close pair of ``pairs``."""
+        if len(bad := np.argwhere(self.close & pairs)):
+            a, b = bad[0]
+            raise SpectraOverlapError(
+                f"spectra separated by {self.gap[a, b]:.3e} < threshold {self.threshold[a, b]:.3e}"
+            )
+
+    def solve(self, R) -> np.ndarray:
+        """X on the between-group cells, zero inside the groups."""
+        if self.close.any():
+            self.refuse_close(self._blocks(np.logical_or, R != 0))
+        X = R * self.inv_gap
+        for _ in range(self.passes - 1):
+            X = (R + self.N @ X - X @ self.N) * self.inv_gap
+        residual, size = (
+            np.sqrt(self._blocks(np.add, np.where(self.between, np.abs(Z) ** 2, 0)))
+            for Z in (X @ self.J - self.J @ X - R, R)
+        )
+        if len(bad := np.argwhere(~(residual <= 1e-10 * size))):
+            a, b = bad[0]
+            raise ReductionError(
+                f"Sylvester residual {residual[a, b]:.3e} exceeds 1e-10*|C|; "
+                f"spectral gap {self.gap[a, b]:.3e} too small for a reliable solve"
+            )
+        return X
+
+
 def sylvester_solve(J1, J2, C) -> np.ndarray:
     """Solve J2 M - M J1 = -C for M (n2 x n1), J1 and J2 upper triangular.
 
-    Column j is the triangular solve (J2 - J1[j,j] I) M[:, j] =
-    M[:, :j] J1[:j, j] - C[:, j] (Bartels-Stewart with no Schur step).
-    Refuses entries below the diagonal, diagonals closer than GAP_TOL
-    times the data scale, and a residual above 1e-10 |C| (or NaN).
+    M is the between-group block of XJ - JX = R for J = blockdiag(J1, J2)
+    (``_BetweenGroups``).  Refuses entries below the diagonal, diagonals
+    closer than GAP_TOL times the data scale, and a residual above
+    1e-10 |C| (or NaN).
     """
     J1 = np.asarray(J1, dtype=complex)
     J2 = np.asarray(J2, dtype=complex)
@@ -48,24 +108,13 @@ def sylvester_solve(J1, J2, C) -> np.ndarray:
         )
     if np.tril(J1, -1).any() or np.tril(J2, -1).any():
         raise ValueError("sylvester_solve needs upper-triangular J1 and J2")
-    e1, e2 = np.diag(J1), np.diag(J2)
-    scale = max(1.0, float(np.abs(e1).max()), float(np.abs(e2).max()))
-    gap = float(np.abs(e2[:, None] - e1[None, :]).min())
-    if gap < GAP_TOL * scale:
-        raise SpectraOverlapError(
-            f"spectra separated by {gap:.3e} < threshold {GAP_TOL * scale:.3e}"
-        )
-    shifted = np.linalg.inv(J2 - e1[:, None, None] * np.eye(n2))  # one per column
-    M = np.empty((n2, n1), dtype=complex)
-    for j in range(n1):
-        M[:, j] = shifted[j] @ (M[:, :j] @ J1[:j, j] - C[:, j])
-    residual = float(np.linalg.norm(J2 @ M - M @ J1 + C))
-    if not residual <= 1e-10 * np.linalg.norm(C):
-        raise ReductionError(
-            f"Sylvester residual {residual:.3e} exceeds 1e-10*|C|; "
-            f"spectral gap {gap:.3e} too small for a reliable solve"
-        )
-    return M
+    J = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    J[:n1, :n1], J[n1:, n1:] = J1, J2
+    R = np.zeros_like(J)
+    R[n1:, :n1] = C
+    between = _BetweenGroups(J, [(0, n1), (n1, n1 + n2)], (n1, n2))
+    between.refuse_close(True)
+    return between.solve(R)[n1:, :n1]
 
 
 def _group_step(X, R, sizes) -> None:
@@ -92,15 +141,17 @@ def _group_step(X, R, sizes) -> None:
             X[below:, c - 1] += R[below:, c]
 
 
-def _chord_step(J, R, spans, sizes) -> np.ndarray:
-    """X with XJ - JX = R on every pinned cell, zero on the parameter cells."""
-    X = np.zeros_like(R)
-    for a, (a0, a1) in enumerate(spans):
-        for b, (b0, b1) in enumerate(spans):
-            if a == b:
-                _group_step(X[a0:a1, a0:a1], R[a0:a1, a0:a1], sizes[a])
-            elif R[a0:a1, b0:b1].any():
-                X[a0:a1, b0:b1] = sylvester_solve(J[b0:b1, b0:b1], J[a0:a1, a0:a1], R[a0:a1, b0:b1])
+def _chord_step(R, between, spans, sizes) -> np.ndarray:
+    """X with XJ - JX = R on every pinned cell.
+
+    Every cell between two eigenvalue groups is pinned, and ``between``
+    (None for one group) solves them all in one masked pass; then each
+    group is filled by its triangular recursion, X being zero on the top
+    row or last column that recursion starts from.
+    """
+    X = np.zeros_like(R) if between is None else between.solve(R)
+    for (a0, a1), parts in zip(spans, sizes):
+        _group_step(X[a0:a1, a0:a1], R[a0:a1, a0:a1], parts)
     return X
 
 
@@ -141,6 +192,7 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
     layout = label_layout(t)
     spans = [(off, off + part.total) for _, part, off in layout]
     sizes = [part.parts for _, part, _ in layout]
+    between = _BetweenGroups(J, spans, [max(p) for p in sizes]) if len(spans) > 1 else None
     target = min(tol * 1e-2, 1e-12) * max(1.0, float(np.linalg.norm(J)))
     M = J + E
     S = np.eye(n, dtype=complex)
@@ -157,7 +209,7 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
             )
         if steps == MAX_STEPS:
             raise ReductionError(f"no convergence in {MAX_STEPS} chord steps")
-        X = _chord_step(J, R, spans, sizes)
+        X = _chord_step(R, between, spans, sizes)
         # the Frobenius norm bounds the spectral one, so the SVD runs only near the limit
         if np.linalg.norm(X) > MAX_STEP and (size := np.linalg.norm(X, 2)) > MAX_STEP:
             raise ReductionError(

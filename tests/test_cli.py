@@ -172,6 +172,15 @@ class TestReduceCommand:
         code, out = invoke("reduce", "--jordan", "(0)^2 (0.1)", "--pert", path)
         assert code == 0 and json.loads(out)["pattern_ok"]
 
+    def test_groups_closer_than_the_gap_tolerance_refused(self, tmp_path, capsys):
+        E = np.zeros((3, 3))
+        E[0, 2] = 1e-5  # a between-group cell
+        path = write_matrix(tmp_path / "e.json", E)
+        code, out = invoke("reduce", "--jordan", "(0)^2 (1e-09)", "--pert", path)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: spectra separated by")
+
 
 class TestClassifyCommand:
     def test_display(self, tmp_path):

@@ -177,6 +177,26 @@ def test_down_moves_match_reference_and_tuple_moves(n):
         assert got == mapped, b
 
 
+def resorted_key_moves(key, merge):
+    """The moves of ``key`` with every moved key re-sorted by ``bundle_key``."""
+    out = set()
+    for i, p in enumerate(key):
+        rest = key[:i] + key[i + 1 :]
+        out.update(structure.bundle_key(rest + (q,)) for q in graphs._coarsenings(p))
+        for j in range(i + 1, len(key)) if merge else ():
+            merged = tuple(map(sum, itertools.zip_longest(p, key[j], fillvalue=0)))
+            out.add(structure.bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_inserted_moves_equal_resorted_moves(n):
+    # orders 9 and 10 lie past DEFAULT_MAX_N; _key_moves takes any key
+    for b in bundle_types(n):
+        for merge in (False, True):
+            assert graphs._key_moves(key_of(b), merge) == resorted_key_moves(key_of(b), merge), b
+
+
 def test_down_moves_of_a_structure_with_concrete_labels():
     t = JordanType({EigLabel.concrete(0): Partition((2,)), EigLabel.concrete(1): Partition((2,))})
     assert bundle_down_moves(t) == reference_down_moves(t)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,13 @@ from matstrata import (
     jordan_matrix,
     miniversal_template,
     numeric_weyr,
+    partitions,
     pattern_check,
     reduce_to_miniversal,
+    reduction,
     sylvester_solve,
 )
+from matstrata.structure import label_layout
 from conftest import random_complex
 
 conc = EigLabel.concrete
@@ -84,9 +89,77 @@ class TestSylvester:
         with pytest.raises(SpectraOverlapError):
             sylvester_solve(J, J.copy(), np.eye(2))
 
+    def test_overlapping_spectra_rejected_for_zero_rhs(self):
+        J = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(SpectraOverlapError):
+            sylvester_solve(J, J + 1e-9 * np.eye(2), np.zeros((2, 2)))
+
+
+GRID_EIGS = (0.0, 1.0, -1.0, 2j, 1 + 1j, -2.0)
+
+
+def small_layouts():
+    """Every structure of order <= 6 with two or three eigenvalue groups, as
+    block-size tuples per group."""
+    for n in range(2, 7):
+        for k in (2, 3):
+            for cuts in itertools.combinations(range(1, n), k - 1):
+                mults = np.diff((0, *cuts, n))
+                yield from itertools.product(*([p.parts for p in partitions(m)] for m in mults))
+
+
+def shaped_layouts():
+    """The layouts of ``bench/inputs.py``'s ``shaped_structure`` with two or
+    three groups, orders 2..12: near-equal multiplicities, the partition of
+    each picked by the draw."""
+    for n in range(2, 13):
+        for draw in (1, 2, 4, 5):
+            k = min(1 + draw % 3, n)
+            mults = [n // k + (1 if i < n % k else 0) for i in range(k)]
+            yield tuple(
+                partitions(m)[(draw // 3 + i) * 7 % len(partitions(m))].parts for i, m in enumerate(mults)
+            )
+
+
+def gauge_cells(t):
+    """Cells on which a chord step's X is zero by construction: inside each
+    group, the top row of each sub-block on or above the block diagonal and
+    the last column of each one below it."""
+    G = np.zeros((t.n, t.n), dtype=bool)
+    for _, part, off in label_layout(t):
+        starts = off + np.cumsum((0,) + part.parts[:-1])
+        for p, (sp, mp) in enumerate(zip(starts, part.parts)):
+            for q, (sq, mq) in enumerate(zip(starts, part.parts)):
+                if p <= q:
+                    G[sp, sq : sq + mq] = True
+                else:
+                    G[sp : sp + mp, sq + mq - 1] = True
+    return G
+
+
+class TestChordStep:
+    # all between-group cells in one masked pass, then each group's recursion
+    @pytest.mark.parametrize("layout", [*small_layouts(), *shaped_layouts()], ids=str)
+    def test_solves_pinned_cells_and_matches_kronecker(self, rng, layout):
+        t = jt({conc(lam): parts for lam, parts in zip(GRID_EIGS, layout)})
+        J, n = jordan_matrix(t), t.n
+        pinned = np.array(miniversal_template(t).kinds) == "fixed"
+        R = np.where(pinned, random_complex(rng, n), 0)
+        spans = [(off, off + part.total) for _, part, off in label_layout(t)]
+        sizes = [part.parts for _, part, _ in label_layout(t)]
+        between = reduction._BetweenGroups(J, spans, [max(p) for p in sizes])
+        X = reduction._chord_step(R, between, spans, sizes)
+        free = ~gauge_cells(t)
+        assert not X[~free].any()
+        assert np.linalg.norm((X @ J - J @ X - R)[pinned]) <= 1e-12 * np.linalg.norm(R)
+        # XJ - JX on the pinned cells, for X zero off ``free``, as one dense system
+        K = np.kron(np.eye(n), J.T) - np.kron(J, np.eye(n))
+        ref = np.linalg.solve(K[np.ix_(pinned.reshape(-1), free.reshape(-1))], R[pinned])
+        assert np.linalg.norm(X[free] - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestSplit:
-    # several eigenvalue groups: the between-group Sylvester steps
+    # several eigenvalue groups: the between-group pass
     def test_identity_when_unperturbed(self):
         t = jt({conc(0): (1,), conc(1): (1,)})
         res = reduce_to_miniversal(t, np.zeros((2, 2)))
@@ -211,6 +284,24 @@ class TestFullReduction:
         E[cell] = bad
         with pytest.raises(ValueError, match="perturbation must be finite"):
             reduce_to_miniversal(jt({conc(0): (2,), conc(1): (1,)}), E)
+
+    def test_close_groups_refused_where_coupled(self):
+        # the groups lie 1e-9 apart, below GAP_TOL, and E couples them
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, 2] = 1e-5
+        with pytest.raises(SpectraOverlapError, match="spectra separated by 1.000e-09"):
+            reduce_to_miniversal(jt({conc(0): (2,), conc(1e-9): (1,)}), E)
+
+    def test_close_groups_reduce_when_uncoupled(self):
+        # the same groups with E zero on every between-group cell: each group
+        # reduces on its own and no pair of groups is solved
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, :2] = 1e-5, 2e-5
+        t = jt({conc(0): (2,), conc(1e-9): (1,)})
+        res = reduce_to_miniversal(t, E)
+        assert res.pattern_ok and res.iterations == 2
+        assert not res.S[:2, 2].any() and not res.S[2, :2].any()
+        assert np.linalg.norm(res.S @ res.D - (jordan_matrix(t) + E) @ res.S) <= 1e-15
 
     def test_parameter_cells_only_take_no_step(self, rng):
         t = jt({conc(0): (3, 1), conc(2): (2,)})
