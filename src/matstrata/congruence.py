@@ -15,12 +15,12 @@ eigenvalues pin down the canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
+from ._value import Value
 from .errors import CatalogError, NumericalAmbiguityError, raise_ambiguous
 from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-exported here
     PARAM_TOL,
@@ -41,31 +41,29 @@ from .tangent import DEFAULT_RANK_TOL, action_operator, band_ranks, check_finite
 _KIND_ORDER = {"H": 0, "H*": 0, "Gamma": 1, "U": 1, "N": 2}
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     """One canonical direct summand; ``size`` is its matrix size."""
 
-    kind: str
-    size: int
-    param: complex | None = None
+    _fields = ("kind", "size", "param")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_ORDER:
-            raise CatalogError(f"unknown block kind {self.kind!r}")
-        if self.size < 1:
-            raise CatalogError(f"block size must be positive, got {self.size}")
-        if self.kind in ("H", "H*"):
-            if self.size % 2:
+    def __init__(self, kind: str, size: int, param: complex | None = None):
+        if kind not in _KIND_ORDER:
+            raise CatalogError(f"unknown block kind {kind!r}")
+        if size < 1:
+            raise CatalogError(f"block size must be positive, got {size}")
+        if kind in ("H", "H*"):
+            if size % 2:
                 raise CatalogError("H blocks have even size 2m")
-            if self.param is None:
+            if param is None:
                 raise CatalogError("H blocks need a parameter")
-        elif self.kind == "U":
-            if self.param is None:
+        elif kind == "U":
+            if param is None:
                 raise CatalogError("U blocks need a unimodular parameter")
-        elif self.param is not None:
-            raise CatalogError(f"{self.kind} blocks carry no parameter")
-        if self.param is not None:
-            object.__setattr__(self, "param", complex(self.param))
+        elif param is not None:
+            raise CatalogError(f"{kind} blocks carry no parameter")
+        if param is not None:
+            param = complex(param)
+        self._set(kind, size, param)
 
     @property
     def m(self) -> int:
@@ -77,17 +75,17 @@ def _block_sort_key(b: Block):
     return (_KIND_ORDER[b.kind], -b.size, p.real, p.imag)
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(Value):
     """Direct sum of canonical blocks, none of them of a ``_FOREIGN`` kind."""
 
-    blocks: tuple[Block, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for b in self.blocks:
+    def __init__(self, blocks: tuple[Block, ...]):
+        blocks = tuple(blocks)
+        for b in blocks:
             if b.kind in self._FOREIGN:
                 raise CatalogError(f"{b.kind} blocks belong to the {self._OTHER} catalog")
+        self._set(blocks)
 
     @property
     def n(self) -> int:
@@ -352,12 +350,13 @@ def _tabulated_template(form, lookup) -> DeformationTemplate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Value):
     """One deformation-table row; ``make`` fills in free parameters."""
 
-    signature: tuple
-    star: bool
+    _fields = ("signature", "star")
+
+    def __init__(self, signature: tuple, star: bool):
+        self._set(signature, star)
 
     @property
     def n_mu(self) -> int:

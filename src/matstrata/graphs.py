@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._value import Value
 from .errors import CatalogError, SizeMismatchError
 from .structure import (
     BundleType,
@@ -82,25 +82,25 @@ def closure_leq(J: JordanType, J2: JordanType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    id: str
-    notation: str
-    dim: int
-    structure: JordanType
+class GraphVertex(Value):
+    _fields = ("id", "notation", "dim", "structure")
+
+    def __init__(self, id: str, notation: str, dim: int, structure: JordanType):
+        self._set(id, notation, dim, structure)
 
 
-@dataclass(frozen=True)
-class ClosureGraph:
+class ClosureGraph(Value):
     """Hasse diagram of a closure order.
 
     Edge (a, b) means stratum a lies in the closure of stratum b; every
     edge strictly increases the dimension annotation.
     """
 
-    kind: str
-    vertices: tuple[GraphVertex, ...]
-    edges: tuple[tuple[str, str], ...]
+    _fields = ("kind", "vertices", "edges")
+
+    def __init__(self, kind: str, vertices: tuple[GraphVertex, ...],
+                 edges: tuple[tuple[str, str], ...]):
+        self._set(kind, vertices, edges)
 
     @cached_property
     def _by_key(self) -> dict[str, int]:
@@ -319,8 +319,7 @@ def _normalize_h_lambda(lam: complex, m: int) -> complex:
     return lam
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """One vertex family: a canonical shape with free parameters.
 
     ``blocks`` are (kind, size) or (kind, size, param); a string param such
@@ -328,13 +327,13 @@ class Family:
     appearance, any other param is fixed.
     """
 
-    fid: str
-    label: str
-    dim: int
-    blocks: tuple = ()
-    domain: object = None      # params -> bool
-    canon: object = None       # params -> canonical tuple (instance identity)
-    sample: tuple = ()
+    _fields = ("fid", "label", "dim", "blocks", "domain", "canon", "sample")
+
+    def __init__(self, fid: str, label: str, dim: int, blocks: tuple = (),
+                 domain: object = None,     # params -> bool
+                 canon: object = None,      # params -> canonical tuple (instance identity)
+                 sample: tuple = ()):
+        self._set(fid, label, dim, blocks, domain, canon, sample)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -372,19 +371,20 @@ class Family:
         return self.canon(params) if self.canon is not None else params
 
 
-@dataclass(frozen=True)
-class Arrow:
-    src: str
-    dst: str
-    predicate: object = None   # (src_params, dst_params) -> bool
-    condition: str = ""
+class Arrow(Value):
+    _fields = ("src", "dst", "predicate", "condition")
+
+    def __init__(self, src: str, dst: str,
+                 predicate: object = None,  # (src_params, dst_params) -> bool
+                 condition: str = ""):
+        self._set(src, dst, predicate, condition)
 
 
-@dataclass(frozen=True)
-class ParametricGraph:
-    kind: str
-    families: tuple[Family, ...]
-    arrows: tuple[Arrow, ...]
+class ParametricGraph(Value):
+    _fields = ("kind", "families", "arrows")
+
+    def __init__(self, kind: str, families: tuple[Family, ...], arrows: tuple[Arrow, ...]):
+        self._set(kind, families, arrows)
 
     def family(self, fid: str) -> Family:
         for f in self.families:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._value import Value
 from .errors import NumericalAmbiguityError, raise_ambiguous
 from .graphs import build_bundle_graph, closure_leq, reachable
 from .structure import (
@@ -219,19 +219,17 @@ def numeric_jordan_type(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbReport:
+class PerturbReport(Value):
     """Outcome of a random-perturbation survey around one structure."""
 
-    base: JordanType
-    eps: float
-    trials: int
-    seed: int
-    mode: str
-    cluster_radius: float
-    tol: float
-    observed: tuple[tuple[int, str], ...]  # (trial index, observed bundle)
-    violations: tuple[dict, ...]
+    _fields = ("base", "eps", "trials", "seed", "mode", "cluster_radius", "tol",
+               "observed", "violations")
+
+    def __init__(self, base: JordanType, eps: float, trials: int, seed: int, mode: str,
+                 cluster_radius: float, tol: float,
+                 observed: tuple[tuple[int, str], ...],  # (trial index, observed bundle)
+                 violations: tuple[dict, ...]):
+        self._set(base, eps, trials, seed, mode, cluster_radius, tol, observed, violations)
 
     @property
     def passed(self) -> bool:
@@ -325,10 +323,11 @@ def random_survey(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrowWitness:
-    positions: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
+class ArrowWitness(Value):
+    _fields = ("positions", "matrix")
+
+    def __init__(self, positions: tuple[tuple[int, int], ...], matrix: np.ndarray):
+        self._set(positions, matrix)
 
 
 def _is_single_zero_label(t: JordanType) -> bool:

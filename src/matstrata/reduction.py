@@ -16,10 +16,9 @@ rather than leave that regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
 from .structure import JordanType, label_layout
 from .tangent import check_finite
@@ -155,8 +154,7 @@ def _chord_step(R, between, spans, sizes) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Value):
     """Outcome of a reduction: D = S^{-1} (J+E) S up to roundoff.
 
     ``residual`` is the largest deviation of D from the template over its
@@ -165,11 +163,11 @@ class ReductionResult:
     nothing pinned was perturbed).
     """
 
-    S: np.ndarray
-    D: np.ndarray
-    residual: float
-    iterations: int
-    pattern_ok: bool
+    _fields = ("S", "D", "residual", "iterations", "pattern_ok")
+
+    def __init__(self, S: np.ndarray, D: np.ndarray, residual: float, iterations: int,
+                 pattern_ok: bool):
+        self._set(S, D, residual, iterations, pattern_ok)
 
 
 def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> ReductionResult:

@@ -12,31 +12,35 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import operator
 import sys
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
+from ._value import Value
 from .errors import CompactParseError
 
 GREEK_LETTERS = "λμνξρστω"
 _SUPERSCRIPTS = {str(d): s for d, s in enumerate("⁰¹²³⁴⁵⁶⁷⁸⁹")}
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of positive integers (Jordan block sizes)."""
+class Partition(Value):
+    """Weakly decreasing tuple of positive integers (Jordan block sizes).
 
-    parts: tuple[int, ...]
+    Each part is taken with ``operator.index``: ints and numpy integers
+    pass, anything else (a float, a string) raises TypeError.
+    """
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(map(operator.index, parts))
         if not parts:
             raise ValueError("partition must be nonempty")
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        self._set(parts)
 
     @property
     def total(self) -> int:
@@ -65,8 +69,8 @@ def conjugate_partition(p: Partition) -> Partition:
     return Partition(tuple(sum(1 for q in parts if q >= j + 1) for j in range(parts[0])))
 
 
-@dataclass(frozen=True, order=True)
-class EigLabel:
+@total_ordering
+class EigLabel(Value):
     """Eigenvalue label: either a symbolic slot or a concrete complex number.
 
     Symbolic labels index families of structures (any pairwise-distinct
@@ -74,9 +78,16 @@ class EigLabel:
     complex numbers used by the numerical modules.
     """
 
-    sort_key: tuple = None
-    symbol: int | None = None
-    value: complex | None = None
+    _fields = ("sort_key", "symbol", "value")
+
+    def __init__(self, sort_key: tuple = None, symbol: int | None = None,
+                 value: complex | None = None):
+        self._set(sort_key, symbol, value)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -121,14 +132,14 @@ def _normalized_entries(entries) -> tuple[tuple[EigLabel, Partition], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Value):
     """Map from eigenvalue labels to block-size partitions."""
 
+    _fields = ("entries",)
     entries: tuple[tuple[EigLabel, Partition], ...]
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _normalized_entries(entries))
+        self._set(_normalized_entries(entries))
 
     @property
     def n(self) -> int:

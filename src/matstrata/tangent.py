@@ -9,10 +9,9 @@ map assembled in a flattened basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Value
 from .errors import NumericalAmbiguityError, raise_ambiguous
 
 DEFAULT_RANK_TOL = 1e-8
@@ -36,17 +35,17 @@ def check_finite(A, what: str = "matrix") -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Value):
     """Assembled matrix of the tangent map for one group action.
 
     Complex n^2 x n^2 for similarity/congruence; real 2n^2 x 2n^2 for
     *congruence (the map is only real-linear there).
     """
 
-    action: str
-    base: np.ndarray
-    matrix: np.ndarray
+    _fields = ("action", "base", "matrix")
+
+    def __init__(self, action: str, base: np.ndarray, matrix: np.ndarray):
+        self._set(action, base, matrix)
 
 
 def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:

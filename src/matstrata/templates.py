@@ -12,11 +12,11 @@ codimension of the similarity class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._value import Value
 from .errors import SizeMismatchError
 from .structure import (
     EigLabel,
@@ -36,8 +36,7 @@ DELTA = "delta"
 _REAL_PARAMS = {FIXED: 0, STAR: 2, EPS_RE: 1, EPS_IM: 1, DELTA: 2}
 
 
-@dataclass(frozen=True)
-class DeformationTemplate:
+class DeformationTemplate(Value):
     """Base matrix plus per-entry parameter kinds.
 
     ``base`` entries are complex numbers or symbolic eigenvalue labels;
@@ -45,10 +44,11 @@ class DeformationTemplate:
     delta kinds appear only in the *congruence catalog tables.
     """
 
-    n: int
-    base: tuple[tuple[object, ...], ...]
-    kinds: tuple[tuple[str, ...], ...]
-    source: str
+    _fields = ("n", "base", "kinds", "source")
+
+    def __init__(self, n: int, base: tuple[tuple[object, ...], ...],
+                 kinds: tuple[tuple[str, ...], ...], source: str):
+        self._set(n, base, kinds, source)
 
     def base_matrix(self) -> np.ndarray:
         """Numeric base; fails when the source had symbolic eigenvalues."""

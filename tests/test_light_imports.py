@@ -1,7 +1,8 @@
-"""The package and every graph command start without numpy.
+"""The package and every graph command start without numpy or dataclasses.
 
-Each numpy check runs in a fresh interpreter, because this test process
-has long since loaded numpy through the other test modules.
+Each import check runs in a fresh interpreter, because this test process
+has long since loaded numpy, dataclasses and inspect through pytest and
+the other test modules.
 """
 
 import os
@@ -40,8 +41,9 @@ EXPORTS = [
 ]
 
 
-def loads_numpy(code: str) -> bool:
-    probe = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+def loads(module: str, code: str) -> bool:
+    """Whether running ``code`` in a fresh interpreter imports ``module``."""
+    probe = code + f"\nimport sys\nprint({module!r} in sys.modules)\n"
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
@@ -50,7 +52,7 @@ def loads_numpy(code: str) -> bool:
     return res.stdout.splitlines()[-1] == "True"
 
 
-@pytest.mark.parametrize(
+light_paths = pytest.mark.parametrize(
     "code",
     [
         "import matstrata",
@@ -64,14 +66,30 @@ def loads_numpy(code: str) -> bool:
     ],
     ids=["package", "cli", "graph-bundle", "graph-sim-dot", "graph-congr-dot", "graph-star"],
 )
+
+
+@light_paths
 def test_light_path_skips_numpy(code):
-    assert not loads_numpy(code)
+    assert not loads("numpy", code)
+
+
+@light_paths
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_light_path_skips_dataclasses_and_inspect(code, module):
+    assert not loads(module, code)
+
+
+TEMPLATE_SIM = "from matstrata import cli\nassert cli.run(['template', 'sim', '--jordan', '(0)^2']) == 0"
 
 
 def test_numeric_command_loads_numpy():
     # the probe itself can see numpy, so the light-path checks above can fail
-    code = "from matstrata import cli\nassert cli.run(['template', 'sim', '--jordan', '(0)^2']) == 0"
-    assert loads_numpy(code)
+    assert loads("numpy", TEMPLATE_SIM)
+
+
+def test_numeric_command_skips_dataclasses():
+    # numpy imports inspect itself, but nothing on this path needs dataclasses
+    assert not loads("dataclasses", TEMPLATE_SIM)
 
 
 class TestLazyExports:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from matstrata import (
@@ -43,6 +44,20 @@ class TestPartition:
 
     def test_total(self):
         assert Partition((3, 1)).total == 4
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3",), (2.0,), (1j,)])
+    def test_rejects_parts_that_are_not_integers(self, parts):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+    def test_rejects_non_integer_parts_inside_a_structure(self):
+        with pytest.raises(TypeError):
+            JordanType({conc(0): (2.5, 1.2)})
+
+    def test_integer_parts_become_ints(self):
+        p = Partition((np.int64(3), True))
+        assert p.parts == (3, 1) and all(type(x) is int for x in p.parts)
+        assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
 
 
 class TestConjugate:
