@@ -26,10 +26,12 @@ _EXPORTS = {
         "partitions", "weyr_of",
     ),
     "graphs": (
-        "ClosureGraph", "ParametricGraph", "build_bundle_graph", "build_class_graph",
-        "bundle_down_moves", "closure_leq", "congruence_graph", "graph_to_dot",
-        "graph_to_json_doc", "has_arrow", "parametric_to_dot", "parametric_to_json_doc",
-        "path_exists", "reachable", "star_graph_2x2",
+        "ClosureGraph", "build_bundle_graph", "build_class_graph", "bundle_down_moves",
+        "closure_leq", "graph_to_dot", "graph_to_json_doc", "reachable",
+    ),
+    "parametric": (
+        "ParametricGraph", "congruence_graph", "has_arrow", "parametric_to_dot",
+        "parametric_to_json_doc", "path_exists", "star_graph_2x2",
     ),
     "tangent": (
         "OperatorMatrix", "action_operator", "congruence_codim_numeric",

@@ -5,9 +5,11 @@ JSON document (graphs can also emit DOT).  Exit codes: 0 success, 1 usage
 or input error, 2 numerical-ambiguity error.  The environment variable
 STRATA_TOL overrides the default rank tolerance.
 
-Only the exact layers (structure and every closure graph) are imported up
-front; each numeric subcommand imports its layer (and so numpy) when it
-runs, which keeps every `graph` process free of numpy.
+Only the exact similarity layers (structure and the similarity closure
+graphs) are imported up front.  The congruence and *congruence closure
+graphs load on demand, when `graph congr` or `graph star` runs; each
+numeric subcommand imports its layer (and so numpy) when it runs, which
+keeps every `graph` process free of numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ import os
 import sys
 
 from .errors import NumericalAmbiguityError, StrataError
-from .graphs import (
-    build_bundle_graph,
-    build_class_graph,
-    congruence_graph,
-    graph_to_dot,
-    graph_to_json_doc,
-    parametric_to_dot,
-    parametric_to_json_doc,
-    star_graph_2x2,
-)
+from .graphs import build_bundle_graph, build_class_graph, graph_to_dot, graph_to_json_doc
 from .structure import complex_from_pair, format_compact, parse_compact
 
 
@@ -47,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
 def _stable(obj):
     """Round floats to 12 significant digits for byte-stable output; a
     complex number becomes [re, im]."""
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return obj
     if isinstance(obj, dict):
         return {k: _stable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -148,57 +143,70 @@ def _default_tol(args) -> float:
     return tol
 
 
-def _build_parser() -> _Parser:
+# each subcommand: its help line, then its arguments as (flag, add_argument keywords)
+_SUBCOMMANDS = {
+    "weyr": ("block-count sequence of a matrix at an eigenvalue", (
+        ("--matrix", {"required": True}),
+        ("--lambda", {"dest": "lam", "required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "codim": ("numeric orbit codimension", (
+        ("--action", {"required": True, "choices": ["sim", "congr", "star"]}),
+        ("--matrix", {"required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "graph": ("closure graphs", (
+        ("what", {"choices": ["sim", "bundle", "congr", "star"]}),
+        ("--n", {"type": int, "required": True}),
+        ("--nilpotent", {"action": "store_true"}),
+        ("--kind", {"choices": ["classes", "bundles"]}),
+        ("--format", {"choices": ["json", "dot"], "default": "json"}),
+    )),
+    "template": ("miniversal deformation templates", (
+        ("what", {"choices": ["sim", "congr", "star"]}),
+        ("--jordan", {"help": "compact notation (sim)"}),
+        ("--form", {"help": "canonical-form JSON file (congr/star)"}),
+        ("--format", {"choices": ["json", "ascii"], "default": "json"}),
+    )),
+    "reduce": ("reduce J+E to miniversal form", (
+        ("--jordan", {"required": True}),
+        ("--pert", {"required": True, "help": "perturbation matrix JSON file"}),
+        ("--tol", {"type": float}),
+    )),
+    "classify": ("congruence canonical form of a small matrix", (
+        ("--matrix", {"required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "survey": ("random-perturbation bundle survey", (
+        ("--jordan", {"required": True}),
+        ("--eps", {"type": float, "required": True}),
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+        ("--mode", {"choices": ["dense", "strict_upper"], "default": "dense"}),
+        ("--radius", {"type": float, "help": "cluster radius (default: the library's)"}),
+        ("--tol", {"type": float}),
+        ("--full", {"action": "store_true", "help": "include per-trial data"}),
+    )),
+    "witness": ("sparse perturbation realizing a graph edge", (
+        ("--from", {"dest": "src", "required": True}),
+        ("--to", {"dest": "dst", "required": True}),
+        ("--eps", {"type": float, "default": 1e-3}),
+        ("--tol", {"type": float}),
+    )),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """Every subcommand with its help line, but only ``command`` with its
+    arguments: argparse reads no other subcommand's, so building them would
+    only lengthen every process's start."""
     p = _Parser(prog="strata", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    w = sub.add_parser("weyr", help="block-count sequence of a matrix at an eigenvalue")
-    w.add_argument("--matrix", required=True)
-    w.add_argument("--lambda", dest="lam", required=True)
-    w.add_argument("--tol", type=float)
-
-    c = sub.add_parser("codim", help="numeric orbit codimension")
-    c.add_argument("--action", required=True, choices=["sim", "congr", "star"])
-    c.add_argument("--matrix", required=True)
-    c.add_argument("--tol", type=float)
-
-    g = sub.add_parser("graph", help="closure graphs")
-    g.add_argument("what", choices=["sim", "bundle", "congr", "star"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--nilpotent", action="store_true")
-    g.add_argument("--kind", choices=["classes", "bundles"], default="classes")
-    g.add_argument("--format", choices=["json", "dot"], default="json")
-
-    t = sub.add_parser("template", help="miniversal deformation templates")
-    t.add_argument("what", choices=["sim", "congr", "star"])
-    t.add_argument("--jordan", help="compact notation (sim)")
-    t.add_argument("--form", help="canonical-form JSON file (congr/star)")
-    t.add_argument("--format", choices=["json", "ascii"], default="json")
-
-    r = sub.add_parser("reduce", help="reduce J+E to miniversal form")
-    r.add_argument("--jordan", required=True)
-    r.add_argument("--pert", required=True, help="perturbation matrix JSON file")
-    r.add_argument("--tol", type=float)
-
-    k = sub.add_parser("classify", help="congruence canonical form of a small matrix")
-    k.add_argument("--matrix", required=True)
-    k.add_argument("--tol", type=float)
-
-    s = sub.add_parser("survey", help="random-perturbation bundle survey")
-    s.add_argument("--jordan", required=True)
-    s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--mode", choices=["dense", "strict_upper"], default="dense")
-    s.add_argument("--radius", type=float, help="cluster radius (default: the library's)")
-    s.add_argument("--tol", type=float)
-    s.add_argument("--full", action="store_true", help="include per-trial data")
-
-    x = sub.add_parser("witness", help="sparse perturbation realizing a graph edge")
-    x.add_argument("--from", dest="src", required=True)
-    x.add_argument("--to", dest="dst", required=True)
-    x.add_argument("--eps", type=float, default=1e-3)
-    x.add_argument("--tol", type=float)
+    for name, (help_line, arguments) in _SUBCOMMANDS.items():
+        s = sub.add_parser(name, help=help_line)
+        if name == command:
+            for flag, options in arguments:
+                s.add_argument(flag, **options)
     return p
 
 
@@ -229,21 +237,34 @@ def _cmd_codim(args) -> None:
 
 
 def _cmd_graph(args) -> None:
+    if args.nilpotent and args.what != "sim":
+        raise _UsageError(f"--nilpotent applies to graph sim only, not graph {args.what}")
+    if args.kind is not None and args.what != "congr":
+        raise _UsageError(f"--kind applies to graph congr only, not graph {args.what}")
+    to_dot, to_doc = graph_to_dot, graph_to_json_doc
     if args.what == "sim":
         g = build_class_graph(args.n, nilpotent=args.nilpotent)
     elif args.what == "bundle":
         g = build_bundle_graph(args.n)
-    elif args.what == "congr":
-        g = congruence_graph(args.n, args.kind)
-    elif args.n != 2:
-        raise _UsageError("the *congruence closure graph is available for n = 2")
     else:
-        g = star_graph_2x2()
-    exact = args.what in ("sim", "bundle")
+        from .parametric import (
+            congruence_graph,
+            parametric_to_dot,
+            parametric_to_json_doc,
+            star_graph_2x2,
+        )
+
+        to_dot, to_doc = parametric_to_dot, parametric_to_json_doc
+        if args.what == "congr":
+            g = congruence_graph(args.n, args.kind or "classes")
+        elif args.n != 2:
+            raise _UsageError("the *congruence closure graph is available for n = 2")
+        else:
+            g = star_graph_2x2()
     if args.format == "dot":
-        sys.stdout.write((graph_to_dot if exact else parametric_to_dot)(g))
+        sys.stdout.write(to_dot(g))
     else:
-        _emit((graph_to_json_doc if exact else parametric_to_json_doc)(g))
+        _emit(to_doc(g))
 
 
 def _cmd_template(args) -> None:
@@ -357,7 +378,10 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # argument without a leading dash is the subcommand
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         _COMMANDS[args.command](args)

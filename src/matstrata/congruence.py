@@ -22,7 +22,7 @@ import numpy as np
 
 from ._value import Value
 from .errors import CatalogError, NumericalAmbiguityError, raise_ambiguous
-from .graphs import (  # noqa: F401 -- the closure graphs live in graphs.py, re-exported here
+from .parametric import (  # noqa: F401 -- the closure graphs live in parametric.py, re-exported here
     PARAM_TOL,
     _normalize_h_lambda,
     congruence_graph,
@@ -509,7 +509,7 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     check_tol(tol)
     A = check_finite(A)
     n = A.shape[0]
-    if A.shape != (n, n) or n not in (2, 3):
+    if n not in (2, 3):
         raise CatalogError(f"classification covers 2x2 and 3x3 matrices, got {A.shape}")
     if norm := float(np.linalg.norm(A)):  # the zero matrix has rank 0: all N1 blocks
         A = A * (np.sqrt(n) / norm)  # scalar congruence scaling

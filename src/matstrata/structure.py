@@ -188,9 +188,18 @@ def bundle_key(parts) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _shared_partition(parts: tuple[int, ...]) -> Partition:
+    """The Partition of a block-size tuple, one shared object per tuple: the
+    bundles of one order hold few distinct partitions, each many times."""
+    return Partition(parts)
+
+
+@lru_cache(maxsize=None)
 def bundle_of_key(key: tuple[tuple[int, ...], ...]) -> BundleType:
     """The BundleType of a bundle key, one shared object per key."""
-    return BundleType(tuple((EigLabel.symbolic(i + 1), Partition(p)) for i, p in enumerate(key)))
+    return BundleType(
+        tuple((EigLabel.symbolic(i + 1), _shared_partition(p)) for i, p in enumerate(key))
+    )
 
 
 def canonical_bundle_labeling(t: JordanType) -> BundleType:

@@ -28,8 +28,11 @@ def check_tol(tol: float) -> None:
 
 
 def check_finite(A, what: str = "matrix") -> np.ndarray:
-    """A as a complex array; refuse a NaN or infinite entry."""
+    """A as a complex array; refuse anything but a finite, non-empty,
+    square 2-D array (the one entry check of every numeric layer)."""
     A = np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"{what} must be a non-empty square 2-D array, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError(f"{what} must be finite, got a NaN or infinite entry")
     return A
@@ -58,8 +61,6 @@ def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
     X -> A X is kron(A, I); X -> X^T A permutes the columns of the former.
     """
     A = check_finite(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {A.shape}")
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
     n = A.shape[0]

@@ -96,6 +96,23 @@ class TestGraphCommand:
         code, _ = invoke("graph", "sim", "--n", "12")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bundle", "--n", "3", "--nilpotent"),
+            ("congr", "--n", "2", "--nilpotent"),
+            ("star", "--n", "2", "--nilpotent"),
+            ("sim", "--n", "3", "--kind", "classes"),
+            ("bundle", "--n", "3", "--kind", "bundles"),
+            ("star", "--n", "2", "--kind", "classes"),
+        ],
+    )
+    def test_flag_that_does_nothing_refused(self, capsys, argv):
+        code, out = invoke("graph", *argv)
+        flag = "--nilpotent" if "--nilpotent" in argv else "--kind"
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: {flag} applies to graph ")
+
     def test_byte_stable(self):
         a = invoke("graph", "bundle", "--n", "4")
         b = invoke("graph", "bundle", "--n", "4")

@@ -17,7 +17,7 @@ import matstrata
 
 SRC = str(Path(matstrata.__file__).resolve().parent.parent)
 
-# the package's exports, frozen: 68 names from the submodules plus the 8 submodules
+# the package's exports, frozen: 68 names from the submodules plus the 9 submodules
 EXPORTS = [
     "Block", "BundleType", "CatalogError", "ClosureGraph", "CompactParseError",
     "CongruenceForm", "DeformationTemplate", "EigLabel", "JordanType",
@@ -31,7 +31,7 @@ EXPORTS = [
     "errors", "find_arrow_witness", "form_to_json_doc", "format_compact",
     "format_display", "graph_to_dot", "graph_to_json_doc", "graphs", "has_arrow",
     "jordan_matrix", "miniversal_template", "normalize_form", "numeric_jordan_type",
-    "numeric_weyr", "orbit_codim", "orbit_dim", "parametric_to_dot",
+    "numeric_weyr", "orbit_codim", "orbit_dim", "parametric", "parametric_to_dot",
     "parametric_to_json_doc", "parse_compact", "partitions", "path_exists",
     "pattern_check", "perturb", "random_survey", "reachable", "real_param_count",
     "reduce_to_miniversal", "reduction", "similarity_codim_numeric",
@@ -79,6 +79,33 @@ def test_light_path_skips_dataclasses_and_inspect(code, module):
     assert not loads(module, code)
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import matstrata.cli",
+        "from matstrata import cli\nassert cli.run(['graph', 'bundle', '--n', '4']) == 0",
+        "from matstrata import cli\nassert cli.run(['graph', 'sim', '--n', '4', '--format', 'dot']) == 0",
+        "from matstrata import cli\n"
+        "assert cli.run(['survey', '--jordan', '(0)^2', '--eps', '1e-3', '--trials', '5', '--seed', '1']) == 0",
+    ],
+    ids=["cli", "graph-bundle", "graph-sim-dot", "survey"],
+)
+def test_similarity_path_skips_parametric_graphs(code):
+    assert not loads("matstrata.parametric", code)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from matstrata import cli\nassert cli.run(['graph', 'congr', '--n', '2']) == 0",
+        "from matstrata import cli\nassert cli.run(['graph', 'star', '--n', '2', '--format', 'dot']) == 0",
+    ],
+    ids=["graph-congr", "graph-star-dot"],
+)
+def test_parametric_graph_commands_load_them(code):
+    assert loads("matstrata.parametric", code)
+
+
 TEMPLATE_SIM = "from matstrata import cli\nassert cli.run(['template', 'sim', '--jordan', '(0)^2']) == 0"
 
 
@@ -94,7 +121,7 @@ def test_numeric_command_skips_dataclasses():
 
 class TestLazyExports:
     def test_exported_names_frozen(self):
-        assert len(EXPORTS) == 76
+        assert len(EXPORTS) == 77
         assert sorted(matstrata.__all__) == EXPORTS
 
     def test_names_resolve_to_submodule_objects(self):

@@ -7,8 +7,12 @@ from matstrata import (
     Partition,
     action_operator,
     bundle_types,
+    classify_congruence,
     congruence_codim_numeric,
+    eigen_clusters,
     jordan_matrix,
+    numeric_jordan_type,
+    numeric_weyr,
     orbit_codim,
     similarity_codim_numeric,
     star_congruence_codim_numeric,
@@ -203,3 +207,30 @@ class TestToleranceCheck:
     @pytest.mark.parametrize("tol", [1e-16, 1e-8, 0.5, 0.999])
     def test_accepts_the_open_interval(self, tol):
         check_tol(tol)
+
+
+class TestEntryCheck:
+    """Every numeric entry point refuses a malformed matrix with the one
+    message of ``check_finite``, before any shape-dependent work."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            numeric_jordan_type,
+            eigen_clusters,
+            lambda A: numeric_weyr(A, 0),
+            lambda A: action_operator("similarity", A),
+            similarity_codim_numeric,
+            congruence_codim_numeric,
+            star_congruence_codim_numeric,
+            classify_congruence,
+        ],
+        ids=[
+            "numeric_jordan_type", "eigen_clusters", "numeric_weyr", "action_operator",
+            "similarity_codim", "congruence_codim", "star_congruence_codim", "classify",
+        ],
+    )
+    def test_malformed_shape_refused(self, call, shape):
+        with pytest.raises(ValueError, match=r"matrix must be a non-empty square 2-D array, got shape"):
+            call(np.ones(shape))

@@ -34,7 +34,8 @@ from matstrata import (
     reachable,
 )
 from matstrata.congruence import TableEntry
-from matstrata.graphs import Arrow, Family, GraphVertex
+from matstrata.graphs import GraphVertex
+from matstrata.parametric import Arrow, Family
 from matstrata.perturb import ArrowWitness
 
 sym = EigLabel.symbolic
