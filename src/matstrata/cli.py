@@ -77,6 +77,8 @@ def _load_matrix(path: str):
         raise _UsageError(f"matrix file {path} needs an object with a 'rows' list")
     rows = doc["rows"]
     n = doc.get("n", len(rows))
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise _UsageError(f"matrix file {path}: 'n' must be an integer, got {n!r}")
     if len(rows) > MAX_MATRIX_N:
         raise _UsageError(
             f"matrix file {path}: order {len(rows)} exceeds the supported "

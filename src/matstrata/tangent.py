@@ -4,7 +4,7 @@ The tangent space to the orbit of A is the image of a linear map on
 matrices (commutator for similarity, X^T A + A X for congruence,
 X* A + A X for *congruence, the last one only real-linear).  Codimension
 is the ambient dimension minus the numerically determined rank of that
-map assembled in a flattened basis.
+map, ranked one block per unordered pair of direct summands of A.
 """
 
 from __future__ import annotations
@@ -51,39 +51,73 @@ class OperatorMatrix(Value):
         self._set(action, base, matrix)
 
 
+def _assemble(action: str, A: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Tangent map of ``action`` at A on a stack (..., N) of entry sets (i, j)
+    of X and of the image: E_kl maps to [i=k] A[l,j] - A[i,k] [l=j] under
+    similarity, to [l=i] A[k,j] + A[i,k] [l=j] under congruence."""
+    k, l = i[..., None, :], j[..., None, :]
+    i, j = i[..., :, None], j[..., :, None]
+    # each gather is scaled in place, with no N x N temporary per term
+    left = A[i, k]
+    left *= l == j  # A X
+    if action == "similarity":
+        M = A[l, j]
+        M *= i == k  # X A
+        M -= left
+        return M
+    M = A[k, j]
+    M *= l == i  # X^T A
+    if action == "star_congruence":
+        # X = i E_kl maps to i (A E_kl - E_lk A)
+        turn = left - M
+        M += left
+        cols = (np.concatenate([M.real, M.imag], axis=-2), np.concatenate([-turn.imag, turn.real], axis=-2))
+        return np.stack(cols, axis=-1).reshape(*M.shape[:-2], 2 * M.shape[-2], 2 * M.shape[-1])
+    M += left
+    return M
+
+
 def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
-    """Matrix of the tangent map of ``action`` at A, in closed Kronecker form.
+    """Matrix of the tangent map of ``action`` at A, on every entry of X.
 
     Column k*n + l is the image of E_kl (for *congruence, columns 2(k*n + l)
     and 2(k*n + l) + 1 are the images of E_kl and i*E_kl); rows are the
     row-major entries of the image (for *congruence, real parts above
-    imaginary parts).  In row-major vec, X -> X A is kron(I, A^T) and
-    X -> A X is kron(A, I); X -> X^T A permutes the columns of the former.
+    imaginary parts).
     """
     A = check_finite(A)
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-    n = A.shape[0]
-    right, left = np.kron(np.eye(n), A.T), np.kron(A, np.eye(n))
-    if action == "similarity":
-        M = right - left
-    else:
-        transposed = right[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]
-        M = transposed + left
-        if action == "star_congruence":
-            # X = i E_kl maps to i (A E_kl - E_lk A)
-            turn = left - transposed
-            cols = (np.vstack([M.real, M.imag]), np.vstack([-turn.imag, turn.real]))
-            M = np.stack(cols, axis=2).reshape(2 * n * n, 2 * n * n)
-    return OperatorMatrix(action=action, base=A, matrix=M)
+    return OperatorMatrix(action, A, _assemble(action, A, *np.divmod(np.arange(A.size), len(A))))
+
+
+def _summand_pieces(A: np.ndarray) -> list | None:
+    """Entry stacks (i, j) of shape (s, N), one per size N, of the blocks of
+    the tangent map at A; None when A has one direct summand (a component of
+    the graph linking i and j where A[i, j] or A[j, i] is nonzero).  Entries
+    of X in the blocks (a, b) and (b, a) of two summands map onto the same
+    entries of the image, so each unordered pair of summands is one block."""
+    n = len(A)
+    linked = (A != 0) | (A.T != 0) | np.eye(n, dtype=bool)
+    while not np.array_equal(linked, closer := linked @ linked):
+        linked = closer
+    head = linked.argmax(axis=0)  # lowest index of each index's summand
+    if not head.any():
+        return None
+    key = (np.minimum.outer(head, head) * n + np.maximum.outer(head, head)).reshape(-1)
+    order = np.argsort(key, kind="stable")  # grouped by hand: np.unique loads numpy.ma
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(starts, append=n * n)
+    return [np.divmod(order[starts[sizes == N, None] + np.arange(N)], n) for N in set(sizes.tolist())]
 
 
 def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values >= tol * ref; rank 0 when ref = 0.
 
-    ``ref`` is the scale of the data M was built from.  Ranking against M's
-    own largest singular value instead would count roundoff as rank when M
-    should be exactly zero.
+    M may be a stack (..., m, p) of matrices; its rank is then the sum of
+    the ranks of its matrices.  ``ref`` is the scale of the data M was
+    built from.  Ranking against M's own largest singular value instead
+    would count roundoff as rank when M should be exactly zero.
     """
     check_tol(tol)
     if ref == 0.0:
@@ -127,15 +161,20 @@ def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
     """(rank of the tangent map of ``action`` at A, its domain dimension).
 
-    The rank is taken against the Frobenius norm of A, not against the
-    map's own largest singular value: at a scalar matrix moved by a unitary
-    similarity the commutator map is pure roundoff and has rank 0.  (The
-    Frobenius norm is within sqrt(n) of the spectral norm and, unlike it,
-    needs no SVD.)
+    The blocks of ``_summand_pieces`` of one size are ranked in one stacked
+    SVD, against the Frobenius norm of A rather than the map's own largest
+    singular value: at a scalar matrix moved by a unitary similarity the
+    commutator map is pure roundoff and has rank 0.  (The Frobenius norm is
+    within sqrt(n) of the spectral norm and, unlike it, needs no SVD.)
     """
-    op = action_operator(action, A)
-    ref = float(np.linalg.norm(op.base))
-    return numeric_rank(op.matrix, ref, tol), op.matrix.shape[1]
+    A = check_finite(A)
+    ref = float(np.linalg.norm(A))
+    pieces = _summand_pieces(A)
+    if pieces is None:  # one summand: the whole map
+        rank = numeric_rank(action_operator(action, A).matrix, ref, tol)
+    else:
+        rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in pieces)
+    return rank, A.size * (2 if action == "star_congruence" else 1)
 
 
 def similarity_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:

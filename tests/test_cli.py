@@ -250,6 +250,14 @@ class TestInputValidation:
         path.write_text(json.dumps({"n": 2, "rows": [[[0, 0], [0, 0]]]}))
         assert invoke("weyr", "--matrix", str(path), "--lambda", "0")[0] == 1
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_non_integer_order(self, tmp_path, capsys, n):
+        path = tmp_path / "m.json"
+        rows = [[[1, 0]]] if n is True else [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        path.write_text(json.dumps({"n": n, "rows": rows}))
+        assert invoke("codim", "--action", "sim", "--matrix", str(path)) == (1, "")
+        assert "'n' must be an integer" in capsys.readouterr().err
+
     def test_non_finite(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps({"n": 1, "rows": [[[1e999, 0]]]}))

@@ -17,7 +17,9 @@ from matstrata import (
     similarity_codim_numeric,
     star_congruence_codim_numeric,
 )
-from matstrata.tangent import check_tol, guarded_rank, numeric_rank
+from matstrata.tangent import (
+    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, check_tol, guarded_rank, numeric_rank,
+)
 from conftest import random_complex, well_conditioned
 
 conc = EigLabel.concrete
@@ -58,14 +60,16 @@ class TestSimilarity:
         assert brute_force_commutator_rank(A) == 2
         assert similarity_codim_numeric(A) == 2
 
-    def test_matches_closed_form_up_to_order_4(self):
-        pool = [0, 1, 2 + 1j, -1.5]
-        for n in range(1, 5):
-            for b in bundle_types(n):
-                t = JordanType(
-                    {conc(pool[i]): p for i, (_, p) in enumerate(b.entries)}
-                )
-                assert similarity_codim_numeric(jordan_matrix(t)) == orbit_codim(t)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_closed_form_up_to_order_8(self, n):
+        """Every structure of order n, its Jordan blocks scattered by a
+        random permutation so that no summand is contiguous."""
+        pool = [0, 1, 2 + 1j, -1.5, 3j, -2 - 1j, 0.5, 4]
+        rng = np.random.default_rng(n)
+        for b in bundle_types(n):
+            t = JordanType({conc(pool[i]): p for i, (_, p) in enumerate(b.entries)})
+            p = rng.permutation(n)
+            assert similarity_codim_numeric(jordan_matrix(t)[np.ix_(p, p)]) == orbit_codim(t)
 
 
 class TestCongruence:
@@ -190,6 +194,77 @@ class TestKroneckerForm:
             got = action_operator(action, A).matrix
             want = basis_images(action, A)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def unsplit_codim(action, A, tol=DEFAULT_RANK_TOL):
+    """Codimension from one SVD of the whole tangent map, ranked against
+    tol * ||A||_F: the reference for the summand-by-summand rank."""
+    M = action_operator(action, A).matrix
+    ref = np.linalg.norm(A)
+    rank = int(np.sum(np.linalg.svd(M, compute_uv=False) >= tol * ref)) if ref else 0
+    return M.shape[1] - rank
+
+
+CODIM = {
+    "similarity": similarity_codim_numeric,
+    "congruence": congruence_codim_numeric,
+    "star_congruence": star_congruence_codim_numeric,
+}
+
+
+def direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    A = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        A[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return A
+
+
+def jblock(m, lam=0):
+    return jordan_matrix(jt({conc(lam): (m,)}))
+
+
+class TestPermutedDirectSums:
+    """P (A_1 + ... + A_k) P^T is ranked one pair of summands at a time; the
+    codimension must equal that of one SVD of the whole map."""
+
+    rng0 = np.random.default_rng(7)
+    CASES = {
+        "shared_eigenvalue": [jblock(2, 1), jblock(1, 1), jblock(3, 1), jblock(2, 0)],
+        "zero_summands": [jblock(3, 2j), np.zeros((1, 1)), np.zeros((1, 1)), jblock(2)],
+        # Gamma_1 + Gamma_1: X^T A + A X couples X[a, b] and X[b, a]
+        "both_halves": [np.eye(1), np.eye(1), np.array([[0, -1], [1, 1]]), np.array([[0, 2], [1, 0]])],
+        "unimodular": [np.diag([1j]), np.diag([-1j]), np.diag([np.exp(0.4j)]), np.array([[0, 1], [1, 1j]])],
+        "dense": [random_complex(rng0, 3), random_complex(rng0, 2), random_complex(rng0, 3)],
+        "mixed": [random_complex(rng0, 2), jblock(2), np.eye(1), np.zeros((1, 1)), jblock(2, 1)],
+        "zero_matrix": [np.zeros((1, 1))] * 5,
+    }
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_split_equals_one_svd(self, action, case):
+        blocks = self.CASES[case]
+        A, k = direct_sum(*blocks), len(blocks)
+        assert len(A) <= 8
+        rng = np.random.default_rng(len(case))
+        for _ in range(3):
+            p = rng.permutation(len(A))
+            B = A[np.ix_(p, p)]
+            # k summands, wherever they sit, give k (k + 1) / 2 blocks of the map
+            assert sum(len(i) for i, _ in _summand_pieces(B)) == k * (k + 1) // 2
+            assert CODIM[action](B) == unsplit_codim(action, B)
+
+
+class TestStackedRank:
+    def test_stack_rank_is_sum_of_ranks(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([
+            random_complex(rng, 5)[:, :r] @ random_complex(rng, 5)[:r] for r in (0, 1, 3, 5, 2)
+        ])
+        want = sum(numeric_rank(M, 1.0) for M in stack)
+        assert want == 11 and numeric_rank(stack, 1.0) == want
 
 
 class TestToleranceCheck:
