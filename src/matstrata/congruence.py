@@ -410,12 +410,16 @@ def _entries(own, size: int, star: bool) -> tuple[TableEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
+_NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0], dtype=complex)
+# det(A - s A^T) has degree n: n + 1 nodes pin its coefficients
+_VANDER = {n: np.vander(_NODES[: n + 1], n + 1, increasing=True) for n in (2, 3)}
+
+
 def _pencil_eigenvalues(A: np.ndarray, tol: float):
     """Roots of det(A - s A^T); None when the pencil is singular."""
     n = A.shape[0]
-    nodes = np.array([0.0, 1.0, -1.0, 2.0, -2.0][: n + 1], dtype=complex)
-    vals = np.array([np.linalg.det(A - s * A.T) for s in nodes])
-    coeffs = np.linalg.solve(np.vander(nodes, n + 1, increasing=True), vals)
+    vals = np.linalg.det(A - _NODES[: n + 1, None, None] * A.T)
+    coeffs = np.linalg.solve(_VANDER[n], vals)
     scale = float(np.abs(coeffs).max()) if np.abs(coeffs).max() > 0 else 0.0
     if scale == 0 or np.all(np.abs(coeffs) <= tol * max(scale, 1.0)):
         return None
@@ -427,55 +431,54 @@ def _pencil_eigenvalues(A: np.ndarray, tol: float):
 
 def _common_kernel(A: np.ndarray, tol: float):
     """Orthonormal bases (complement, kernel) of ker A ∩ ker A^T."""
-    _, s, vh = np.linalg.svd(np.vstack([A, A.T]))
+    _, s, vh = np.linalg.svd(np.concatenate((A, A.T)), full_matrices=False)
     V = np.conj(vh).T
     r = raise_ambiguous(band_ranks(s[None], tol))[0]
     return V[:, :r], V[:, r:]
 
 
-def _classify_core(A: np.ndarray, tol: float) -> list[Block]:
+_G1, _N1 = Block("Gamma", 1), Block("N", 1)
+
+# (n, rank A, rank A + A^T, rank A - A^T) -> the core's blocks, in catalog
+# order; (2, 2, 2, 2) and (3, 3, 3, 2) need the pencil (see _classify_core)
+_FINGERPRINTS = {
+    (2, 2, 2, 0): (_G1, _G1),
+    (2, 1, 2, 2): (Block("N", 2),),
+    (2, 2, 0, 2): (Block("H", 2, -1.0),),
+    (2, 2, 1, 2): (Block("Gamma", 2),),
+    (3, 3, 3, 0): (_G1, _G1, _G1),
+    (3, 3, 2, 2): (Block("Gamma", 2), _G1),
+    (3, 3, 1, 2): (Block("H", 2, -1.0), _G1),
+    (3, 2, 3, 2): (_G1, Block("N", 2)),
+    (3, 2, 2, 2): (Block("N", 3),),
+}
+
+
+def _classify_core(A: np.ndarray, tol: float) -> tuple[Block, ...]:
     """Classify a matrix with trivial common kernel (size 1..3)."""
     n = A.shape[0]
     if n == 1:
-        return [Block("Gamma", 1)]
+        return (_G1,)
     # the ranks of A, A + A^T and A - A^T, all against the scale of A
-    s = np.linalg.svd(np.stack([A, A + A.T, A - A.T]), compute_uv=False)
-    key = tuple(raise_ambiguous(band_ranks(s, tol, s[0, 0])))
-    if n == 2:
-        table = {
-            (2, 2, 0): [Block("Gamma", 1), Block("Gamma", 1)],
-            (1, 2, 2): [Block("N", 2)],
-            (2, 0, 2): [Block("H", 2, -1.0)],
-            (2, 1, 2): [Block("Gamma", 2)],
-        }
-        if key in table:
-            return table[key]
-        if key == (2, 2, 2):
-            lam = _extract_h_lambda(A, fixed=(), tol=tol)
-            return [Block("H", 2, lam)]
-    if n == 3:
-        table = {
-            (3, 3, 0): [Block("Gamma", 1)] * 3,
-            (3, 2, 2): [Block("Gamma", 2), Block("Gamma", 1)],
-            (3, 1, 2): [Block("H", 2, -1.0), Block("Gamma", 1)],
-            (2, 3, 2): [Block("N", 2), Block("Gamma", 1)],
-            (2, 2, 2): [Block("N", 3)],
-        }
-        if key in table:
-            return table[key]
-        if key == (3, 3, 2):
-            # both candidates have cosquare eigenvalues {1, lam, 1/lam}; the
-            # anti-triangular block makes 1 defective (one 3x3 block), so
-            # (cosquare - I)^2 keeps rank 1 there and rank 2 for the H pair
-            cosq = np.linalg.solve(A.T, A)
-            K = cosq - np.eye(3)
-            if guarded_rank(K @ K, tol) <= 1:
-                return [Block("Gamma", 3)]
-            lam = _extract_h_lambda(A, fixed=(1.0,), tol=tol)
-            return [Block("H", 2, lam), Block("Gamma", 1)]
+    s = np.linalg.svd(np.array((A, A + A.T, A - A.T)), compute_uv=False)  # np.stack costs 5 us more
+    key = (n, *raise_ambiguous(band_ranks(s, tol, s[0, 0])))
+    if key in _FINGERPRINTS:
+        return _FINGERPRINTS[key]
+    if key == (2, 2, 2, 2):
+        return (Block("H", 2, _extract_h_lambda(A, fixed=(), tol=tol)),)
+    if key == (3, 3, 3, 2):
+        # both candidates have cosquare eigenvalues {1, lam, 1/lam}; the
+        # anti-triangular block makes 1 defective (one 3x3 block), so
+        # (cosquare - I)^2 keeps rank 1 there and rank 2 for the H pair
+        cosq = np.linalg.solve(A.T, A)
+        K = cosq - np.eye(3)
+        if guarded_rank(K @ K, tol) <= 1:
+            return (Block("Gamma", 3),)
+        lam = _extract_h_lambda(A, fixed=(1.0,), tol=tol)
+        return (Block("H", 2, lam), _G1)
     raise NumericalAmbiguityError(
-        f"rank fingerprint {key} matches no canonical form of size {n}",
-        details={"ranks": key},
+        f"rank fingerprint {key[1:]} matches no canonical form of size {n}",
+        details={"ranks": key[1:]},
     )
 
 
@@ -514,12 +517,10 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     if norm := float(np.linalg.norm(A)):  # the zero matrix has rank 0: all N1 blocks
         A = A * (np.sqrt(n) / norm)  # scalar congruence scaling
     Q, V = _common_kernel(A, tol)
-    k = V.shape[1]
-    blocks = [Block("N", 1)] * k
-    if Q.shape[1]:
-        core = Q.T @ A @ Q
-        blocks = _classify_core(core, tol) + blocks
-    return normalize_form(CongruenceForm(tuple(blocks)))
+    core = _classify_core(Q.T @ A @ Q, tol) if Q.shape[1] else ()
+    form = CongruenceForm(core + (_N1,) * V.shape[1])  # already in catalog order
+    # only an H parameter may still need its canonical member of {lam, 1/lam}
+    return normalize_form(form) if core and core[0].kind == "H" else form
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,21 @@ class TestClassify:
         with pytest.raises(CatalogError):
             classify_congruence(np.zeros((4, 4)))
 
-    def test_ambiguity_reported(self):
-        A = np.array([[1, 0], [0, 1e-8]], dtype=complex)
-        with pytest.raises(NumericalAmbiguityError):
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[1, 0], [0, 1e-8]]),
+            np.array([[1, 1e-8], [0, 1]]),  # the rank of A - A^T
+            np.array([[0, 1], [-1, 1e-8]]),  # the rank of A + A^T
+            np.diag([1, 1, 3e-8]),  # the common kernel of a 3x3
+            canonical_matrix(CongruenceForm((G(3),))) + 1e-8 * np.eye(3),  # the cosquare of the (3, 3, 2) branch
+        ],
+        ids=["diag", "skew_part", "symmetric_part", "common_kernel", "cosquare"],
+    )
+    def test_ambiguity_reported(self, A):
+        with pytest.raises(NumericalAmbiguityError) as info:
             classify_congruence(A)
+        assert {"band", "threshold"} <= set(info.value.details)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_non_finite_matrix_refused(self, bad):

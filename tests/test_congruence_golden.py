@@ -6,7 +6,10 @@ congruence graphs and deformation tables became row tables; any change to
 a family, an arrow, a template cell, a classified block or the formatting
 changes a digest.  The congruence template rows added later were taken
 while the congruence cells still came from a transcribed table, before
-they were derived from the tangent map.
+they were derived from the tangent map.  The classify rows for the
+catalogue forms that had none (from ``gamma1_n1`` on in ``MATRICES``) were
+taken from the classifier as it stood before it moved its rank-fingerprint
+tables to module level and took the pencil determinants in one stacked call.
 """
 
 import contextlib
@@ -192,6 +195,14 @@ MATRICES = {
     "h2_n1": [[0, 1, 0], [2, 0, 0], [0, 0, 0]],
     "n3": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
     "zero3": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "gamma1_n1": [[1, 0], [0, 0]],
+    "zero2": [[0, 0], [0, 0]],
+    "skew2_n1": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    "gamma2_n1": [[0, -1, 0], [1, 1, 0], [0, 0, 0]],
+    "n2_n1": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+    "id3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "diag100": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "h2c_gamma1": [[0, 1, 0], [3 + 1j, 0, 0], [0, 0, 1]],
 }
 
 CLASSIFY = {
@@ -225,6 +236,22 @@ CLASSIFY = {
     ("n3", "moved"): "f1859fec0ef4780ef927caa642ba978e8c16f4172423dabcceb5674384952221",
     ("zero3", "canonical"): "62e02a38411949b7df28e0f5a1d96063cc454e643d115bc7f02dd57d53be1561",
     ("zero3", "moved"): "62e02a38411949b7df28e0f5a1d96063cc454e643d115bc7f02dd57d53be1561",
+    ("gamma1_n1", "canonical"): "c37c8649776f0a058ca91734b3870f79df9d66ffc6ce051a1954c13814cc582a",
+    ("gamma1_n1", "moved"): "c37c8649776f0a058ca91734b3870f79df9d66ffc6ce051a1954c13814cc582a",
+    ("zero2", "canonical"): "e05341ad8d2eaecb05eed12c804aaf18108afc8f332b52294b13e94c88b6cce8",
+    ("zero2", "moved"): "e05341ad8d2eaecb05eed12c804aaf18108afc8f332b52294b13e94c88b6cce8",
+    ("skew2_n1", "canonical"): "034dcb7d3c17c517cc7895ec70cc17f673ac24555df60fe747f0ec08758163d2",
+    ("skew2_n1", "moved"): "034dcb7d3c17c517cc7895ec70cc17f673ac24555df60fe747f0ec08758163d2",
+    ("gamma2_n1", "canonical"): "0125ada7e86baa122cdd6fe7793a5831753926cd0cfc77e17a95c3f4eb7bbf7c",
+    ("gamma2_n1", "moved"): "0125ada7e86baa122cdd6fe7793a5831753926cd0cfc77e17a95c3f4eb7bbf7c",
+    ("n2_n1", "canonical"): "31fddb63cff0f06bf939bb8e7af501b928c8d891ea5f6d3e41b18494a4736b4b",
+    ("n2_n1", "moved"): "31fddb63cff0f06bf939bb8e7af501b928c8d891ea5f6d3e41b18494a4736b4b",
+    ("id3", "canonical"): "c4cc7c002b6f77aa8d8e422393022e19fc6fa8a3f1f23f42cf80adc67fde991b",
+    ("id3", "moved"): "c4cc7c002b6f77aa8d8e422393022e19fc6fa8a3f1f23f42cf80adc67fde991b",
+    ("diag100", "canonical"): "9997f7c28c563084ffa797269b045fef419903b1462e724504e711acd769ba48",
+    ("diag100", "moved"): "9997f7c28c563084ffa797269b045fef419903b1462e724504e711acd769ba48",
+    ("h2c_gamma1", "canonical"): "70f076e93d4100d9c58eab707af8e2e1369a85c9e64bb6a147fa4031712b5a56",
+    ("h2c_gamma1", "moved"): "70f076e93d4100d9c58eab707af8e2e1369a85c9e64bb6a147fa4031712b5a56",
 }
 
 

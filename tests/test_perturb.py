@@ -21,7 +21,7 @@ from matstrata import (
 from matstrata import perturb
 from matstrata.graphs import build_bundle_graph, build_class_graph, reachable
 from matstrata.structure import format_display
-from matstrata.tangent import band_ranks, guarded_rank
+from matstrata.tangent import RANK_BAND, band_ranks, guarded_rank
 from conftest import random_complex
 
 conc = EigLabel.concrete
@@ -29,6 +29,20 @@ conc = EigLabel.concrete
 
 def jt(d):
     return JordanType({k: Partition(v) for k, v in d.items()})
+
+
+def _band_reference(row: list, tol: float, ref) -> int | tuple:
+    """The band rule on one row of singular values: the rank, or the
+    (message, details) of the abstention."""
+    thr = tol * ((row[0] if row else 0.0) if ref is None else ref)
+    band = [v for v in row if thr / RANK_BAND < v < thr * RANK_BAND]
+    if band:
+        return ("singular values fall inside the rank-tolerance band", {"band": band, "threshold": thr})
+    return len([v for v in row if v >= thr]) if thr > 0 else 0
+
+
+def _band_outcome(r) -> int | tuple:
+    return (str(r), r.details) if isinstance(r, NumericalAmbiguityError) else r
 
 
 class TestClusters:
@@ -438,3 +452,33 @@ class TestOneDecisionPath:
             assert rows[2].details == {"band": [1e-8], "threshold": 2e-8}
         else:
             assert rows == [0, 0, 0]
+        # edge rows, an empty stack and a large seeded stack (both sides of
+        # any switch on the stack's size), each row against the rule written out
+        thr = 1e-8 * (1.0 if ref is None else ref)
+        edges = np.array([
+            [1.0, thr, 0.0, 0.0],  # exactly at thr: counted by the rank, but inside the band
+            [1.0, thr * RANK_BAND, thr / RANK_BAND, 0.0],  # band edges: not ambiguous
+            [1.0, 0.5, thr * RANK_BAND / 1.5, thr / RANK_BAND * 1.5],
+        ])
+        rng = np.random.default_rng(7)
+        big = 10.0 ** rng.uniform(-6, 0, size=(160, 5))
+        big[:, 0] = 1.0  # every row's scale is 1, so thr is the same whatever ref is
+        big[:, 4] = 10.0 ** rng.uniform(-16, -11, size=160)
+        big[::9] = 0.0
+        big[1::9, 1:3] = [thr * RANK_BAND, thr / RANK_BAND]
+        planted = [r for r in np.flatnonzero(rng.random(160) < 0.2).tolist() if r % 9 > 1]
+        big[planted, 1 + np.array(planted) % 4] = thr * 10.0 ** rng.uniform(-0.99, 0.99, size=len(planted))
+        big = -np.sort(-big, axis=1)
+        for s in (edges, big, np.zeros((4, 0)), np.zeros((0, 3))):
+            got = band_ranks(s, 1e-8, ref)
+            assert [_band_outcome(r) for r in got] == [_band_reference(row, 1e-8, ref) for row in s.tolist()]
+        assert [_band_outcome(r) for r in band_ranks(edges, 1e-8, ref)] == (
+            [0, 0, 0] if ref == 0.0 else [
+                ("singular values fall inside the rank-tolerance band", {"band": [thr], "threshold": thr}),
+                2,
+                ("singular values fall inside the rank-tolerance band",
+                 {"band": [thr * RANK_BAND / 1.5, thr / RANK_BAND * 1.5], "threshold": thr}),
+            ]
+        )
+        n_band = sum(isinstance(r, NumericalAmbiguityError) for r in band_ranks(big, 1e-8, ref))
+        assert n_band == (0 if ref == 0.0 else len(planted)) and len(planted) > 10
