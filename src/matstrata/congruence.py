@@ -9,8 +9,8 @@ U(s, mu) with |mu| = 1, and N(k).
 The 2x2 and 3x3 congruence deformations are derived from the tangent map;
 the *congruence table, whose eps and delta cells depend on mu, is transcribed.
 Classification of small matrices goes through the Kronecker data of the
-pencil (A, A^T): common-kernel deflation, three ranks, and the pencil
-eigenvalues pin down the canonical form.
+pencil (A, A^T): common-kernel deflation, three ranks and, for an H block,
+the eigenvalues of the cosquare A^-T A pin down the canonical form.
 """
 
 from __future__ import annotations
@@ -410,25 +410,6 @@ def _entries(own, size: int, star: bool) -> tuple[TableEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-_NODES = np.array([0.0, 1.0, -1.0, 2.0, -2.0], dtype=complex)
-# det(A - s A^T) has degree n: n + 1 nodes pin its coefficients
-_VANDER = {n: np.vander(_NODES[: n + 1], n + 1, increasing=True) for n in (2, 3)}
-
-
-def _pencil_eigenvalues(A: np.ndarray, tol: float):
-    """Roots of det(A - s A^T); None when the pencil is singular."""
-    n = A.shape[0]
-    vals = np.linalg.det(A - _NODES[: n + 1, None, None] * A.T)
-    coeffs = np.linalg.solve(_VANDER[n], vals)
-    scale = float(np.abs(coeffs).max()) if np.abs(coeffs).max() > 0 else 0.0
-    if scale == 0 or np.all(np.abs(coeffs) <= tol * max(scale, 1.0)):
-        return None
-    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > tol * scale, coeffs, 0.0), "b")
-    finite = np.roots(trimmed[::-1]) if len(trimmed) > 1 else np.array([])
-    n_inf = (n + 1) - len(trimmed)
-    return list(finite) + [np.inf] * n_inf
-
-
 def _common_kernel(A: np.ndarray, tol: float):
     """Orthonormal bases (complement, kernel) of ker A ∩ ker A^T."""
     _, s, vh = np.linalg.svd(np.concatenate((A, A.T)), full_matrices=False)
@@ -440,7 +421,7 @@ def _common_kernel(A: np.ndarray, tol: float):
 _G1, _N1 = Block("Gamma", 1), Block("N", 1)
 
 # (n, rank A, rank A + A^T, rank A - A^T) -> the core's blocks, in catalog
-# order; (2, 2, 2, 2) and (3, 3, 3, 2) need the pencil (see _classify_core)
+# order; (2, 2, 2, 2) and (3, 3, 3, 2) need the cosquare (see _classify_core)
 _FINGERPRINTS = {
     (2, 2, 2, 0): (_G1, _G1),
     (2, 1, 2, 2): (Block("N", 2),),
@@ -464,43 +445,34 @@ def _classify_core(A: np.ndarray, tol: float) -> tuple[Block, ...]:
     key = (n, *raise_ambiguous(band_ranks(s, tol, s[0, 0])))
     if key in _FINGERPRINTS:
         return _FINGERPRINTS[key]
-    if key == (2, 2, 2, 2):
-        return (Block("H", 2, _extract_h_lambda(A, fixed=(), tol=tol)),)
-    if key == (3, 3, 3, 2):
-        # both candidates have cosquare eigenvalues {1, lam, 1/lam}; the
-        # anti-triangular block makes 1 defective (one 3x3 block), so
-        # (cosquare - I)^2 keeps rank 1 there and rank 2 for the H pair
-        cosq = np.linalg.solve(A.T, A)
-        K = cosq - np.eye(3)
-        if guarded_rank(K @ K, tol) <= 1:
-            return (Block("Gamma", 3),)
-        lam = _extract_h_lambda(A, fixed=(1.0,), tol=tol)
-        return (Block("H", 2, lam), _G1)
-    raise NumericalAmbiguityError(
-        f"rank fingerprint {key[1:]} matches no canonical form of size {n}",
-        details={"ranks": key[1:]},
-    )
+    if key not in ((2, 2, 2, 2), (3, 3, 3, 2)):
+        msg = f"rank fingerprint {key[1:]} matches no canonical form of size {n}"
+        raise NumericalAmbiguityError(msg, details={"ranks": key[1:]})
+    # rank A = n on both keys left, so A^T is invertible
+    cosq = np.linalg.solve(A.T, A)
+    if n == 2:
+        return (Block("H", 2, _extract_h_lambda(cosq, fixed=False)),)
+    # both candidates have cosquare eigenvalues {1, lam, 1/lam}; the
+    # anti-triangular block makes 1 defective (one 3x3 block), so
+    # (cosquare - I)^2 keeps rank 1 there and rank 2 for the H pair
+    K = cosq - np.eye(3)
+    if guarded_rank(K @ K, tol) <= 1:
+        return (Block("Gamma", 3),)
+    return (Block("H", 2, _extract_h_lambda(cosq, fixed=True)), _G1)
 
 
-def _extract_h_lambda(A: np.ndarray, fixed: tuple, tol: float) -> complex:
-    """Pull the free pencil-eigenvalue pair {lam, 1/lam} out of det(A - s A^T)."""
-    roots = _pencil_eigenvalues(A, tol)
-    if roots is None:
-        raise NumericalAmbiguityError("singular pencil where a regular one was expected")
-    rest = list(roots)
-    for f in fixed:
-        idx = int(np.argmin([abs(z - f) if np.isfinite(np.abs(z)) else np.inf for z in rest]))
-        if abs(rest[idx] - f) > 1e-4:
-            raise NumericalAmbiguityError(
-                f"expected pencil eigenvalue {f} not found",
-                details={"roots": [complex(z) for z in roots]},
-            )
-        rest.pop(idx)
-    finite = [z for z in rest if np.isfinite(np.abs(z))]
-    if not finite:
-        raise NumericalAmbiguityError("no finite pencil eigenvalue for the H block")
-    lam = max(finite, key=abs)
-    return _normalize_h_lambda(complex(lam), 1)
+def _extract_h_lambda(cosq: np.ndarray, fixed: bool) -> complex:
+    """lam of the free pair {lam, 1/lam} among the eigenvalues of the cosquare
+    A^-T A (the roots of det(A - s A^T) = det(A^T) det(A^-T A - sI)), after
+    the eigenvalue 1 of a Gamma1 summand when ``fixed``."""
+    eigs = sorted(np.linalg.eigvals(cosq), key=lambda z: abs(z - 1))
+    if fixed and abs(eigs[0] - 1) > 1e-4:
+        raise NumericalAmbiguityError(
+            "expected pencil eigenvalue 1.0 not found", details={"roots": [complex(z) for z in eigs]}
+        )
+    big, small = sorted(eigs[1:] if fixed else eigs, key=abs, reverse=True)
+    # lam = big = 1/small: their mean spreads the roundoff of the two copies
+    return _normalize_h_lambda(complex((big + 1 / small) / 2), 1)
 
 
 def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:

@@ -3,8 +3,9 @@
 The tangent space to the orbit of A is the image of a linear map on
 matrices (commutator for similarity, X^T A + A X for congruence,
 X* A + A X for *congruence, the last one only real-linear).  Codimension
-is the ambient dimension minus the numerically determined rank of that
-map, ranked one block per unordered pair of direct summands of A.
+is the ambient dimension minus the rank of that map by the band rule
+against tol |A|_F, ranked one block per unordered pair of direct summands
+of A; a singular value inside the band abstains.
 """
 
 from __future__ import annotations
@@ -112,18 +113,15 @@ def _summand_pieces(A: np.ndarray) -> list | None:
 
 
 def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values >= tol * ref; rank 0 when ref = 0.
+    """Rank of M by the band rule of ``band_ranks`` against tol * ref.
 
-    M may be a stack (..., m, p) of matrices; its rank is then the sum of
-    the ranks of its matrices.  ``ref`` is the scale of the data M was
-    built from.  Ranking against M's own largest singular value instead
-    would count roundoff as rank when M should be exactly zero.
+    M may be a stack (..., m, p) of matrices; all their singular values are
+    ranked as one row, so its rank is the sum of theirs.  ``ref`` is the
+    scale of the data M was built from: ranking against M's own largest
+    singular value would count roundoff as rank when M should be zero.
     """
     check_tol(tol)
-    if ref == 0.0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s >= tol * ref))
+    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False).reshape(1, -1), tol, ref))[0]
 
 
 # stacks of at most this many singular values take the plain-Python pass
@@ -140,13 +138,14 @@ def _band_error(band: list, thr: float) -> NumericalAmbiguityError:
 
 
 def band_ranks(s: np.ndarray, tol: float, ref: float | None = None) -> list:
-    """Guarded rank of each row of a stack of singular values s (k, m), each
-    row in descending order.
+    """Guarded rank of each row of a stack of singular values s (k, m).
 
-    A row counts its values at or above thr = ``tol * ref``; ``ref``
-    defaults to the row's largest value (0 for an empty row), and a zero
-    ``ref`` gives rank 0.  A row with a value inside the ambiguity band
-    (thr / RANK_BAND, thr * RANK_BAND) gets, in place of its rank, the
+    A row counts its values at or above thr = ``tol * ref``.  ``ref``
+    defaults to the row's largest value, taken as its first (so the row
+    must be in descending order, and 0 when it is empty); with a given
+    ``ref`` the order of a row does not matter.  A zero ``ref`` gives rank
+    0.  A row with a value inside the ambiguity band (thr / RANK_BAND,
+    thr * RANK_BAND) gets, in place of its rank, the
     NumericalAmbiguityError that ranking that row alone raises.
     """
     if s.size <= _SMALL_STACK:
@@ -156,20 +155,21 @@ def band_ranks(s: np.ndarray, tol: float, ref: float | None = None) -> list:
             band = [v for v in row if thr / RANK_BAND < v < thr * RANK_BAND]
             out.append(_band_error(band, thr) if band else (sum(v >= thr for v in row) if thr > 0 else 0))
         return out
-    top = s[:, :1] if s.shape[1] else np.zeros((len(s), 1))
-    thr = tol * (top if ref is None else np.full((len(s), 1), ref))
+    if ref is None:
+        thr = tol * (s[:, :1] if s.shape[1] else np.zeros((len(s), 1)))
+        thr[thr == 0] = np.inf  # a zero scale: no value at or above it, none inside the band
+    else:
+        thr = tol * float(ref) or np.inf
     inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
-    out = np.where(thr[:, 0] > 0, (s >= thr).sum(axis=1), 0).tolist()
-    for i in np.flatnonzero(inside.any(axis=1)).tolist():
-        out[i] = _band_error(s[i, inside[i]].tolist(), thr[i, 0])
+    out = (s >= thr).sum(axis=1).tolist()
+    if inside.any():
+        for i in np.flatnonzero(inside.any(axis=1)).tolist():
+            out[i] = _band_error(s[i, inside[i]].tolist(), thr if ref is not None else thr[i, 0])
     return out
 
 
 def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """band_ranks of the singular values of M: numeric_rank against M's own
-    largest singular value, but refuse when a singular value falls inside
-    the ambiguity band.
-    """
+    """band_ranks of the singular values of M, against the largest of them."""
     check_tol(tol)
     return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol))[0]
 

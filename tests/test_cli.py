@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from matstrata import perturb
 from matstrata.cli import run
 
 
@@ -68,6 +69,11 @@ class TestCodimCommand:
         monkeypatch.setenv("STRATA_TOL", "1e-3")
         code, out = invoke("codim", "--action", "sim", "--matrix", path)
         assert code == 0 and json.loads(out)["codim"] == 5
+
+    def test_ambiguity_exit_code(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", np.diag([1.0, 1.0 + 3e-8]))
+        assert invoke("codim", "--action", "sim", "--matrix", path) == (2, "")
+        assert "rank-tolerance band" in capsys.readouterr().err
 
 
 class TestGraphCommand:
@@ -147,6 +153,11 @@ class TestTemplateCommand:
     def test_missing_argument(self):
         assert invoke("template", "sim")[0] == 1
 
+    def test_symbolic_cells_carry_their_label(self):
+        code, out = invoke("template", "sim", "--jordan", "a^2 b")
+        values = {(e["i"], e["j"]): e.get("value") for e in json.loads(out)["entries"]}
+        assert code == 0 and (values[0, 0], values[1, 1], values[2, 2]) == ("λ", "λ", "μ")
+
 
 class TestReduceCommand:
     def test_round_trip(self, tmp_path, rng):
@@ -159,9 +170,11 @@ class TestReduceCommand:
         S = np.array([[complex(a, b) for a, b in row] for row in doc["S"]["rows"]])
         assert np.linalg.norm(S - np.eye(5)) < 1e-2
 
-    def test_symbolic_labels_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", ["reduce", "survey"])
+    def test_symbolic_labels_rejected(self, tmp_path, command):
         path = write_matrix(tmp_path / "e.json", np.zeros((2, 2)))
-        assert invoke("reduce", "--jordan", "a^2", "--pert", path)[0] == 1
+        extra = ("--pert", path) if command == "reduce" else ("--eps", "1e-3")
+        assert invoke(command, "--jordan", "a^2", *extra)[0] == 1
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_tolerance_refused(self, tmp_path, rng, capsys, tol):
@@ -210,6 +223,12 @@ class TestClassifyCommand:
         path = write_matrix(tmp_path / "m.json", np.zeros((4, 4)))
         assert invoke("classify", "--matrix", path)[0] == 1
 
+    def test_h_parameter_exact_on_canonical_input(self, tmp_path):
+        path = write_matrix(tmp_path / "m.json", np.array([[0, 1, 0], [2, 0, 0], [0, 0, 1]]))
+        code, out = invoke("classify", "--matrix", path)
+        assert code == 0
+        assert '"param": [2.0, 0.0]' in out and '"display": "H1(2)⊕Γ1"' in out
+
 
 class TestSurveyAndWitness:
     def test_survey_smoke(self):
@@ -226,6 +245,13 @@ class TestSurveyAndWitness:
             "--trials", "4", "--seed", "5", "--full",
         )
         assert code == 0 and len(json.loads(out)["observed"]) == 4
+
+    def test_survey_violation_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(perturb, "reachable", lambda g, a, b: a == b)
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3", "--trials", "3", "--seed", "5")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is False
+        assert [v["reason"] for v in doc["violations"]] == ["unreachable bundle"] * 3
 
     def test_witness(self):
         code, out = invoke("witness", "--from", "(0)^2 (0)^2", "--to", "(0)^4")
@@ -345,8 +371,9 @@ class TestRankTolerance:
             assert invoke(*argv, "--tol", "-1") == (1, "")
             assert "tol must lie in (0, 1)" in capsys.readouterr().err
 
-    def test_env_tolerance_refused(self, monkeypatch):
-        monkeypatch.setenv("STRATA_TOL", "5")
+    @pytest.mark.parametrize("env", ["5", "abc"])
+    def test_env_tolerance_refused(self, monkeypatch, env):
+        monkeypatch.setenv("STRATA_TOL", env)
         assert invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3",
                       "--trials", "3", "--seed", "1")[0] == 1
 

@@ -141,6 +141,11 @@ class TestBundleGraphs:
             ("λλ", "λ²"), ("λ²", "λμ"),
         }
 
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_order_outside_range_refused(self, n):
+        with pytest.raises(ValueError, match="outside supported range"):
+            build_bundle_graph(n)
+
     def test_1x1(self):
         g = build_bundle_graph(1)
         assert len(g.vertices) == 1 and not g.edges

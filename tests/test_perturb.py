@@ -172,6 +172,16 @@ class TestSurvey:
             for k in range(len(base_w)):
                 assert sum(base_w[: k + 1]) >= sum(w[: k + 1])
 
+    def test_unreachable_bundle_is_a_violation(self, monkeypatch):
+        # with every bundle but the base refused, the check has to fail
+        monkeypatch.setattr(perturb, "reachable", lambda g, a, b: a == b)
+        assert random_survey(jt({conc(0): (2,)}), 0.0, trials=3, seed=5).passed
+        rep = random_survey(jt({conc(0): (2,)}), 1e-3, trials=3, seed=5)
+        assert not rep.passed
+        assert list(rep.violations) == [
+            {"trial": k, "reason": "unreachable bundle", "observed": "λμ"} for k in range(3)
+        ]
+
     def test_determinism(self):
         t = jt({conc(0): (2, 1, 1)})
         a = random_survey(t, 1e-3, trials=50, seed=123)

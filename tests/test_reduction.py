@@ -303,6 +303,22 @@ class TestFullReduction:
         assert not res.S[:2, 2].any() and not res.S[2, :2].any()
         assert np.linalg.norm(res.S @ res.D - (jordan_matrix(t) + E) @ res.S) <= 1e-15
 
+    def test_step_limit_refused(self, monkeypatch):
+        # the uncoupled input above takes two chord steps
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, :2] = 1e-5, 2e-5
+        monkeypatch.setattr(reduction, "MAX_STEPS", 1)
+        with pytest.raises(ReductionError, match="no convergence in 1 chord steps"):
+            reduce_to_miniversal(jt({conc(0): (2,), conc(1e-9): (1,)}), E)
+
+    def test_residual_that_does_not_halve_refused(self):
+        # the parameter cell (0, 0) widens the gap from 1 to 1.5, which the
+        # chord steps, solved against the gap of J, do not see: the residual
+        # 0.2 falls only to about 0.1, while each step stays below MAX_STEP
+        E = np.array([[-0.5, 0.2], [0.2, 0]], dtype=complex)
+        with pytest.raises(ReductionError, match="did not halve from 2.000e-01"):
+            reduce_to_miniversal(jt({conc(0): (1,), conc(1): (1,)}), E)
+
     def test_parameter_cells_only_take_no_step(self, rng):
         t = jt({conc(0): (3, 1), conc(2): (2,)})
         stars = np.array(miniversal_template(t).kinds) != "fixed"

@@ -4,6 +4,7 @@ import pytest
 from matstrata import (
     EigLabel,
     JordanType,
+    NumericalAmbiguityError,
     Partition,
     action_operator,
     bundle_types,
@@ -18,7 +19,7 @@ from matstrata import (
     star_congruence_codim_numeric,
 )
 from matstrata.tangent import (
-    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, check_tol, guarded_rank, numeric_rank,
+    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, band_ranks, check_tol, guarded_rank, numeric_rank,
 )
 from conftest import random_complex, well_conditioned
 
@@ -265,6 +266,26 @@ class TestStackedRank:
         ])
         want = sum(numeric_rank(M, 1.0) for M in stack)
         assert want == 11 and numeric_rank(stack, 1.0) == want
+
+
+class TestCodimGuard:
+    def test_split_eigenvalues_inside_the_band_abstain(self):
+        # the commutator map has singular values 3e-8 against the threshold
+        # tol * |A|_F = 1.4e-8: neither codim 2 nor codim 4 is certain
+        with pytest.raises(NumericalAmbiguityError) as info:
+            similarity_codim_numeric(np.diag([1, 1 + 3e-8]))
+        assert {"band", "threshold"} <= set(info.value.details)
+        assert similarity_codim_numeric(np.diag([1, 1 + 3e-6])) == 2
+        assert similarity_codim_numeric(np.diag([1, 1 + 3e-10])) == 4
+
+    def test_fixed_scale_rank_ignores_order_and_rows(self):
+        rng = np.random.default_rng(5)
+        s = 10.0 ** rng.uniform(-16, 0, size=(40, 6))
+        s = -np.sort(-s[~((s > 1e-9) & (s < 1e-7)).any(axis=1)], axis=1)
+        for stack in (s, s[:8]):  # the array pass and the plain-Python pass
+            want = sum(band_ranks(stack, 1e-8, 1.0))
+            assert 0 < want < stack.size
+            assert band_ranks(rng.permutation(stack.ravel())[None], 1e-8, 1.0) == [want]
 
 
 class TestToleranceCheck:
