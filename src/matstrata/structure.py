@@ -196,10 +196,14 @@ def _shared_partition(parts: tuple[int, ...]) -> Partition:
 
 @lru_cache(maxsize=None)
 def bundle_of_key(key: tuple[tuple[int, ...], ...]) -> BundleType:
-    """The BundleType of a bundle key, one shared object per key."""
-    return BundleType(
-        tuple((EigLabel.symbolic(i + 1), _shared_partition(p)) for i, p in enumerate(key))
-    )
+    """The BundleType of a bundle key, one shared object per key; a key out
+    of canonical order goes to the checked constructor, which refuses it."""
+    entries = tuple((EigLabel.symbolic(i + 1), _shared_partition(p)) for i, p in enumerate(key))
+    if not key or bundle_key(key) != key:
+        return BundleType(entries)
+    bundle = object.__new__(BundleType)
+    bundle._set(entries)
+    return bundle
 
 
 def canonical_bundle_labeling(t: JordanType) -> BundleType:

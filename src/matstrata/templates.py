@@ -5,13 +5,16 @@ carry free parameters.  For a Jordan structure the parameter cells sit,
 within each eigenvalue's block grid, along the bottom row of every
 sub-block on or above the block diagonal and along the first column of
 every sub-block strictly below it; everything off the eigenvalue's own
-block grid is pinned to zero.  The number of parameter cells equals the
-codimension of the similarity class.
+block grid is pinned to zero.  That layout depends only on the block
+grid and is written once, in ``pinned_cells``.  The number of parameter
+cells equals the codimension of the similarity class.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -82,10 +85,9 @@ def jordan_matrix(t: JordanType) -> np.ndarray:
         raise ValueError("jordan_matrix needs concrete eigenvalue labels")
     n = t.n
     J = np.zeros((n, n), dtype=complex)
-    for label, part, off in label_layout(t):
-        for m in part.parts:
-            J[off : off + m, off : off + m] = jordan_block(m, label.value)
-            off += m
+    J.flat[:: n + 1] = [label.value for label, part in t.entries for _ in range(part.total)]
+    ones = [float(k < m - 1) for _, part in t.entries for m in part.parts for k in range(m)]
+    J.flat[1 :: n + 1] = ones[:-1]
     return J
 
 
@@ -99,6 +101,24 @@ def real_param_count(tmpl: DeformationTemplate) -> int:
     return sum(_REAL_PARAMS[k] for row in tmpl.kinds for k in row)
 
 
+@lru_cache(maxsize=256)
+def pinned_cells(grid: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only n x n mask of the pinned cells of the template whose
+    eigenvalue groups have the block sizes ``grid``, in ``label_layout`` order."""
+    n = sum(map(sum, grid))
+    pinned = np.ones((n, n), dtype=bool)
+    for off, sizes in zip(accumulate(map(sum, grid[:-1]), initial=0), grid):
+        starts = list(accumulate(sizes[:-1], initial=off))
+        for sp, mp in zip(starts, sizes):
+            for sq, mq in zip(starts, sizes):
+                if sp <= sq:
+                    pinned[sp + mp - 1, sq : sq + mq] = False
+                else:
+                    pinned[sp : sp + mp, sq] = False
+    pinned.setflags(write=False)
+    return pinned
+
+
 def miniversal_template(t: JordanType) -> DeformationTemplate:
     """Deformation template for the Jordan matrix of ``t``.
 
@@ -107,31 +127,19 @@ def miniversal_template(t: JordanType) -> DeformationTemplate:
     """
     n = t.n
     base = [[0.0 + 0.0j] * n for _ in range(n)]
-    kinds = [[FIXED] * n for _ in range(n)]
     for label, part, off in label_layout(t):
-        sizes = part.parts
-        starts = [off]
-        for m in sizes[:-1]:
-            starts.append(starts[-1] + m)
         lam = label if label.is_symbolic else label.value
-        for p, mp in enumerate(sizes):
-            rp = starts[p]
-            for i in range(mp):
-                base[rp + i][rp + i] = lam
-                if i + 1 < mp:
-                    base[rp + i][rp + i + 1] = 1.0 + 0.0j
-            for q, mq in enumerate(sizes):
-                cq = starts[q]
-                if p <= q:
-                    for j in range(mq):
-                        kinds[rp + mp - 1][cq + j] = STAR
-                else:
-                    for i in range(mp):
-                        kinds[rp + i][cq] = STAR
+        for m in part.parts:
+            for i in range(off, off + m):
+                base[i][i] = lam
+                if i + 1 < off + m:
+                    base[i][i + 1] = 1.0 + 0.0j
+            off += m
+    pinned = pinned_cells(tuple(part.parts for _, part in t.entries))
     return DeformationTemplate(
         n=n,
         base=tuple(tuple(row) for row in base),
-        kinds=tuple(tuple(row) for row in kinds),
+        kinds=tuple(tuple(FIXED if cell else STAR for cell in row) for row in pinned.tolist()),
         source=format_compact(t),
     )
 

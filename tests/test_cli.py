@@ -184,6 +184,15 @@ class TestReduceCommand:
         assert code == 1 and out == ""
         assert "pattern tolerance must be finite" in capsys.readouterr().err
 
+    def test_tolerance_below_roundoff_is_reported_not_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        E = 1e-6 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        path = write_matrix(tmp_path / "e.json", E)
+        code, out = invoke("reduce", "--jordan", "(0)^2 (1)", "--pert", path, "--tol=1e-16")
+        doc = json.loads(out)
+        assert code == 0 and capsys.readouterr().err == ""
+        assert doc["residual"] <= 1e-14 and doc["pattern_ok"] == (doc["residual"] <= 1e-16)
+
     def test_default_tolerance_is_the_library_default(self, tmp_path, monkeypatch, capsys):
         from matstrata import reduction
 

@@ -12,6 +12,7 @@ from matstrata import (
     jordan_matrix,
     miniversal_template,
     numeric_weyr,
+    parse_compact,
     partitions,
     pattern_check,
     reduce_to_miniversal,
@@ -98,14 +99,19 @@ class TestSylvester:
 GRID_EIGS = (0.0, 1.0, -1.0, 2j, 1 + 1j, -2.0)
 
 
-def small_layouts():
-    """Every structure of order <= 6 with two or three eigenvalue groups, as
-    block-size tuples per group."""
-    for n in range(2, 7):
-        for k in (2, 3):
+def layouts(orders, groups):
+    """Every structure of the given orders and numbers of eigenvalue groups,
+    as block-size tuples per group."""
+    for n in orders:
+        for k in groups:
             for cuts in itertools.combinations(range(1, n), k - 1):
                 mults = np.diff((0, *cuts, n))
                 yield from itertools.product(*([p.parts for p in partitions(m)] for m in mults))
+
+
+def small_layouts():
+    """Every structure of order <= 6 with two or three eigenvalue groups."""
+    return layouts(range(2, 7), (2, 3))
 
 
 def shaped_layouts():
@@ -137,18 +143,59 @@ def gauge_cells(t):
     return G
 
 
+def reference_group_step(X, R, sizes) -> None:
+    """The row-by-row recursion the chains replaced: fill X on one
+    eigenvalue group so that X[i, j-1] - X[i+1, j] = R[i, j] on every
+    pinned cell of each sub-block of the block grid.
+
+    A sub-block (p, q) with p <= q is pinned off its bottom row: its rows
+    fill downward from a zero top row.  One with p > q is pinned off its
+    first column: its columns fill leftward from a zero last column.
+    """
+    starts = np.cumsum((0,) + sizes[:-1])
+    ends = starts + np.array(sizes) - 1
+    for p, (sp, mp) in enumerate(zip(starts, sizes)):
+        firsts = starts[p:]  # first column of each sub-block right of the diagonal
+        for r in range(sp, sp + mp - 1):
+            X[r + 1, sp + 1 :] = X[r, sp:-1]
+            X[r + 1, firsts] = 0
+            X[r + 1, sp:] -= R[r, sp:]
+    for q, (sq, mq) in enumerate(zip(starts[:-1], sizes[:-1])):
+        below, lasts = starts[q + 1], ends[q + 1 :]  # last row of each sub-block below
+        for c in range(sq + mq - 1, sq, -1):
+            X[below:-1, c - 1] = X[below + 1 :, c]
+            X[lasts, c - 1] = 0
+            X[below:, c - 1] += R[below:, c]
+
+
+def reference_chord_step(R, between, spans, sizes) -> np.ndarray:
+    """The chord step with each group filled by ``reference_group_step``."""
+    X = np.zeros_like(R) if between is None else between.solve(R)
+    for (a0, a1), parts in zip(spans, sizes):
+        reference_group_step(X[a0:a1, a0:a1], R[a0:a1, a0:a1], parts)
+    return X
+
+
+def grid_of(t):
+    return tuple(part.parts for _, part in t.entries)
+
+
+def chord_inputs(layout):
+    """Structure, Jordan matrix, plan and between-group solver of a layout."""
+    t = jt({conc(lam): parts for lam, parts in zip(GRID_EIGS, layout)})
+    J, plan = jordan_matrix(t), reduction._plan(grid_of(t))
+    return t, J, plan, reduction._BetweenGroups(J, plan) if len(layout) > 1 else None
+
+
 class TestChordStep:
-    # all between-group cells in one masked pass, then each group's recursion
+    # all between-group cells in one masked pass, then each group's chains
     @pytest.mark.parametrize("layout", [*small_layouts(), *shaped_layouts()], ids=str)
     def test_solves_pinned_cells_and_matches_kronecker(self, rng, layout):
-        t = jt({conc(lam): parts for lam, parts in zip(GRID_EIGS, layout)})
-        J, n = jordan_matrix(t), t.n
+        t, J, plan, between = chord_inputs(layout)
+        n = t.n
         pinned = np.array(miniversal_template(t).kinds) == "fixed"
         R = np.where(pinned, random_complex(rng, n), 0)
-        spans = [(off, off + part.total) for _, part, off in label_layout(t)]
-        sizes = [part.parts for _, part, _ in label_layout(t)]
-        between = reduction._BetweenGroups(J, spans, [max(p) for p in sizes])
-        X = reduction._chord_step(R, between, spans, sizes)
+        X = reduction._chord_step(R, between, plan)
         free = ~gauge_cells(t)
         assert not X[~free].any()
         assert np.linalg.norm((X @ J - J @ X - R)[pinned]) <= 1e-12 * np.linalg.norm(R)
@@ -156,6 +203,49 @@ class TestChordStep:
         K = np.kron(np.eye(n), J.T) - np.kron(J, np.eye(n))
         ref = np.linalg.solve(K[np.ix_(pinned.reshape(-1), free.reshape(-1))], R[pinned])
         assert np.linalg.norm(X[free] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestChainFill:
+    # the cumulative sums along the chains against the row-by-row recursion
+    def test_equals_the_recursion_bit_for_bit(self, rng):
+        count = 0
+        for layout in layouts(range(1, 9), (1, 2, 3)):
+            t, J, plan, between = chord_inputs(layout)
+            n = t.n
+            # exact +0.0 and -0.0 in both parts of about a third of the cells
+            parts = rng.standard_normal((2, n, n))
+            parts[rng.random((2, n, n)) < 0.15] = 0.0
+            parts[rng.random((2, n, n)) < 0.15] = -0.0
+            R = np.empty((n, n), dtype=complex)
+            R.real, R.imag = parts
+            X = reduction._chord_step(R, between, plan)
+            spans = [(off, off + part.total) for _, part, off in label_layout(t)]
+            ref = reference_chord_step(R, between, spans, grid_of(t))
+            assert np.array_equal(X, ref), layout
+            # the step applies T = I + X, the same bits; with one group both
+            # start from zeros, so X itself has the same bits, signed zeros too
+            assert (np.eye(n) + X).tobytes() == (np.eye(n) + ref).tobytes(), layout
+            if between is None:
+                assert X.tobytes() == ref.tobytes(), layout
+            count += 1
+        assert count == 919
+
+    def test_plan_keeps_no_eigenvalue(self):
+        # (0)^2 (1e-9) has the grid of (0)^2 (1), whose plan is then cached,
+        # but its gap of 1e-9 is still below GAP_TOL
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, 2] = 1e-5
+        assert reduce_to_miniversal(jt({conc(0): (2,), conc(1): (1,)}), E).pattern_ok
+        with pytest.raises(SpectraOverlapError, match="spectra separated by 1.000e-09"):
+            reduce_to_miniversal(jt({conc(0): (2,), conc(1e-9): (1,)}), E)
+
+    def test_cached_plan_is_read_only(self):
+        plan = reduction._plan(((3, 1), (2, 2)))
+        arrays = [field for field in vars(plan).values() if isinstance(field, np.ndarray)]
+        assert len(arrays) == 7 and all(a.size for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
 
 
 class TestSplit:
@@ -310,6 +400,18 @@ class TestFullReduction:
         monkeypatch.setattr(reduction, "MAX_STEPS", 1)
         with pytest.raises(ReductionError, match="no convergence in 1 chord steps"):
             reduce_to_miniversal(jt({conc(0): (2,), conc(1e-9): (1,)}), E)
+
+    def test_tolerance_below_roundoff_is_reported_not_refused(self):
+        # the stopping target min(tol/100, 1e-12) max(1, |J|_F) used to lie
+        # below roundoff here, and a residual of 1.1e-16 "did not halve"
+        rng = np.random.default_rng(3)
+        E = 1e-6 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        t = parse_compact("(0)^2 (1)")
+        res = reduce_to_miniversal(t, E, tol=1e-16)
+        J = jordan_matrix(t)
+        assert res.residual <= 16 * np.finfo(float).eps * np.linalg.norm(J)
+        assert res.pattern_ok == (res.residual <= 1e-16)
+        assert np.linalg.norm(res.S @ res.D - (J + E) @ res.S) <= 1e-15
 
     def test_residual_that_does_not_halve_refused(self):
         # the parameter cell (0, 0) widens the gap from 1 to 1.5, which the

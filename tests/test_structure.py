@@ -18,6 +18,7 @@ from matstrata import (
     orbit_dim,
     parse_compact,
     partitions,
+    structure,
     weyr_of,
 )
 
@@ -196,6 +197,23 @@ class TestBundleLabeling:
 
     def test_count_4x4(self):
         assert len(bundle_types(4)) == 14
+
+    def test_key_built_bundles_equal_checked_ones(self):
+        # bundle_of_key skips the constructor's normalisation for a canonical key
+        for n in range(1, 9):
+            for b in bundle_types(n):
+                checked = BundleType(b.entries)
+                assert checked == b and checked.entries == b.entries and type(checked) is BundleType
+
+    @pytest.mark.parametrize("key,message", [
+        (((1,), (2,)), "not canonically numbered"),
+        (((1, 1), (2,)), "not canonically numbered"),
+        ((), "at least one eigenvalue"),
+        (((1, 2),), "weakly decreasing"),
+    ])
+    def test_bundle_of_key_refuses_like_the_constructor(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            structure.bundle_of_key(key)
 
 
 class TestJordanMatrix:

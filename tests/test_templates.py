@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,15 @@ from matstrata import (
     jordan_matrix,
     miniversal_template,
     orbit_codim,
+    partitions,
     pattern_check,
     similarity_codim_numeric,
     star_count,
     template_ascii,
     template_to_json_doc,
 )
-from matstrata.templates import FIXED, STAR
+from matstrata.structure import label_layout
+from matstrata.templates import FIXED, STAR, pinned_cells
 
 sym = EigLabel.symbolic
 conc = EigLabel.concrete
@@ -92,6 +96,42 @@ class TestAgreement:
         t1 = miniversal_template(jt({conc(1): (2,)}))
         assert [row[:3] for row in tmpl.kinds[:3]] == [r for r in t0.kinds]
         assert [row[3:] for row in tmpl.kinds[3:]] == [r for r in t1.kinds]
+
+
+def written_out_kinds(t):
+    """The layout as the module docstring states it: in each eigenvalue's
+    block grid, the bottom row of every sub-block on or above the block
+    diagonal and the first column of every one below it are free."""
+    kinds = [[FIXED] * t.n for _ in range(t.n)]
+    for _, part, off in label_layout(t):
+        starts = [off + sum(part.parts[:p]) for p in range(len(part.parts))]
+        for p, (sp, mp) in enumerate(zip(starts, part.parts)):
+            for q, (sq, mq) in enumerate(zip(starts, part.parts)):
+                free = [(sp + mp - 1, sq + j) for j in range(mq)] if p <= q else [(sp + i, sq) for i in range(mp)]
+                for i, j in free:
+                    kinds[i][j] = STAR
+    return tuple(map(tuple, kinds))
+
+
+class TestSharedMask:
+    def test_template_kinds_are_the_shared_mask(self):
+        count = 0
+        for n in range(1, 9):
+            for k in (1, 2, 3):
+                for cuts in itertools.combinations(range(1, n), k - 1):
+                    mults = np.diff((0, *cuts, n))
+                    for combo in itertools.product(*(partitions(m) for m in mults)):
+                        t = JordanType({sym(i + 1): p for i, p in enumerate(combo)})
+                        tmpl = miniversal_template(t)
+                        mask = pinned_cells(tuple(p.parts for p in combo))
+                        assert np.array_equal(np.array(tmpl.kinds) == FIXED, mask)
+                        assert tmpl.kinds == written_out_kinds(t)
+                        count += 1
+        assert count == 919
+
+    def test_mask_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            pinned_cells(((2, 1), (1,)))[0, 0] = False
 
 
 class TestPatternCheck:
