@@ -145,73 +145,6 @@ def _default_tol(args) -> float:
     return tol
 
 
-# each subcommand: its help line, then its arguments as (flag, add_argument keywords)
-_SUBCOMMANDS = {
-    "weyr": ("block-count sequence of a matrix at an eigenvalue", (
-        ("--matrix", {"required": True}),
-        ("--lambda", {"dest": "lam", "required": True}),
-        ("--tol", {"type": float}),
-    )),
-    "codim": ("numeric orbit codimension", (
-        ("--action", {"required": True, "choices": ["sim", "congr", "star"]}),
-        ("--matrix", {"required": True}),
-        ("--tol", {"type": float}),
-    )),
-    "graph": ("closure graphs", (
-        ("what", {"choices": ["sim", "bundle", "congr", "star"]}),
-        ("--n", {"type": int, "required": True}),
-        ("--nilpotent", {"action": "store_true"}),
-        ("--kind", {"choices": ["classes", "bundles"]}),
-        ("--format", {"choices": ["json", "dot"], "default": "json"}),
-    )),
-    "template": ("miniversal deformation templates", (
-        ("what", {"choices": ["sim", "congr", "star"]}),
-        ("--jordan", {"help": "compact notation (sim)"}),
-        ("--form", {"help": "canonical-form JSON file (congr/star)"}),
-        ("--format", {"choices": ["json", "ascii"], "default": "json"}),
-    )),
-    "reduce": ("reduce J+E to miniversal form", (
-        ("--jordan", {"required": True}),
-        ("--pert", {"required": True, "help": "perturbation matrix JSON file"}),
-        ("--tol", {"type": float}),
-    )),
-    "classify": ("congruence canonical form of a small matrix", (
-        ("--matrix", {"required": True}),
-        ("--tol", {"type": float}),
-    )),
-    "survey": ("random-perturbation bundle survey", (
-        ("--jordan", {"required": True}),
-        ("--eps", {"type": float, "required": True}),
-        ("--trials", {"type": int, "required": True}),
-        ("--seed", {"type": int, "required": True}),
-        ("--mode", {"choices": ["dense", "strict_upper"], "default": "dense"}),
-        ("--radius", {"type": float, "help": "cluster radius (default: the library's)"}),
-        ("--tol", {"type": float}),
-        ("--full", {"action": "store_true", "help": "include per-trial data"}),
-    )),
-    "witness": ("sparse perturbation realizing a graph edge", (
-        ("--from", {"dest": "src", "required": True}),
-        ("--to", {"dest": "dst", "required": True}),
-        ("--eps", {"type": float, "default": 1e-3}),
-        ("--tol", {"type": float}),
-    )),
-}
-
-
-def _build_parser(command: str | None) -> _Parser:
-    """Every subcommand with its help line, but only ``command`` with its
-    arguments: argparse reads no other subcommand's, so building them would
-    only lengthen every process's start."""
-    p = _Parser(prog="strata", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_line, arguments) in _SUBCOMMANDS.items():
-        s = sub.add_parser(name, help=help_line)
-        if name == command:
-            for flag, options in arguments:
-                s.add_argument(flag, **options)
-    return p
-
-
 def _cmd_weyr(args) -> None:
     from .perturb import numeric_weyr
 
@@ -367,16 +300,71 @@ def _cmd_witness(args) -> None:
     _emit(doc)
 
 
-_COMMANDS = {
-    "weyr": _cmd_weyr,
-    "codim": _cmd_codim,
-    "graph": _cmd_graph,
-    "template": _cmd_template,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "survey": _cmd_survey,
-    "witness": _cmd_witness,
+# each subcommand: its help line, handler and arguments as (flag, add_argument keywords)
+_SUBCOMMANDS = {
+    "weyr": ("block-count sequence of a matrix at an eigenvalue", _cmd_weyr, (
+        ("--matrix", {"required": True}),
+        ("--lambda", {"dest": "lam", "required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "codim": ("numeric orbit codimension", _cmd_codim, (
+        ("--action", {"required": True, "choices": ["sim", "congr", "star"]}),
+        ("--matrix", {"required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "graph": ("closure graphs", _cmd_graph, (
+        ("what", {"choices": ["sim", "bundle", "congr", "star"]}),
+        ("--n", {"type": int, "required": True}),
+        ("--nilpotent", {"action": "store_true"}),
+        ("--kind", {"choices": ["classes", "bundles"]}),
+        ("--format", {"choices": ["json", "dot"], "default": "json"}),
+    )),
+    "template": ("miniversal deformation templates", _cmd_template, (
+        ("what", {"choices": ["sim", "congr", "star"]}),
+        ("--jordan", {"help": "compact notation (sim)"}),
+        ("--form", {"help": "canonical-form JSON file (congr/star)"}),
+        ("--format", {"choices": ["json", "ascii"], "default": "json"}),
+    )),
+    "reduce": ("reduce J+E to miniversal form", _cmd_reduce, (
+        ("--jordan", {"required": True}),
+        ("--pert", {"required": True, "help": "perturbation matrix JSON file"}),
+        ("--tol", {"type": float}),
+    )),
+    "classify": ("congruence canonical form of a small matrix", _cmd_classify, (
+        ("--matrix", {"required": True}),
+        ("--tol", {"type": float}),
+    )),
+    "survey": ("random-perturbation bundle survey", _cmd_survey, (
+        ("--jordan", {"required": True}),
+        ("--eps", {"type": float, "required": True}),
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+        ("--mode", {"choices": ["dense", "strict_upper"], "default": "dense"}),
+        ("--radius", {"type": float, "help": "cluster radius (default: the library's)"}),
+        ("--tol", {"type": float}),
+        ("--full", {"action": "store_true", "help": "include per-trial data"}),
+    )),
+    "witness": ("sparse perturbation realizing a graph edge", _cmd_witness, (
+        ("--from", {"dest": "src", "required": True}),
+        ("--to", {"dest": "dst", "required": True}),
+        ("--eps", {"type": float, "default": 1e-3}),
+        ("--tol", {"type": float}),
+    )),
 }
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """Every subcommand with its help line, but only ``command`` with its
+    arguments: argparse reads no other subcommand's, so building them would
+    only lengthen every process's start."""
+    p = _Parser(prog="strata", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, arguments) in _SUBCOMMANDS.items():
+        s = sub.add_parser(name, help=help_line)
+        if name == command:
+            for flag, options in arguments:
+                s.add_argument(flag, **options)
+    return p
 
 
 def run(argv) -> int:
@@ -386,7 +374,7 @@ def run(argv) -> int:
     parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
-        _COMMANDS[args.command](args)
+        _SUBCOMMANDS[args.command][1](args)
         return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

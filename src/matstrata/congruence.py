@@ -44,7 +44,9 @@ _KIND_ORDER = {"H": 0, "H*": 0, "Gamma": 1, "U": 1, "N": 2}
 class Block(Value):
     """One canonical direct summand; ``size`` is its matrix size."""
 
-    _fields = ("kind", "size", "param")
+    kind: str
+    size: int
+    param: complex | None = None
 
     def __init__(self, kind: str, size: int, param: complex | None = None):
         if kind not in _KIND_ORDER:
@@ -78,7 +80,7 @@ def _block_sort_key(b: Block):
 class _Form(Value):
     """Direct sum of canonical blocks, none of them of a ``_FOREIGN`` kind."""
 
-    _fields = ("blocks",)
+    blocks: tuple[Block, ...]
 
     def __init__(self, blocks: tuple[Block, ...]):
         blocks = tuple(blocks)
@@ -353,10 +355,8 @@ def _tabulated_template(form, lookup) -> DeformationTemplate:
 class TableEntry(Value):
     """One deformation-table row; ``make`` fills in free parameters."""
 
-    _fields = ("signature", "star")
-
-    def __init__(self, signature: tuple, star: bool):
-        self._set(signature, star)
+    signature: tuple
+    star: bool
 
     @property
     def n_mu(self) -> int:

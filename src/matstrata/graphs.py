@@ -83,10 +83,10 @@ def closure_leq(J: JordanType, J2: JordanType) -> bool:
 
 
 class GraphVertex(Value):
-    _fields = ("id", "notation", "dim", "structure")
-
-    def __init__(self, id: str, notation: str, dim: int, structure: JordanType):
-        self._set(id, notation, dim, structure)
+    id: str
+    notation: str
+    dim: int
+    structure: JordanType
 
 
 class ClosureGraph(Value):
@@ -96,11 +96,9 @@ class ClosureGraph(Value):
     edge strictly increases the dimension annotation.
     """
 
-    _fields = ("kind", "vertices", "edges")
-
-    def __init__(self, kind: str, vertices: tuple[GraphVertex, ...],
-                 edges: tuple[tuple[str, str], ...]):
-        self._set(kind, vertices, edges)
+    kind: str
+    vertices: tuple[GraphVertex, ...]
+    edges: tuple[tuple[str, str], ...]
 
     @cached_property
     def _by_key(self) -> dict[str, int]:

@@ -45,13 +45,13 @@ class Family(Value):
     appearance, any other param is fixed.
     """
 
-    _fields = ("fid", "label", "dim", "blocks", "domain", "canon", "sample")
-
-    def __init__(self, fid: str, label: str, dim: int, blocks: tuple = (),
-                 domain: object = None,     # params -> bool
-                 canon: object = None,      # params -> canonical tuple (instance identity)
-                 sample: tuple = ()):
-        self._set(fid, label, dim, blocks, domain, canon, sample)
+    fid: str
+    label: str
+    dim: int
+    blocks: tuple = ()
+    domain: object = None  # params -> bool
+    canon: object = None  # params -> canonical tuple (instance identity)
+    sample: tuple = ()
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -90,19 +90,16 @@ class Family(Value):
 
 
 class Arrow(Value):
-    _fields = ("src", "dst", "predicate", "condition")
-
-    def __init__(self, src: str, dst: str,
-                 predicate: object = None,  # (src_params, dst_params) -> bool
-                 condition: str = ""):
-        self._set(src, dst, predicate, condition)
+    src: str
+    dst: str
+    predicate: object = None  # (src_params, dst_params) -> bool
+    condition: str = ""
 
 
 class ParametricGraph(Value):
-    _fields = ("kind", "families", "arrows")
-
-    def __init__(self, kind: str, families: tuple[Family, ...], arrows: tuple[Arrow, ...]):
-        self._set(kind, families, arrows)
+    kind: str
+    families: tuple[Family, ...]
+    arrows: tuple[Arrow, ...]
 
     def family(self, fid: str) -> Family:
         for f in self.families:
@@ -264,32 +261,32 @@ _DOMAINS = {
 }
 
 # --- the graphs, as row tables ----------------------------------------------
-# family row: id, label, blocks, parameter domain, then its dimension in each
-# graph kind; arrow row: src, dst, and for a conditional arrow the predicate
-# (src params, dst params) -> bool and its text
+# family row: id, label, blocks, parameter domain, class dimension (a bundle
+# adds its number of free parameters); arrow row: src, dst, and for a
+# conditional arrow the predicate (src params, dst params) -> bool and its text
 
 _CONGRUENCE_FAMILIES = {
     2: (
-        ("zero2", "0₂", (("N", 1), ("N", 1)), None, 0, 0),
-        ("h_minus1", "[[0,1],[-1,0]]", (("H", 2, -1.0),), None, 1, 1),
-        ("diag_1_0", "diag(1,0)", (("Gamma", 1), ("N", 1)), None, 2, 2),
-        ("gamma2", "[[0,-1],[1,1]]", (("Gamma", 2),), None, 3, 3),
-        ("diag_1_1", "diag(1,1)", (("Gamma", 1), ("Gamma", 1)), None, 3, 3),
-        ("h_lambda", "[[0,1],[λ,0]]", (("H", 2, "λ"),), "H", 3, 4),
+        ("zero2", "0₂", (("N", 1), ("N", 1)), None, 0),
+        ("h_minus1", "[[0,1],[-1,0]]", (("H", 2, -1.0),), None, 1),
+        ("diag_1_0", "diag(1,0)", (("Gamma", 1), ("N", 1)), None, 2),
+        ("gamma2", "[[0,-1],[1,1]]", (("Gamma", 2),), None, 3),
+        ("diag_1_1", "diag(1,1)", (("Gamma", 1), ("Gamma", 1)), None, 3),
+        ("h_lambda", "[[0,1],[λ,0]]", (("H", 2, "λ"),), "H", 3),
     ),
     3: (
-        ("zero3", "0₃", (("N", 1),) * 3, None, 0, 0),
-        ("h_minus1_n1", "[[0,1],[-1,0]]⊕0", (("H", 2, -1.0), ("N", 1)), None, 3, 3),
-        ("diag_1_0_0", "diag(1,0,0)", (("Gamma", 1), ("N", 1), ("N", 1)), None, 3, 3),
-        ("h_lambda_n1", "[[0,1],[λ,0]]⊕0", (("H", 2, "λ"), ("N", 1)), "H", 5, 6),
-        ("gamma2_n1", "[[0,-1],[1,1]]⊕0", (("Gamma", 2), ("N", 1)), None, 5, 5),
-        ("diag_1_1_0", "diag(1,1,0)", (("Gamma", 1), ("Gamma", 1), ("N", 1)), None, 5, 5),
-        ("h_minus1_gamma1", "[[0,1],[-1,0]]⊕1", (("H", 2, -1.0), ("Gamma", 1)), None, 6, 6),
-        ("diag_1_1_1", "diag(1,1,1)", (("Gamma", 1),) * 3, None, 6, 6),
-        ("n3", "N₃", (("N", 3),), None, 7, 7),
-        ("h_mu_gamma1", "[[0,1],[μ,0]]⊕1", (("H", 2, "μ"), ("Gamma", 1)), "H", 8, 9),
-        ("gamma2_gamma1", "[[0,-1],[1,1]]⊕1", (("Gamma", 2), ("Gamma", 1)), None, 8, 8),
-        ("gamma3", "Γ₃", (("Gamma", 3),), None, 8, 8),
+        ("zero3", "0₃", (("N", 1),) * 3, None, 0),
+        ("h_minus1_n1", "[[0,1],[-1,0]]⊕0", (("H", 2, -1.0), ("N", 1)), None, 3),
+        ("diag_1_0_0", "diag(1,0,0)", (("Gamma", 1), ("N", 1), ("N", 1)), None, 3),
+        ("h_lambda_n1", "[[0,1],[λ,0]]⊕0", (("H", 2, "λ"), ("N", 1)), "H", 5),
+        ("gamma2_n1", "[[0,-1],[1,1]]⊕0", (("Gamma", 2), ("N", 1)), None, 5),
+        ("diag_1_1_0", "diag(1,1,0)", (("Gamma", 1), ("Gamma", 1), ("N", 1)), None, 5),
+        ("h_minus1_gamma1", "[[0,1],[-1,0]]⊕1", (("H", 2, -1.0), ("Gamma", 1)), None, 6),
+        ("diag_1_1_1", "diag(1,1,1)", (("Gamma", 1),) * 3, None, 6),
+        ("n3", "N₃", (("N", 3),), None, 7),
+        ("h_mu_gamma1", "[[0,1],[μ,0]]⊕1", (("H", 2, "μ"), ("Gamma", 1)), "H", 8),
+        ("gamma2_gamma1", "[[0,-1],[1,1]]⊕1", (("Gamma", 2), ("Gamma", 1)), None, 8),
+        ("gamma3", "Γ₃", (("Gamma", 3),), None, 8),
     ),
 }
 
@@ -355,14 +352,16 @@ _STAR_ARROWS = (
 )
 
 
-def _parametric_graph(kind: str, column: int, family_rows, arrow_rows) -> ParametricGraph:
-    """A parametric graph from its row tables, each family's dimension taken
-    from dimension ``column`` of its row."""
-    families = tuple(
-        Family(fid, label, dims[column], blocks, *_DOMAINS[domain])
-        for fid, label, blocks, domain, *dims in family_rows
-    )
-    return ParametricGraph(kind, families, tuple(Arrow(*a) for a in arrow_rows))
+def _parametric_graph(kind: str, family_rows, arrow_rows) -> ParametricGraph:
+    """A parametric graph from its row tables.  A bundle, the union of the
+    classes its free parameters sweep, adds their number to its row's dim."""
+    families = []
+    for fid, label, blocks, domain, dim in family_rows:
+        family = Family(fid, label, dim, blocks, *_DOMAINS[domain])
+        if kind == "bundles":
+            family = Family(fid, label, dim + family.nparams, blocks, *_DOMAINS[domain])
+        families.append(family)
+    return ParametricGraph(kind, tuple(families), tuple(Arrow(*a) for a in arrow_rows))
 
 
 @lru_cache(maxsize=None)
@@ -372,15 +371,14 @@ def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
         raise ValueError("kind must be 'classes' or 'bundles'")
     if n not in _CONGRUENCE_FAMILIES:
         raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
-    column = ("classes", "bundles").index(kind)
-    shared, *own = _CONGRUENCE_ARROWS[n]
-    return _parametric_graph(kind, column, _CONGRUENCE_FAMILIES[n], shared + own[column])
+    shared, *own = _CONGRUENCE_ARROWS[n]  # own: the class graph's, the bundle graph's
+    return _parametric_graph(kind, _CONGRUENCE_FAMILIES[n], shared + own[kind == "bundles"])
 
 
 @lru_cache(maxsize=None)
 def star_graph_2x2() -> ParametricGraph:
     """Closure graph for *congruence classes of 2x2 matrices (real dims)."""
-    return _parametric_graph("star_classes", 0, _STAR_FAMILIES, _STAR_ARROWS)
+    return _parametric_graph("star_classes", _STAR_FAMILIES, _STAR_ARROWS)
 
 
 # --- serialization ----------------------------------------------------------

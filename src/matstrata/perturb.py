@@ -222,14 +222,15 @@ def numeric_jordan_type(
 class PerturbReport(Value):
     """Outcome of a random-perturbation survey around one structure."""
 
-    _fields = ("base", "eps", "trials", "seed", "mode", "cluster_radius", "tol",
-               "observed", "violations")
-
-    def __init__(self, base: JordanType, eps: float, trials: int, seed: int, mode: str,
-                 cluster_radius: float, tol: float,
-                 observed: tuple[tuple[int, str], ...],  # (trial index, observed bundle)
-                 violations: tuple[dict, ...]):
-        self._set(base, eps, trials, seed, mode, cluster_radius, tol, observed, violations)
+    base: JordanType
+    eps: float
+    trials: int
+    seed: int
+    mode: str
+    cluster_radius: float
+    tol: float
+    observed: tuple[tuple[int, str], ...]  # (trial index, observed bundle)
+    violations: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
@@ -324,10 +325,8 @@ def random_survey(
 
 
 class ArrowWitness(Value):
-    _fields = ("positions", "matrix")
-
-    def __init__(self, positions: tuple[tuple[int, int], ...], matrix: np.ndarray):
-        self._set(positions, matrix)
+    positions: tuple[tuple[int, int], ...]
+    matrix: np.ndarray
 
 
 def _is_single_zero_label(t: JordanType) -> bool:

@@ -174,11 +174,11 @@ class ReductionResult(Value):
     nothing pinned was perturbed).
     """
 
-    _fields = ("S", "D", "residual", "iterations", "pattern_ok")
-
-    def __init__(self, S: np.ndarray, D: np.ndarray, residual: float, iterations: int,
-                 pattern_ok: bool):
-        self._set(S, D, residual, iterations, pattern_ok)
+    S: np.ndarray
+    D: np.ndarray
+    residual: float
+    iterations: int
+    pattern_ok: bool
 
 
 def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> ReductionResult:

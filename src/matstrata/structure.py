@@ -30,7 +30,7 @@ class Partition(Value):
     pass, anything else (a float, a string) raises TypeError.
     """
 
-    _fields = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(map(operator.index, parts))
@@ -78,11 +78,9 @@ class EigLabel(Value):
     complex numbers used by the numerical modules.
     """
 
-    _fields = ("sort_key", "symbol", "value")
-
-    def __init__(self, sort_key: tuple = None, symbol: int | None = None,
-                 value: complex | None = None):
-        self._set(sort_key, symbol, value)
+    sort_key: tuple = None
+    symbol: int | None = None
+    value: complex | None = None
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -135,7 +133,6 @@ def _normalized_entries(entries) -> tuple[tuple[EigLabel, Partition], ...]:
 class JordanType(Value):
     """Map from eigenvalue labels to block-size partitions."""
 
-    _fields = ("entries",)
     entries: tuple[tuple[EigLabel, Partition], ...]
 
     def __init__(self, entries):

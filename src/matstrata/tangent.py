@@ -46,10 +46,9 @@ class OperatorMatrix(Value):
     *congruence (the map is only real-linear there).
     """
 
-    _fields = ("action", "base", "matrix")
-
-    def __init__(self, action: str, base: np.ndarray, matrix: np.ndarray):
-        self._set(action, base, matrix)
+    action: str
+    base: np.ndarray
+    matrix: np.ndarray
 
 
 def _assemble(action: str, A: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -92,23 +91,21 @@ def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(action, A, _assemble(action, A, *np.divmod(np.arange(A.size), len(A))))
 
 
-def _summand_pieces(A: np.ndarray) -> list | None:
+def _summand_pieces(A: np.ndarray) -> list:
     """Entry stacks (i, j) of shape (s, N), one per size N, of the blocks of
-    the tangent map at A; None when A has one direct summand (a component of
-    the graph linking i and j where A[i, j] or A[j, i] is nonzero).  Entries
-    of X in the blocks (a, b) and (b, a) of two summands map onto the same
-    entries of the image, so each unordered pair of summands is one block."""
+    the tangent map at A: one block per unordered pair of direct summands
+    (components of the graph linking i and j where A[i, j] or A[j, i] is
+    nonzero), as X's blocks (a, b) and (b, a) map onto the same entries of
+    the image.  One summand gives one block of all n^2 entries, row-major."""
     n = len(A)
     linked = (A != 0) | (A.T != 0) | np.eye(n, dtype=bool)
     while not np.array_equal(linked, closer := linked @ linked):
         linked = closer
     head = linked.argmax(axis=0)  # lowest index of each index's summand
-    if not head.any():
-        return None
     key = (np.minimum.outer(head, head) * n + np.maximum.outer(head, head)).reshape(-1)
     order = np.argsort(key, kind="stable")  # grouped by hand: np.unique loads numpy.ma
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sizes = np.diff(starts, append=n * n)
+    sizes = (counts := np.bincount(key))[counts > 0]  # per key, in sorted order
+    starts = np.cumsum(sizes) - sizes
     return [np.divmod(order[starts[sizes == N, None] + np.arange(N)], n) for N in set(sizes.tolist())]
 
 
@@ -185,11 +182,7 @@ def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
     """
     A = check_finite(A)
     ref = float(np.linalg.norm(A))
-    pieces = _summand_pieces(A)
-    if pieces is None:  # one summand: the whole map
-        rank = numeric_rank(action_operator(action, A).matrix, ref, tol)
-    else:
-        rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in pieces)
+    rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in _summand_pieces(A))
     return rank, A.size * (2 if action == "star_congruence" else 1)
 
 

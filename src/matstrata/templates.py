@@ -47,11 +47,10 @@ class DeformationTemplate(Value):
     delta kinds appear only in the *congruence catalog tables.
     """
 
-    _fields = ("n", "base", "kinds", "source")
-
-    def __init__(self, n: int, base: tuple[tuple[object, ...], ...],
-                 kinds: tuple[tuple[str, ...], ...], source: str):
-        self._set(n, base, kinds, source)
+    n: int
+    base: tuple[tuple[object, ...], ...]
+    kinds: tuple[tuple[str, ...], ...]
+    source: str
 
     def base_matrix(self) -> np.ndarray:
         """Numeric base; fails when the source had symbolic eigenvalues."""

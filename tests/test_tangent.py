@@ -258,6 +258,35 @@ class TestPermutedDirectSums:
             assert CODIM[action](B) == unsplit_codim(action, B)
 
 
+class TestOneRoute:
+    """Every matrix is ranked through ``_summand_pieces``: one summand is one
+    block of all n^2 entries.  The reference is the route that ranked such a
+    matrix before, one ``numeric_rank`` of the whole ``action_operator``."""
+
+    @staticmethod
+    def operator_codim(action, A, tol=DEFAULT_RANK_TOL):
+        M = action_operator(action, A).matrix
+        return M.shape[1] - numeric_rank(M, float(np.linalg.norm(A)), tol)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_one_summand_is_one_block_in_row_major_order(self, n):
+        rng = np.random.default_rng(n)
+        for A in (random_complex(rng, n), jblock(n, 1)):
+            (i, j), = _summand_pieces(A)
+            assert i.shape == j.shape == (1, n * n)
+            assert np.array_equal(i[0] * n + j[0], np.arange(n * n))
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_codim_equals_the_operator_route(self, action, n):
+        rng = np.random.default_rng(50 + n)
+        sizes = []  # 3, 1, 2, 3, 1, 2, ... summing to n
+        while sum(sizes) < n:
+            sizes.append(min((3, 1, 2)[len(sizes) % 3], n - sum(sizes)))
+        for A in (random_complex(rng, n), direct_sum(*(random_complex(rng, m) for m in sizes))):
+            assert CODIM[action](A) == self.operator_codim(action, A)
+
+
 class TestStackedRank:
     def test_stack_rank_is_sum_of_ranks(self):
         rng = np.random.default_rng(3)
