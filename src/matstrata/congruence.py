@@ -6,8 +6,10 @@ block Gamma(s), and the nilpotent block N(k).  For *congruence the blocks
 are H*(m, lam) with |lam| != 0, 1, the unimodular anti-triangular block
 U(s, mu) with |mu| = 1, and N(k).
 
-The 2x2 and 3x3 congruence deformations are derived from the tangent map;
-the *congruence table, whose eps and delta cells depend on mu, is transcribed.
+The 2x2 and 3x3 deformations of both catalogues are derived from the
+tangent map by one walk over the matrix units at a representative of each
+table row (lam = 2, every mu = 1); the actual mu then decides the kind of
+each *congruence eps and delta cell.
 Classification of small matrices goes through the Kronecker data of the
 pencil (A, A^T): common-kernel deflation, three ranks and, for an H block,
 the eigenvalues of the cosquare A^-T A pin down the canonical form.
@@ -16,7 +18,7 @@ the eigenvalues of the cosquare A^-T A pin down the canonical form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
@@ -236,76 +238,54 @@ def _signature(form) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _congruence_stars(sig: tuple) -> tuple:
-    """Star cells of a congruence signature: walking the cells on and below
-    the diagonal, then those above it, each bottom row first and left to
-    right, keep each matrix unit that raises the rank of the tangent map at
-    the canonical matrix (lam = 2 in generic H) joined with units kept so far."""
-    A = canonical_matrix(TableEntry(sig, star=False).make(lam=2.0))
+def _slots(sig: tuple, star: bool) -> tuple:
+    """Parameter slots of a table row, read off the tangent map at the row's
+    representative (lam = 2, every mu = 1).  The walk tries E_ij in each cell
+    and, on the real *congruence map, then i E_ij, and keeps each direction
+    that raises the rank of the map joined with the directions kept so far.
+
+    A slot is (i, j) for a star, ("eps", l, i, j) for a cell that keeps only
+    i E_ij, and ("delta", l, r, i, j) for a cell that keeps both directions
+    between two U blocks; l and r are the 1-based U indices of the blocks
+    that hold row i and column j.
+    """
+    entry = TableEntry(sig, star)
+    form = entry.make(lam=2.0, mus=(1.0,) * entry.n_mu)
+    A = canonical_matrix(form)
     n = len(A)
-    M = action_operator("congruence", A).matrix
-    rank, stars = guarded_rank(M), []
-    for i, j in sorted(np.ndindex(n, n), key=lambda c: (c[1] > c[0], -c[0], c[1])):
-        joined = np.hstack([M, np.eye(n * n)[:, [i * n + j]]])
-        if (r := guarded_rank(joined)) > rank:
-            M, rank = joined, r
-            stars.append((i, j))
-    return tuple(stars)
-
-
-# slots: (i, j) for a star | ("eps", l, i, j) | ("delta", l, r, i, j)
-# with l, r 1-based indices into the entry's U parameters in block order
-
-_STAR_SLOTS = {
-    # 2x2
-    (("N", 1), ("N", 1)): [(i, j) for i in range(2) for j in range(2)],
-    (("U", 1), ("N", 1)): [("eps", 1, 0, 0), (1, 0), (1, 1)],
-    (("U", 1), ("U", 1)): [("eps", 1, 0, 0), ("delta", 2, 1, 1, 0), ("eps", 2, 1, 1)],
-    (("U", 2),): [(0, 0)],
-    (("H*", 1),): [(1, 0)],
-    # 3x3
-    (("N", 1), ("N", 1), ("N", 1)): [(i, j) for i in range(3) for j in range(3)],
-    (("U", 1), ("N", 1), ("N", 1)): [("eps", 1, 0, 0)]
-    + [(i, j) for i in (1, 2) for j in range(3)],
-    (("U", 1), ("U", 1), ("N", 1)): [
-        ("eps", 1, 0, 0),
-        ("delta", 2, 1, 1, 0),
-        ("eps", 2, 1, 1),
-        (2, 0),
-        (2, 1),
-        (2, 2),
-    ],
-    (("U", 1), ("U", 1), ("U", 1)): [
-        ("eps", 1, 0, 0),
-        ("delta", 2, 1, 1, 0),
-        ("eps", 2, 1, 1),
-        ("delta", 3, 1, 2, 0),
-        ("delta", 3, 2, 2, 1),
-        ("eps", 3, 2, 2),
-    ],
-    (("U", 2), ("U", 1)): [(0, 0), ("delta", 2, 1, 2, 0), ("eps", 2, 2, 2)],
-    (("U", 2), ("N", 1)): [(0, 0), (2, 0), (2, 1), (2, 2)],
-    (("H*", 1), ("U", 1)): [(1, 0), ("eps", 1, 2, 2)],
-    (("H*", 1), ("N", 1)): [(1, 0), (2, 0), (2, 1), (2, 2)],
-    (("N", 2), ("N", 1)): [(1, 0), (1, 2), (2, 0), (2, 2)],
-    (("N", 2),): [(1, 0)],
-    (("U", 1), ("N", 2)): [("eps", 1, 0, 0), (2, 1)],
-    # the anti-triangular 3x3 entry carries a corner star next to eps_1:
-    # that is the unique completion whose parameter directions span a
-    # complement of the tangent space (checked numerically for sampled mu),
-    # and the only one matching the codimension count
-    (("N", 3),): [(2, 0), (2, 2)],
-    (("U", 3),): [(0, 0), ("eps", 1, 1, 1)],
-}
+    M = action_operator("star_congruence" if star else "congruence", A).matrix
+    units = np.eye(len(M))  # the real map's rows hold real parts, then imaginary parts
+    is_u = [b.kind == "U" for b in form.blocks]  # each row's 1-based U index, 0 outside U blocks
+    u_index = [k * u for k, u, b in zip(accumulate(is_u), is_u, form.blocks) for _ in range(b.size)]
+    # on and below the diagonal, then above it, each bottom row first and
+    # left to right; *congruence walks the diagonal first: that order
+    # reproduces its published table (Dmytryshyn, Futorny & Sergeichuk,
+    # LAA 2014), and no one order reproduces both tables (Gamma3 needs the
+    # diagonal not first)
+    rank, slots = guarded_rank(M), []
+    for i, j in sorted(np.ndindex(n, n), key=lambda c: (star and c[0] != c[1], c[1] > c[0], -c[0], c[1])):
+        kept = []
+        for part in range(1 + star):  # E_ij, then i E_ij
+            joined = np.hstack([M, units[:, [part * n * n + i * n + j]]])
+            if (r := guarded_rank(joined)) > rank:
+                M, rank = joined, r
+                kept.append(part)
+        if kept == [1]:
+            slots.append(("eps", u_index[i], i, j))
+        elif len(kept) == 2 and 0 < u_index[i] != u_index[j] > 0:
+            slots.append(("delta", u_index[i], u_index[j], i, j))
+        elif kept:
+            slots.append((i, j))
+    return tuple(slots)
 
 
 def congruence_template(form: CongruenceForm) -> DeformationTemplate:
     """Miniversal deformation of a 2x2 or 3x3 congruence form."""
-    return _tabulated_template(normalize_form(form), _congruence_stars)
+    return _tabulated_template(normalize_form(form), star=False)
 
 
 def star_template(form: StarForm) -> DeformationTemplate:
-    """Tabulated miniversal deformation of a 2x2 or 3x3 *congruence form.
+    """Miniversal deformation of a 2x2 or 3x3 *congruence form.
 
     eps slots are purely real or purely imaginary depending on whether the
     attached unimodular parameter is off or on the real axis; delta slots
@@ -313,20 +293,18 @@ def star_template(form: StarForm) -> DeformationTemplate:
     taken as given (both |lam| > 1 and |lam| < 1 are accepted).
     """
     normalize_form(form)  # refuses parameters outside their domains
-    return _tabulated_template(StarForm(sorted(form.blocks, key=_block_sort_key)), _STAR_SLOTS.get)
+    return _tabulated_template(StarForm(sorted(form.blocks, key=_block_sort_key)), star=True)
 
 
-def _tabulated_template(form, lookup) -> DeformationTemplate:
+def _tabulated_template(form, star: bool) -> DeformationTemplate:
+    """``form``'s template in the *congruence catalogue if ``star``, else congruence."""
     n = form.n
     if n not in (2, 3):
         raise CatalogError(f"deformation tables cover sizes 2 and 3, not {n}")
-    slots = lookup(_signature(form))
-    if slots is None:
-        raise CatalogError(f"no tabulated deformation for {form_display(form)}")
     mus = [b.param for b in form.blocks if b.kind == "U"]
     base = canonical_matrix(form)
     kinds = [[FIXED] * n for _ in range(n)]
-    for slot in slots:
+    for slot in _slots(_signature(form), star):
         if len(slot) == 2:
             i, j = slot
             kinds[i][j] = STAR
@@ -518,4 +496,6 @@ def form_from_json_doc(doc) -> CongruenceForm | StarForm:
         Block(e["kind"], size, complex_from_pair(e["param"]) if "param" in e else None)
         for e, size in zip(doc["blocks"], sizes)
     )
-    return StarForm(blocks) if doc.get("star") else CongruenceForm(blocks)
+    if type(star := doc.get("star", False)) is not bool:
+        raise CatalogError(f'the form flag "star" must be true or false, got {star!r}')
+    return StarForm(blocks) if star else CongruenceForm(blocks)

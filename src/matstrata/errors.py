@@ -30,8 +30,8 @@ class ReductionError(StrataError, RuntimeError):
 
 
 class CatalogError(StrataError, ValueError):
-    """Canonical form is outside the implemented catalog (wrong size,
-    excluded parameter, or an entry with no tabulated deformation)."""
+    """Canonical form is outside the implemented catalog (wrong size, excluded
+    parameter, or a block or flag the catalog does not know)."""
 
 
 class NumericalAmbiguityError(StrataError, RuntimeError):

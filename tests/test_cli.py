@@ -153,6 +153,13 @@ class TestTemplateCommand:
     def test_missing_argument(self):
         assert invoke("template", "sim")[0] == 1
 
+    def test_star_flag_not_a_boolean_refused(self, tmp_path, capsys):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"star": "false", "blocks": [{"kind": "H", "size": 2, "param": [2, 0]}]}))
+        assert invoke("template", "congr", "--form", str(path)) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: form file") and 'flag "star"' in err and err.count("\n") == 1
+
     def test_symbolic_cells_carry_their_label(self):
         code, out = invoke("template", "sim", "--jordan", "a^2 b")
         values = {(e["i"], e["j"]): e.get("value") for e in json.loads(out)["entries"]}

@@ -158,6 +158,11 @@ class TestCongruenceTables:
         tmpl = congruence_template(CongruenceForm((N(2),)))
         assert [(i, j) for i, j in np.ndindex(2, 2) if tmpl.kinds[i][j] == STAR] == [(1, 0)]
 
+    @pytest.mark.parametrize("block", [U(1, 1.0), HS(1, 2.0)])
+    def test_star_block_refused_by_name(self, block):
+        with pytest.raises(CatalogError, match=f"{block.kind} blocks belong to the \\*congruence catalog"):
+            congruence_template(StarForm((block, N(1))))
+
 
 class TestStarTables:
     def test_param_counts_match_numeric_codim(self):
@@ -403,6 +408,15 @@ class TestSerialization:
         doc = {"star": False, "blocks": [{"kind": "Gamma", "size": size}]}
         with pytest.raises(CatalogError, match="must be integers"):
             form_from_json_doc(doc)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_star_flag_must_be_a_boolean(self, flag):
+        doc = {"star": flag, "blocks": [{"kind": "H", "size": 2, "param": [2, 0]}]}
+        with pytest.raises(CatalogError, match='flag "star"'):
+            form_from_json_doc(doc)
+
+    def test_absent_star_flag_means_congruence(self):
+        assert isinstance(form_from_json_doc({"blocks": [{"kind": "N", "size": 1}]}), CongruenceForm)
 
     def test_parametric_docs(self):
         g = star_graph_2x2()
