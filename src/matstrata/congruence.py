@@ -34,7 +34,9 @@ from .parametric import (  # noqa: F401 -- the closure graphs live in parametric
 )
 from .structure import complex_from_pair, format_complex
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
-from .tangent import DEFAULT_RANK_TOL, action_operator, band_ranks, check_finite, check_tol, guarded_rank
+from .tangent import (
+    DEFAULT_RANK_TOL, action_operator, band_ranks, check_finite, check_tol, guarded_rank, unit_scale,
+)
 
 # ---------------------------------------------------------------------------
 # blocks and forms
@@ -460,7 +462,7 @@ def classify_congruence(A, tol: float = DEFAULT_RANK_TOL) -> CongruenceForm:
     rather than guessing.
     """
     check_tol(tol)
-    A = check_finite(A)
+    A = unit_scale(check_finite(A))
     n = A.shape[0]
     if n not in (2, 3):
         raise CatalogError(f"classification covers 2x2 and 3x3 matrices, got {A.shape}")

@@ -1,9 +1,11 @@
 """Empirical side: numerical Jordan structure of perturbed matrices.
 
 One estimator works on a stack of matrices, a single matrix being a stack
-of one.  It clusters the eigenvalues of every matrix by single linkage in
-one vectorised pass, and takes the block-count sequence of each cluster
-from rank differences of powers, every rank decided by the band rule of
+of one.  It takes eigenvalues from ``numpy.linalg.eigvals``, whose LAPACK
+balancing returns those of a permuted-triangular matrix (a strict-upper
+survey draw) exactly, clusters them by single linkage in one vectorised
+pass, and takes the block-count sequence of each cluster from rank
+differences of powers, every rank decided by the band rule of
 ``tangent.band_ranks``.  Monte-Carlo surveys check that every structure
 observed near a canonical matrix is reachable in the bundle closure graph.
 A small search routine finds sparse perturbations realizing individual
@@ -43,21 +45,6 @@ SURVEY_STACK = 64
 def _check_radius(cluster_radius: float) -> None:
     if not (math.isfinite(cluster_radius) and cluster_radius > 0):
         raise ValueError(f"cluster radius must be finite and > 0, got {cluster_radius}")
-
-
-def _eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each matrix of the stack A (k, n, n), as (k, n)."""
-    i = np.arange(A.shape[1])
-    lower = i[:, None] > i
-    # exactly triangular matrices keep their diagonal as exact eigenvalues;
-    # generic eig would scatter defective ones by roundoff^(1/m)
-    full = A[:, lower].any(axis=1) & A[:, lower.T].any(axis=1)
-    if full.all():
-        return np.linalg.eigvals(A)
-    eigs = np.diagonal(A, axis1=1, axis2=2).copy()
-    if full.any():
-        eigs[full] = np.linalg.eigvals(A[full])
-    return eigs
 
 
 def _clusters(eigs: np.ndarray, cluster_radius: float) -> list:
@@ -152,7 +139,7 @@ def _cluster_sizes(found):
 
 def _estimate_sizes(A: np.ndarray, cluster_radius: float, tol: float) -> list:
     """_cluster_sizes of each matrix of the stack A (k, n, n)."""
-    clusters = _clusters(_eigenvalues(A), cluster_radius)
+    clusters = _clusters(np.linalg.eigvals(A), cluster_radius)
     # one Weyr stack for every cluster of multiplicity > 1, read back in order
     jobs = [(k, c) for k, cs in enumerate(clusters) for c, mult in cs if mult > 1]
     ws = iter(())
@@ -183,7 +170,7 @@ def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     """
     _check_radius(cluster_radius)
     A = check_finite(A)
-    return _clusters(_eigenvalues(A[None]), cluster_radius)[0]
+    return _clusters(np.linalg.eigvals(A[None]), cluster_radius)[0]
 
 
 def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:

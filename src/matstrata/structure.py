@@ -336,7 +336,7 @@ def parse_compact(s: str) -> JordanType:
             j = i
             while j < n and (s[j].isdigit() or (j == i and s[j] == "-")):
                 j += 1
-            if j == i:
+            if s[i:j] in ("", "-"):
                 raise CompactParseError("missing exponent after '^'", i)
             k = int(s[i:j])
             if k < 1:

@@ -4,11 +4,14 @@ The tangent space to the orbit of A is the image of a linear map on
 matrices (commutator for similarity, X^T A + A X for congruence,
 X* A + A X for *congruence, the last one only real-linear).  Codimension
 is the ambient dimension minus the rank of that map by the band rule
-against tol |A|_F, ranked one block per unordered pair of direct summands
+against tol |A|_F (A first brought to unit size by an exact power of two,
+``unit_scale``), ranked one block per unordered pair of direct summands
 of A; a singular value inside the band abstains.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +40,13 @@ def check_finite(A, what: str = "matrix") -> np.ndarray:
     if not np.isfinite(A).all():
         raise ValueError(f"{what} must be finite, got a NaN or infinite entry")
     return A
+
+
+def unit_scale(A: np.ndarray) -> np.ndarray:
+    """A times the power of two that brings its largest real or imaginary part into
+    [0.5, 1) (2^0 for zero): exact short of subnormals, so no decision moves, no norm overflows."""
+    parts = np.ascontiguousarray(A).view(float)
+    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
 
 
 class OperatorMatrix(Value):
@@ -180,7 +190,7 @@ def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
     commutator map is pure roundoff and has rank 0.  (The Frobenius norm is
     within sqrt(n) of the spectral norm and, unlike it, needs no SVD.)
     """
-    A = check_finite(A)
+    A = unit_scale(check_finite(A))
     ref = float(np.linalg.norm(A))
     rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in _summand_pieces(A))
     return rank, A.size * (2 if action == "star_congruence" else 1)

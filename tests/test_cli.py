@@ -160,6 +160,11 @@ class TestTemplateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: form file") and 'flag "star"' in err and err.count("\n") == 1
 
+    def test_bare_minus_exponent_refused(self, capsys):
+        assert invoke("template", "sim", "--jordan", "a^-") == (1, "")
+        err = capsys.readouterr().err
+        assert "bad compact notation" in err and "missing exponent" in err
+
     def test_symbolic_cells_carry_their_label(self):
         code, out = invoke("template", "sim", "--jordan", "a^2 b")
         values = {(e["i"], e["j"]): e.get("value") for e in json.loads(out)["entries"]}

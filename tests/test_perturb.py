@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -492,3 +496,90 @@ class TestOneDecisionPath:
         )
         n_band = sum(isinstance(r, NumericalAmbiguityError) for r in band_ranks(big, 1e-8, ref))
         assert n_band == (0 if ref == 0.0 else len(planted)) and len(planted) > 10
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues of triangular stacks: LAPACK's balancing isolates them exactly
+# ---------------------------------------------------------------------------
+
+# far apart at every scale below, so every cluster (radius 1e-6) holds one
+# repeated value and its center does not depend on its members' order
+SEPARATED = np.array([0, 1, -2.5, 1j, 3 + 4j])
+# inside one cluster radius of each other
+CLOSE = np.array([0, 1e-9, 2e-9, 1e-7])
+
+
+def triangular_stacks():
+    """(kind, stack) of upper-, lower- and permuted-triangular complex stacks
+    with repeated diagonal entries, of orders 1..12 at spread scales, each
+    strictly triangular part dense or sparse; upper stacks also with
+    diagonals whose distinct values lie inside one cluster."""
+    rng = np.random.default_rng(22)
+    for n in range(1, 13):
+        for scale, values in [(10.0 ** k, SEPARATED) for k in (-4, 0, 4, 8, 12)] + [(1.0, CLOSE)]:
+            R = np.array([random_complex(rng, n, strict_upper=True) for _ in range(8)])
+            R[4:] *= rng.random((4, n, n)) < 0.3
+            U = scale * (R + rng.choice(values, (8, n))[:, :, None] * np.eye(n))
+            yield "upper", U
+            if values is SEPARATED:
+                p = rng.permutation(n)
+                yield "lower", np.ascontiguousarray(U.transpose(0, 2, 1))
+                yield "permuted", U[:, p][:, :, p]
+
+
+def diagonal_reference_sizes(A, radius, tol):
+    """_estimate_sizes with each matrix's diagonal taken as its eigenvalues."""
+    clusters = perturb._clusters(np.diagonal(A, axis1=1, axis2=2).copy(), radius)
+    jobs = [(k, c) for k, cs in enumerate(clusters) for c, mult in cs if mult > 1]
+    ws = iter(())
+    if jobs:
+        rows, centers = zip(*jobs)
+        ws = iter(perturb._weyr(A[list(rows)], np.array(centers), tol))
+    return [
+        perturb._cluster_sizes([(c, mult, (1,) if mult == 1 else next(ws)) for c, mult in cs])
+        for cs in clusters
+    ]
+
+
+class TestTriangularEigenvalues:
+    def test_eigvals_returns_the_diagonal_bit_for_bit(self):
+        kinds = set()
+        for kind, A in triangular_stacks():
+            eigs, diag = np.linalg.eigvals(A), np.diagonal(A, axis1=1, axis2=2)
+            bits = np.ascontiguousarray(np.stack([eigs, diag])).view(np.uint64).reshape(2, len(A), -1, 2)
+            for e, d in zip(*bits.tolist()):  # each row's bit patterns, as multisets
+                assert sorted(e) == sorted(d), kind
+            if kind == "upper":
+                # balancing leaves an upper-triangular matrix unpermuted: a
+                # survey's strict-upper stack keeps its diagonal's order too
+                assert np.array_equal(eigs, diag)
+            kinds.add(kind)
+        assert kinds == {"upper", "lower", "permuted"}
+
+    def test_estimate_equals_the_diagonal_reference(self):
+        for kind, A in triangular_stacks():
+            for tol in (1e-8, 1e-6):
+                got = perturb._estimate_sizes(A, 1e-6, tol)
+                want = diagonal_reference_sizes(A, 1e-6, tol)
+                assert [_band_outcome(s) for s in got] == [_band_outcome(s) for s in want], kind
+
+    def test_survey_draws_keep_their_diagonal(self):
+        t = parse_compact("(0)^3 (0)^2 (0)")
+        for eps in (1e-9, 1e-3, 0.3):
+            R = perturb._random_directions(np.random.SeedSequence(4).spawn(64), t.n, "strict_upper")
+            A = jordan_matrix(t) + eps * R
+            assert np.array_equal(np.linalg.eigvals(A), np.zeros((64, t.n)))
+
+    def test_strict_upper_survey_is_the_same_on_every_openblas_core(self):
+        # each run sets the core type only in its own child's environment
+        src = os.path.dirname(os.path.dirname(perturb.__file__))
+        argv = [sys.executable, "-m", "matstrata.cli", "survey", "--jordan", "(0)^3 (0)^2 (0)",
+                "--eps", "1e-3", "--trials", "300", "--seed", "2", "--mode", "strict_upper", "--full"]
+        outputs = []
+        for core in (None, "Haswell", "Sandybridge", "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update(PYTHONPATH=src, **({"OPENBLAS_CORETYPE": core} if core else {}))
+            res = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert '"trials": 300' in outputs[0] and outputs[1:] == outputs[:1] * 3

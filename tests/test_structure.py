@@ -125,6 +125,12 @@ class TestCompactNotation:
         with pytest.raises(CompactParseError):
             parse_compact("a^")
 
+    @pytest.mark.parametrize("text", ["a^-", "(0)^-", "a^-x"])
+    def test_error_bare_minus_exponent(self, text):
+        with pytest.raises(CompactParseError, match=r"missing exponent after '\^'") as err:
+            parse_compact(text)
+        assert err.value.position == text.index("^") + 1  # 2 for "a^-"
+
     def test_error_unterminated_literal(self):
         with pytest.raises(CompactParseError):
             parse_compact("(2+1j")

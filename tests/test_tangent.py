@@ -18,8 +18,9 @@ from matstrata import (
     similarity_codim_numeric,
     star_congruence_codim_numeric,
 )
+from matstrata.congruence import Block, CongruenceForm, canonical_matrix, form_display
 from matstrata.tangent import (
-    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, band_ranks, check_tol, guarded_rank, numeric_rank,
+    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, band_ranks, check_tol, guarded_rank, numeric_rank, unit_scale,
 )
 from conftest import random_complex, well_conditioned
 
@@ -315,6 +316,45 @@ class TestCodimGuard:
             want = sum(band_ranks(stack, 1e-8, 1.0))
             assert 0 < want < stack.size
             assert band_ranks(rng.permutation(stack.ravel())[None], 1e-8, 1.0) == [want]
+
+
+class TestFloatRange:
+    """codim and classify give the same answer at every scale of the float
+    range: the power-of-two scaling is exact, and no norm overflows or
+    underflows on the way."""
+
+    CASES = {
+        "Γ1⊕Γ1": np.diag([1.0, 2.0]),
+        "H1(2)": canonical_matrix(CongruenceForm((Block("H", 2, 2.0),))),
+        "Γ2": canonical_matrix(CongruenceForm((Block("Gamma", 2),))),
+    }
+
+    def answers(self, A):
+        codims = (similarity_codim_numeric, congruence_codim_numeric, star_congruence_codim_numeric)
+        return [f(A) for f in codims], form_display(classify_congruence(A))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-300, -200, -160, 0, 160, 200, 300])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_answer_at_every_scale(self, name, k):
+        A = np.asarray(self.CASES[name], dtype=complex)
+        want = self.answers(A)
+        assert want[1] == name
+        assert self.answers(A * 10.0**k) == want
+        if name == "Γ1⊕Γ1":
+            assert want[0] == [2, 1, 4]
+
+    def test_unit_scale_is_an_exact_power_of_two(self):
+        rng = np.random.default_rng(9)
+        for k in (-300, -8, 0, 8, 300):
+            A = random_complex(rng, 4) * 10.0**k
+            for M in (A, A.T, A[:, ::2].imag * 1j):  # non-contiguous, then a purely imaginary part
+                S = unit_scale(M)
+                parts, scaled = (np.concatenate([X.real, X.imag]) for X in (M, S))
+                assert 0.5 <= np.abs(scaled).max() < 1 and S.shape == M.shape
+                ratio = scaled[parts != 0] / parts[parts != 0]
+                assert np.all(ratio == ratio[0]) and np.frexp(ratio[0])[0] == 0.5
+        assert np.array_equal(unit_scale(np.zeros((2, 2), dtype=complex)), np.zeros((2, 2)))
 
 
 class TestToleranceCheck:
