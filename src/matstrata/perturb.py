@@ -1,15 +1,16 @@
 """Empirical side: numerical Jordan structure of perturbed matrices.
 
-One estimator works on a stack of matrices, a single matrix being a stack
-of one.  It takes eigenvalues from ``numpy.linalg.eigvals``, whose LAPACK
-balancing returns those of a permuted-triangular matrix (a strict-upper
-survey draw) exactly, clusters them by single linkage in one vectorised
-pass, and takes the block-count sequence of each cluster from rank
-differences of powers, every rank decided by the band rule of
-``tangent.band_ranks``.  Monte-Carlo surveys check that every structure
-observed near a canonical matrix is reachable in the bundle closure graph.
-A small search routine finds sparse perturbations realizing individual
-graph edges.
+One estimator works on a stack of matrices, a single matrix being a stack of
+one.  It takes eigenvalues from ``numpy.linalg.eigvals``, whose LAPACK
+balancing returns those of a permuted-triangular matrix (a strict-upper survey
+draw) exactly, clusters them by single linkage in one vectorised pass, and
+takes the block-count sequence of each cluster from rank differences of powers
+of A - lambda I, every rank decided by the band rule of ``tangent.band_ranks``.
+Scaling A - lambda I by the power of two that brings its largest real or
+imaginary part into [0.5, 1) is exact: it keeps every power finite and moves
+no rank.  Monte-Carlo surveys check that every structure observed near a
+canonical matrix is reachable in the bundle closure graph.  A small search
+routine finds sparse perturbations realizing individual graph edges.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
     """
     m, n = A.shape[0], A.shape[1]
     P = np.eye(n, dtype=complex)  # broadcast against the stack by the first product
-    B = A - lam[:, None, None] * P
+    parts = (A - lam[:, None, None] * P).view(float)  # each row scaled exactly, so no power overflows
+    B = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=(1, 2), keepdims=True))[1]).view(complex)
     out: list = [()] * m  # what each row gets when n = 0 and no power is taken
     running = [(k, [], n) for k in range(m)]  # (row, block counts so far, previous rank)
     for _ in range(n):

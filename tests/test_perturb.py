@@ -109,6 +109,16 @@ class TestNumericWeyr:
             numeric_weyr(A, 0.0, 1e-8)
         assert info.value.details == {"w": [1, 2]}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 1e300])
+    def test_same_answer_near_the_ends_of_the_float_range(self, scale):
+        # each A - lam I is scaled by a power of two first, so no power overflows
+        A = jordan_matrix(jt({conc(1): (2,), conc(2): (1,)})) * scale
+        assert numeric_weyr(A, scale) == (1, 1)
+        assert numeric_weyr(A, 2 * scale) == (1,)
+        if scale >= 1:  # at 1e-200 every eigenvalue lies within the absolute cluster radius
+            assert numeric_jordan_type(A) == jt({conc(scale): (2,), conc(2 * scale): (1,)})
+
     def test_recovers_canonical_structures_up_to_6(self):
         pool = [0, 1, 2 + 1j, -1.5, 3j, 5]
         for n in range(1, 7):

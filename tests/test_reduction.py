@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -246,6 +247,106 @@ class TestChainFill:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
+
+
+EIG_POOL = (0.0, 1.0, -1.0, 2j, 1 + 1j, -2.0)  # as in bench/inputs.py
+
+
+def shaped_structures():
+    """``bench/inputs.py``'s ``shaped_structure`` for orders 2..12 and
+    draws 0..5, the structures a numerics pass reduces."""
+    for n in range(2, 13):
+        for draw in range(6):
+            k = min(1 + draw % 3, n)
+            mults = [n // k + (1 if i < n % k else 0) for i in range(k)]
+            yield JordanType({
+                conc(EIG_POOL[(draw + i) % len(EIG_POOL)]):
+                partitions(m)[(draw // 3 + i) * 7 % len(partitions(m))]
+                for i, m in enumerate(mults)
+            })
+
+
+def outcome(t, E):
+    """Everything a reduction returns, as bytes where it is an array."""
+    try:
+        res = reduce_to_miniversal(t, E)
+    except ReductionError as exc:
+        return repr(exc)
+    return res.S.tobytes(), res.D.tobytes(), res.residual, res.iterations, res.pattern_ok
+
+
+class TestSetupCache:
+    # what depends on the structure alone is built once; no result may tell
+    def test_cached_setup_is_read_only(self):
+        t = jt({conc(0): (3, 1), conc(1): (2, 2)})
+        J, plan, between, scale, eye = reduction._setup(t, ("0j", "(1+0j)"))  # the key of t
+        arrays = [J, eye, *(a for a in vars(between).values() if isinstance(a, np.ndarray))]
+        assert len(arrays) == 10 and all(a.size for a in arrays)
+        assert between.J is J and between.any_close is False and plan is reduction._plan(((3, 1), (2, 2)))
+        assert scale == np.linalg.norm(J) and np.array_equal(eye, np.eye(8))
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    @pytest.mark.parametrize("layout", [((2, 1),), ((2, 1), (1,))], ids=str)
+    def test_results_are_fresh_arrays(self, layout):
+        t = jt({conc(lam): parts for lam, parts in zip((0, 1), layout)})
+        E = np.zeros((t.n, t.n))
+        first = reduce_to_miniversal(t, E)
+        assert first.iterations == 0
+        for a in (first.S, first.D):
+            assert a.flags.writeable
+            a[...] = 7
+        again = reduce_to_miniversal(t, E)
+        assert np.array_equal(again.S, np.eye(t.n)) and np.array_equal(again.D, jordan_matrix(t))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_bytes_warm_and_cold(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [
+            (t, 1e-5 * (rng.standard_normal((t.n, t.n)) + 1j * rng.standard_normal((t.n, t.n))) / np.sqrt(2))
+            for t in shaped_structures()
+        ]
+
+        def run(clear=False, copy=False):
+            out = []
+            for t, E in cases:
+                if clear:
+                    reduction._setup.cache_clear()
+                out.append(outcome(JordanType(t.entries) if copy else t, E))
+            return out
+
+        cold = run(clear=True)
+        assert len(cold) == 66 and all(isinstance(o, tuple) and o[4] for o in cold)
+        assert run() == cold and run() == cold  # filling the cache, then hitting it
+        assert run(copy=True) == cold  # a new but equal structure finds the entry
+
+    def test_signed_zero_labels_keep_their_bits(self):
+        # labels 0.0 and -0.0 are equal and hash alike, but J + E keeps each sign
+        E = np.full((2, 2), -0.0 - 0.0j)
+        labels = {sign: jt({conc(math.copysign(0.0, sign)): (2,)}) for sign in (1.0, -1.0)}
+        cold = {}
+        for sign, t in labels.items():
+            reduction._setup.cache_clear()
+            cold[sign] = outcome(t, E)
+        assert cold[1.0] != cold[-1.0]
+        assert np.frombuffer(cold[-1.0][1], complex)[0].real.hex() == "-0x0.0p+0"
+        for order in ((1.0, -1.0), (-1.0, 1.0)):
+            reduction._setup.cache_clear()
+            for _ in range(2):
+                assert {sign: outcome(labels[sign], E) for sign in order} == cold
+
+    def test_close_spectra_refused_on_every_call(self):
+        t = jt({conc(0): (2,), conc(1e-9): (1,)})
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, 2] = 1e-5
+        for clear in (True, False, False, True, False):
+            if clear:
+                reduction._setup.cache_clear()
+            hits = reduction._setup.cache_info().hits
+            with pytest.raises(SpectraOverlapError, match="spectra separated by 1.000e-09"):
+                reduce_to_miniversal(t, E)
+            assert reduction._setup.cache_info().hits == hits + (not clear)
 
 
 class TestSplit:
