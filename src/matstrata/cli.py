@@ -24,10 +24,6 @@ from .graphs import build_bundle_graph, build_class_graph, graph_to_dot, graph_t
 from .structure import complex_from_pair, format_compact, parse_compact
 
 
-# design envelope: matrices up to 12 x 12 (graphs have their own bound)
-MAX_MATRIX_N = 12
-
-
 class _UsageError(Exception):
     pass
 
@@ -64,7 +60,7 @@ def _matrix_to_doc(A) -> dict:
 
 
 def _load_matrix(path: str):
-    import numpy as np
+    from .tangent import MAX_MATRIX_N, check_finite
 
     try:
         with open(path) as fh:
@@ -92,7 +88,7 @@ def _load_matrix(path: str):
         raise _UsageError(f"matrix file {path}: entries must be finite") from exc
     if n == 0 or len(entries) != n or any(len(row) != n for row in entries):
         raise _UsageError(f"matrix file {path}: expected a square {n}x{n} matrix")
-    return np.array(entries, dtype=complex)
+    return check_finite(entries)
 
 
 def _load_form(path: str):
@@ -117,6 +113,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_jordan(text: str):
+    from .tangent import MAX_MATRIX_N
+
     try:
         t = parse_compact(text)
     except StrataError as exc:

@@ -255,7 +255,7 @@ def _slots(sig: tuple, star: bool) -> tuple:
     form = entry.make(lam=2.0, mus=(1.0,) * entry.n_mu)
     A = canonical_matrix(form)
     n = len(A)
-    M = action_operator("star_congruence" if star else "congruence", A).matrix
+    M = action_operator("star_congruence" if star else "congruence", A)
     units = np.eye(len(M))  # the real map's rows hold real parts, then imaginary parts
     is_u = [b.kind == "U" for b in form.blocks]  # each row's 1-based U index, 0 outside U blocks
     u_index = [k * u for k, u, b in zip(accumulate(is_u), is_u, form.blocks) for _ in range(b.size)]

@@ -6,11 +6,10 @@ balancing returns those of a permuted-triangular matrix (a strict-upper survey
 draw) exactly, clusters them by single linkage in one vectorised pass, and
 takes the block-count sequence of each cluster from rank differences of powers
 of A - lambda I, every rank decided by the band rule of ``tangent.band_ranks``.
-Scaling A - lambda I by the power of two that brings its largest real or
-imaginary part into [0.5, 1) is exact: it keeps every power finite and moves
-no rank.  Monte-Carlo surveys check that every structure observed near a
-canonical matrix is reachable in the bundle closure graph.  A small search
-routine finds sparse perturbations realizing individual graph edges.
+Scaling A - lambda I exactly (``tangent.unit_scale``) keeps every power finite
+and moves no rank.  Monte-Carlo surveys check that every structure observed
+near a canonical matrix is reachable in the bundle closure graph.  A small
+search routine finds sparse perturbations realizing individual graph edges.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ from .structure import (
     format_compact,
     format_display,
 )
-from .tangent import DEFAULT_RANK_TOL, band_ranks, check_finite, check_tol
+from .tangent import (
+    DEFAULT_RANK_TOL, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
+)
 from .templates import jordan_matrix
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
@@ -43,26 +44,16 @@ DEFAULT_CLUSTER_RADIUS = 1e-6
 SURVEY_STACK = 64
 
 
-def _check_radius(cluster_radius: float) -> None:
-    if not (math.isfinite(cluster_radius) and cluster_radius > 0):
-        raise ValueError(f"cluster radius must be finite and > 0, got {cluster_radius}")
-
-
 def _clusters(eigs: np.ndarray, cluster_radius: float) -> list:
     """Single-linkage clusters of each row of eigs (k, n): (center,
     multiplicity) pairs sorted by center.
 
-    Eigenvalues within the radius are linked; boolean squaring until the
-    links no longer change closes them over chains of any length (a
-    reflexive relation equal to its square is transitive).  A cluster is
-    named by its lowest member and centered at the mean of its members.
+    Eigenvalues within the radius are linked over chains of any length (``_closure``);
+    a cluster is named by its lowest member and centered at the mean of its members.
     """
     k, n = eigs.shape
-    linked = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius
-    while not np.array_equal(linked, closer := linked @ linked):
-        linked = closer
-    i = np.arange(n)
-    rows, heads = np.nonzero(~(linked & (i[:, None] > i)).any(axis=2))
+    linked = _closure(np.abs(eigs[:, :, None] - eigs[:, None, :]) <= cluster_radius)
+    rows, heads = np.nonzero(linked.argmax(-1) == np.arange(n))
     members = linked[rows, heads]
     mults = members.sum(axis=1)
     centers = eigs[rows, heads]
@@ -84,8 +75,7 @@ def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
     """
     m, n = A.shape[0], A.shape[1]
     P = np.eye(n, dtype=complex)  # broadcast against the stack by the first product
-    parts = (A - lam[:, None, None] * P).view(float)  # each row scaled exactly, so no power overflows
-    B = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=(1, 2), keepdims=True))[1]).view(complex)
+    B = unit_scale(A - lam[:, None, None] * P)  # each row scaled exactly, so no power overflows
     out: list = [()] * m  # what each row gets when n = 0 and no power is taken
     running = [(k, [], n) for k in range(m)]  # (row, block counts so far, previous rank)
     for _ in range(n):
@@ -170,7 +160,7 @@ def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     Returns (center, multiplicity) pairs sorted by center; multiplicities
     sum to n.  The radius must be finite and > 0.
     """
-    _check_radius(cluster_radius)
+    check_positive(cluster_radius, "cluster radius")
     A = check_finite(A)
     return _clusters(np.linalg.eigvals(A[None]), cluster_radius)[0]
 
@@ -197,7 +187,7 @@ def numeric_jordan_type(
     tol: float = DEFAULT_RANK_TOL,
 ) -> JordanType:
     """Jordan structure estimate with cluster centers as eigenvalues."""
-    _check_radius(cluster_radius)
+    check_positive(cluster_radius, "cluster radius")
     check_tol(tol)
     A = check_finite(A)
     return raise_ambiguous(_estimate(A[None], cluster_radius, tol))[0]
@@ -272,7 +262,7 @@ def random_survey(
     base = canonical_bundle_labeling(t)
     if mode not in ("dense", "strict_upper"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
-    _check_radius(cluster_radius)
+    check_positive(cluster_radius, "cluster radius")
     check_tol(tol)
     seeds = np.random.SeedSequence(seed)
     # sorted block sizes -> (notation, reachable from the base)
@@ -335,8 +325,7 @@ def find_arrow_witness(
     with closure_leq(J, J2).  Returns None when the search space is
     exhausted.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    check_positive(eps, "eps")
     if not (_is_single_zero_label(J) and _is_single_zero_label(J2)):
         raise ValueError("witness search covers nilpotent structures only")
     if not closure_leq(J, J2):

@@ -27,8 +27,8 @@ import numpy as np
 from ._value import Value
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
 from .structure import JordanType
-from .tangent import check_finite
-from .templates import check_pattern_tol, jordan_matrix, pinned_cells
+from .tangent import check_finite, check_positive, scale_exponent, unit_scale
+from .templates import jordan_matrix, pinned_cells
 
 DEFAULT_PATTERN_TOL = 1e-8
 GAP_TOL = 1e-8  # least spectral separation, relative to the data scale
@@ -96,17 +96,19 @@ class _BetweenGroups:
 
     def __init__(self, J, plan: _Plan):
         lam = np.diag(J)
-        self.J, self.N = J, J - np.diag(lam)
-        self.starts, self.between, self.passes = plan.starts, plan.between, plan.passes
+        self.J, self.N, self.starts, self.passes = J, J - np.diag(lam), plan.starts, plan.passes
+        # between-group residuals are normed over 2^exp >= 1, exactly, so that no square overflows
+        self.exp = max(0, scale_exponent(J).item())
+        self.weight = np.where(plan.between, np.ldexp(1.0, -self.exp), 0.0)
         gap = lam[None, :] - lam[:, None]
         self.gap = self._blocks(np.minimum, np.abs(gap))
         top = np.maximum.reduceat(np.abs(lam), self.starts)
         self.threshold = GAP_TOL * np.maximum(1.0, np.maximum.outer(top, top))
         self.close = (self.gap < self.threshold) & ~np.eye(len(top), dtype=bool)
-        solved = self.between & ~self.close[plan.group][:, plan.group]
+        solved = plan.between & ~self.close[plan.group][:, plan.group]
         self.inv_gap = np.divide(1, gap, out=np.zeros_like(gap), where=solved)
         self.any_close = bool(self.close.any())
-        _freeze(self.N, self.gap, self.threshold, self.close, self.inv_gap)
+        _freeze(self.N, self.weight, self.gap, self.threshold, self.close, self.inv_gap)
 
     def _blocks(self, ufunc, cells):
         """``cells`` reduced by ``ufunc`` over each pair of groups."""
@@ -128,13 +130,13 @@ class _BetweenGroups:
         for _ in range(self.passes - 1):
             X = (R + self.N @ X - X @ self.N) * self.inv_gap
         residual, size = (
-            np.sqrt(self._blocks(np.add, np.where(self.between, np.abs(Z) ** 2, 0)))
+            np.sqrt(self._blocks(np.add, (np.abs(Z) * self.weight) ** 2))
             for Z in (X @ self.J - self.J @ X - R, R)
         )
         if len(bad := np.argwhere(~(residual <= 1e-10 * size))):
             a, b = bad[0]
             raise ReductionError(
-                f"Sylvester residual {residual[a, b]:.3e} exceeds 1e-10*|C|; "
+                f"Sylvester residual {np.ldexp(residual[a, b], self.exp):.3e} exceeds 1e-10*|C|; "
                 f"spectral gap {self.gap[a, b]:.3e} too small for a reliable solve"
             )
         return X
@@ -180,7 +182,8 @@ def _setup(t: JordanType, key) -> tuple:
     J, eye, plan = jordan_matrix(t), np.eye(t.n), _plan(tuple(part.parts for _, part in t.entries))
     _freeze(J, eye)
     between = _BetweenGroups(J, plan) if len(plan.starts) > 1 else None
-    return J, plan, between, max(1.0, float(np.linalg.norm(J))), eye
+    e = scale_exponent(J).item()  # |J|_F normed on J / 2^e, so it overflows for no finite J
+    return J, plan, between, max(1.0, float(np.ldexp(np.linalg.norm(unit_scale(J, e)), e))), eye
 
 
 class ReductionResult(Value):
@@ -212,7 +215,7 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
     what depends on it alone are cached for 256 structures, about 12 KB each
     at n <= 12, keyed on ``t`` and its label reprs (0.0 and -0.0 differ in J).
     """
-    check_pattern_tol(tol)
+    check_positive(tol, "pattern tolerance")
     J, plan, between, scale, eye = _setup(t, tuple([repr(label.value) for label, _ in t.entries]))
     E = check_finite(E, "perturbation")
     if E.shape != J.shape:

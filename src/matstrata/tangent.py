@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from ._value import Value
 from .errors import NumericalAmbiguityError, raise_ambiguous
 
 DEFAULT_RANK_TOL = 1e-8
@@ -23,6 +22,7 @@ DEFAULT_RANK_TOL = 1e-8
 RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
+MAX_MATRIX_N = 12  # the design envelope of every matrix input; graphs have their own bound
 
 
 def check_tol(tol: float) -> None:
@@ -31,34 +31,44 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
+def check_positive(x: float, what: str) -> None:
+    """Refuse ``x`` unless it is finite and > 0, NaN included."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {x}")
+
+
 def check_finite(A, what: str = "matrix") -> np.ndarray:
-    """A as a complex array; refuse anything but a finite, non-empty,
-    square 2-D array (the one entry check of every numeric layer)."""
+    """A as a complex array; refuse anything but a finite, non-empty, square 2-D
+    array of order <= MAX_MATRIX_N (the one entry check of every numeric layer)."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise ValueError(f"{what} must be a non-empty square 2-D array, got shape {A.shape}")
+    if len(A) > MAX_MATRIX_N:
+        raise ValueError(f"{what} has order {len(A)}, beyond the supported {MAX_MATRIX_N}x{MAX_MATRIX_N}")
     if not np.isfinite(A).all():
         raise ValueError(f"{what} must be finite, got a NaN or infinite entry")
     return A
 
 
-def unit_scale(A: np.ndarray) -> np.ndarray:
-    """A times the power of two that brings its largest real or imaginary part into
-    [0.5, 1) (2^0 for zero): exact short of subnormals, so no decision moves, no norm overflows."""
+def scale_exponent(A: np.ndarray) -> np.ndarray:
+    """The exponent e, per matrix of a stack (..., n, n) and shaped (..., 1, 1),
+    that brings its largest real or imaginary part into [0.5, 1) as A / 2^e (0 for zero)."""
+    return np.frexp(np.abs(np.ascontiguousarray(A).view(float)).max(axis=(-2, -1), keepdims=True))[1]
+
+
+def unit_scale(A: np.ndarray, e=None) -> np.ndarray:
+    """A / 2^e, each matrix of a stack by its own ``scale_exponent`` unless e is given:
+    exact short of subnormals, so no decision moves, no norm overflows."""
     parts = np.ascontiguousarray(A).view(float)
-    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+    return np.ldexp(parts, -(scale_exponent(parts) if e is None else e)).view(complex)
 
 
-class OperatorMatrix(Value):
-    """Assembled matrix of the tangent map for one group action.
-
-    Complex n^2 x n^2 for similarity/congruence; real 2n^2 x 2n^2 for
-    *congruence (the map is only real-linear there).
-    """
-
-    action: str
-    base: np.ndarray
-    matrix: np.ndarray
+def _closure(linked: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive relation (or a stack of them): square it until
+    that changes nothing, as a reflexive relation equal to its square is transitive."""
+    while not np.array_equal(linked, closer := linked @ linked):
+        linked = closer
+    return linked
 
 
 def _assemble(action: str, A: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -87,8 +97,10 @@ def _assemble(action: str, A: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nd
     return M
 
 
-def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
-    """Matrix of the tangent map of ``action`` at A, on every entry of X.
+def action_operator(action: str, A: np.ndarray) -> np.ndarray:
+    """Matrix of the tangent map of ``action`` at A, on every entry of X:
+    complex n^2 x n^2 for similarity and congruence, real 2n^2 x 2n^2 for
+    *congruence (the map is only real-linear there).
 
     Column k*n + l is the image of E_kl (for *congruence, columns 2(k*n + l)
     and 2(k*n + l) + 1 are the images of E_kl and i*E_kl); rows are the
@@ -98,7 +110,7 @@ def action_operator(action: str, A: np.ndarray) -> OperatorMatrix:
     A = check_finite(A)
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-    return OperatorMatrix(action, A, _assemble(action, A, *np.divmod(np.arange(A.size), len(A))))
+    return _assemble(action, A, *np.divmod(np.arange(A.size), len(A)))
 
 
 def _summand_pieces(A: np.ndarray) -> list:
@@ -108,9 +120,7 @@ def _summand_pieces(A: np.ndarray) -> list:
     nonzero), as X's blocks (a, b) and (b, a) map onto the same entries of
     the image.  One summand gives one block of all n^2 entries, row-major."""
     n = len(A)
-    linked = (A != 0) | (A.T != 0) | np.eye(n, dtype=bool)
-    while not np.array_equal(linked, closer := linked @ linked):
-        linked = closer
+    linked = _closure((A != 0) | (A.T != 0) | np.eye(n, dtype=bool))
     head = linked.argmax(axis=0)  # lowest index of each index's summand
     key = (np.minimum.outer(head, head) * n + np.maximum.outer(head, head)).reshape(-1)
     order = np.argsort(key, kind="stable")  # grouped by hand: np.unique loads numpy.ma
@@ -181,8 +191,8 @@ def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol))[0]
 
 
-def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
-    """(rank of the tangent map of ``action`` at A, its domain dimension).
+def _codim(action: str, A, tol: float) -> int:
+    """Domain dimension of the tangent map of ``action`` at A minus its rank.
 
     The blocks of ``_summand_pieces`` of one size are ranked in one stacked
     SVD, against the Frobenius norm of A rather than the map's own largest
@@ -193,22 +203,19 @@ def _operator_rank(action: str, A, tol: float) -> tuple[int, int]:
     A = unit_scale(check_finite(A))
     ref = float(np.linalg.norm(A))
     rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in _summand_pieces(A))
-    return rank, A.size * (2 if action == "star_congruence" else 1)
+    return A.size * (2 if action == "star_congruence" else 1) - rank
 
 
 def similarity_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """n^2 minus the complex rank of X |-> XA - AX."""
-    rank, dim = _operator_rank("similarity", A, tol)
-    return dim - rank
+    return _codim("similarity", A, tol)
 
 
 def congruence_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """n^2 minus the complex rank of X |-> X^T A + A X."""
-    rank, dim = _operator_rank("congruence", A, tol)
-    return dim - rank
+    return _codim("congruence", A, tol)
 
 
 def star_congruence_codim_numeric(A, tol: float = DEFAULT_RANK_TOL) -> int:
     """2 n^2 minus the real rank of X |-> X* A + A X."""
-    rank, dim = _operator_rank("star_congruence", A, tol)
-    return dim - rank
+    return _codim("star_congruence", A, tol)

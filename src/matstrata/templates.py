@@ -12,7 +12,6 @@ cells equals the codimension of the similarity class.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -29,6 +28,7 @@ from .structure import (
     label_display,
     label_layout,
 )
+from .tangent import check_positive
 
 FIXED = "fixed"
 STAR = "star"
@@ -148,19 +148,13 @@ class PatternCheck(NamedTuple):
     residual: float
 
 
-def check_pattern_tol(tol: float) -> None:
-    """Refuse a pattern tolerance that is not finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"pattern tolerance must be finite and > 0, got {tol}")
-
-
 def pattern_check(M, tmpl: DeformationTemplate, tol: float = 1e-8) -> PatternCheck:
     """Does M agree with the template's pinned entries within tol?
 
     Parameter cells (star/eps/delta) are unconstrained; the residual is
     the largest deviation over fixed cells.  ``tol`` must be finite and > 0.
     """
-    check_pattern_tol(tol)
+    check_positive(tol, "pattern tolerance")
     M = np.asarray(M, dtype=complex)
     if M.shape != (tmpl.n, tmpl.n):
         raise SizeMismatchError(f"matrix shape {M.shape} vs template size {tmpl.n}")

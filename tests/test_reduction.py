@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,37 @@ class TestSetupCache:
             with pytest.raises(SpectraOverlapError, match="spectra separated by 1.000e-09"):
                 reduce_to_miniversal(t, E)
             assert reduction._setup.cache_info().hits == hits + (not clear)
+
+
+class TestFloatRange:
+    """|J|_F and the between-group residual are normed on arrays divided by
+    J's power of two, so no square overflows near the top of the float range."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1.0, 1e150, 1e200])
+    def test_scaled_structure_reduces_in_one_step(self, s):
+        t = jt({conc(s): (2,), conc(2 * s): (1,)})
+        E = np.zeros((3, 3), dtype=complex)
+        E[0, 2] = s * 1e-5
+        res = reduce_to_miniversal(t, E, tol=s * 1e-8)
+        assert res.iterations == 1 and res.pattern_ok
+        assert reduction._setup(t, (repr(complex(s)), repr(complex(2 * s))))[3] == pytest.approx(s * math.sqrt(6 + s**-2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_message_is_unscaled(self):
+        # one pass of the between-group solve where four are needed leaves a
+        # residual on block (0, 1); at 2^664 (about 1e200) its square would overflow
+        J0, plan = jordan_matrix(jt({conc(0): (3,), conc(1): (2,)})), reduction._plan(((3,), (2,)))
+        R0 = np.zeros((5, 5), dtype=complex)
+        R0[:3, 3:] = 1e-5
+        X = R0 * reduction._BetweenGroups(J0, plan).inv_gap
+        want = np.linalg.norm((X @ J0 - J0 @ X - R0)[:3, 3:])
+        for k in (0, 664):
+            J, R = (np.ldexp(Z.view(float), k).view(complex) for Z in (J0, R0))
+            between = reduction._BetweenGroups(J, plan)
+            between.passes = 1
+            with pytest.raises(ReductionError, match=re.escape(f"Sylvester residual {np.ldexp(want, k):.3e} exceeds")):
+                between.solve(R)
 
 
 class TestSplit:

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -11,16 +14,23 @@ from matstrata import (
     classify_congruence,
     congruence_codim_numeric,
     eigen_clusters,
+    find_arrow_witness,
     jordan_matrix,
+    miniversal_template,
     numeric_jordan_type,
     numeric_weyr,
     orbit_codim,
+    parse_compact,
+    pattern_check,
+    random_survey,
+    reduce_to_miniversal,
     similarity_codim_numeric,
     star_congruence_codim_numeric,
 )
 from matstrata.congruence import Block, CongruenceForm, canonical_matrix, form_display
 from matstrata.tangent import (
-    ACTIONS, DEFAULT_RANK_TOL, _summand_pieces, band_ranks, check_tol, guarded_rank, numeric_rank, unit_scale,
+    ACTIONS, DEFAULT_RANK_TOL, MAX_MATRIX_N, _closure, _summand_pieces, band_ranks, check_positive, check_tol,
+    guarded_rank, numeric_rank, scale_exponent, unit_scale,
 )
 from conftest import random_complex, well_conditioned
 
@@ -131,11 +141,11 @@ class TestGroupInvariance:
 class TestOperatorMatrix:
     def test_shapes(self):
         A = random_complex(np.random.default_rng(0), 3)
-        assert action_operator("similarity", A).matrix.shape == (9, 9)
-        assert action_operator("congruence", A).matrix.shape == (9, 9)
-        op = action_operator("star_congruence", A)
-        assert op.matrix.shape == (18, 18)
-        assert op.matrix.dtype.kind == "f"
+        assert action_operator("similarity", A).shape == (9, 9)
+        assert action_operator("congruence", A).shape == (9, 9)
+        M = action_operator("star_congruence", A)
+        assert M.shape == (18, 18)
+        assert M.dtype.kind == "f"
 
     def test_unknown_action(self):
         with pytest.raises(ValueError):
@@ -193,7 +203,7 @@ class TestKroneckerForm:
         sparse[rng.random((n, n)) < 0.5] = 0
         inputs += [sparse, jordan_matrix(jt({conc(0): (n,)})), np.zeros((n, n), dtype=complex)]
         for A in inputs:
-            got = action_operator(action, A).matrix
+            got = action_operator(action, A)
             want = basis_images(action, A)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -201,7 +211,7 @@ class TestKroneckerForm:
 def unsplit_codim(action, A, tol=DEFAULT_RANK_TOL):
     """Codimension from one SVD of the whole tangent map, ranked against
     tol * ||A||_F: the reference for the summand-by-summand rank."""
-    M = action_operator(action, A).matrix
+    M = action_operator(action, A)
     ref = np.linalg.norm(A)
     rank = int(np.sum(np.linalg.svd(M, compute_uv=False) >= tol * ref)) if ref else 0
     return M.shape[1] - rank
@@ -266,7 +276,7 @@ class TestOneRoute:
 
     @staticmethod
     def operator_codim(action, A, tol=DEFAULT_RANK_TOL):
-        M = action_operator(action, A).matrix
+        M = action_operator(action, A)
         return M.shape[1] - numeric_rank(M, float(np.linalg.norm(A)), tol)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -374,28 +384,111 @@ class TestToleranceCheck:
         check_tol(tol)
 
 
+# every numeric entry point that takes a matrix, by test id
+ENTRY_POINTS = {
+    "numeric_jordan_type": numeric_jordan_type,
+    "eigen_clusters": eigen_clusters,
+    "numeric_weyr": lambda A: numeric_weyr(A, 0),
+    "action_operator": lambda A: action_operator("similarity", A),
+    "similarity_codim": similarity_codim_numeric,
+    "congruence_codim": congruence_codim_numeric,
+    "star_congruence_codim": star_congruence_codim_numeric,
+    "classify": classify_congruence,
+}
+
+
 class TestEntryCheck:
     """Every numeric entry point refuses a malformed matrix with the one
     message of ``check_finite``, before any shape-dependent work."""
 
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)], ids=str)
-    @pytest.mark.parametrize(
-        "call",
-        [
-            numeric_jordan_type,
-            eigen_clusters,
-            lambda A: numeric_weyr(A, 0),
-            lambda A: action_operator("similarity", A),
-            similarity_codim_numeric,
-            congruence_codim_numeric,
-            star_congruence_codim_numeric,
-            classify_congruence,
-        ],
-        ids=[
-            "numeric_jordan_type", "eigen_clusters", "numeric_weyr", "action_operator",
-            "similarity_codim", "congruence_codim", "star_congruence_codim", "classify",
-        ],
-    )
+    @pytest.mark.parametrize("call", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
     def test_malformed_shape_refused(self, call, shape):
         with pytest.raises(ValueError, match=r"matrix must be a non-empty square 2-D array, got shape"):
             call(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "call",
+        [*ENTRY_POINTS.values(), lambda E: reduce_to_miniversal(parse_compact("(0)^13"), E)],
+        ids=[*ENTRY_POINTS, "reduce_to_miniversal"],
+    )
+    def test_order_above_the_envelope_refused(self, call):
+        assert MAX_MATRIX_N == 12
+        with pytest.raises(ValueError, match=r"has order 13, beyond the supported 12x12$"):
+            call(np.eye(13))
+
+
+def per_matrix_unit_scale(A):
+    """The per-matrix rule, written out: scale by 2^-e, e the frexp exponent
+    of the largest real or imaginary part."""
+    parts = np.ascontiguousarray(A).view(float)
+    return np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex)
+
+
+def union_find_closure(rel):
+    """Reference closure of a symmetric relation: i ~ j when a union-find
+    over its pairs puts them in one set."""
+    parent = list(range(len(rel)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(rel)):
+        parent[find(i)] = find(j)
+    roots = [find(i) for i in range(len(rel))]
+    return np.equal.outer(roots, roots)
+
+
+class TestSharedRules:
+    """The exact scaling, the closure and the positivity check are written
+    once, in ``tangent``, and every caller gets the same answer from them."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stacked_unit_scale_is_per_matrix(self, n):
+        rng = np.random.default_rng(n)
+        A = np.array([random_complex(rng, n) * 10.0 ** rng.integers(-300, 300) for _ in range(7)])
+        A[1] = 0
+        A[2, 0], A[3, -1], A[4, n // 2] = 1e200, -1e200, -1e200j  # a row of each sign, then imaginary
+        A[5, :, 0] = 0
+        stacked = unit_scale(A)
+        assert stacked.shape == A.shape
+        for k in range(len(A)):
+            want = per_matrix_unit_scale(A[k])
+            assert unit_scale(A[k]).tobytes() == stacked[k].tobytes() == want.tobytes()
+            e = scale_exponent(A[k]).item()
+            assert unit_scale(A[k], e).tobytes() == want.tobytes()
+            assert scale_exponent(A)[k].tolist() == [[e]]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_closure_is_union_find(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.05, 0.15, 0.4):
+            rel = rng.random((6, n, n)) < density
+            rel = rel | rel.transpose(0, 2, 1) | np.eye(n, dtype=bool)
+            want = np.array([union_find_closure(r) for r in rel])
+            assert np.array_equal(_closure(rel), want)
+            for r, w in zip(rel, want):
+                assert np.array_equal(_closure(r), w)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_each_positivity_check_keeps_its_message(self, bad):
+        t, E = parse_compact("(0)^2 (1)"), np.zeros((3, 3))
+        J, J2 = parse_compact("(0)^2 (0)"), parse_compact("(0)^3")
+        calls = {
+            "cluster radius": (
+                lambda: eigen_clusters(E, cluster_radius=bad),
+                lambda: numeric_jordan_type(E, cluster_radius=bad),
+                lambda: random_survey(t, 1e-3, 1, 0, cluster_radius=bad),
+            ),
+            "eps": (lambda: find_arrow_witness(J, J2, eps=bad),),
+            "pattern tolerance": (
+                lambda: pattern_check(E, miniversal_template(t), tol=bad),
+                lambda: reduce_to_miniversal(t, E, tol=bad),
+            ),
+        }
+        for what, fns in calls.items():
+            for fn in (*fns, lambda: check_positive(bad, what)):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be finite and > 0, got {bad}')}$"):
+                    fn()

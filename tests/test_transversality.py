@@ -42,7 +42,7 @@ def spans_complement(action, tmpl) -> bool:
         D[row, col] = z
     if real:  # the real operator's rows hold real parts above imaginary parts
         D = np.vstack([D.real, D.imag])
-    joined = np.hstack([action_operator(action, tmpl.base_matrix()).matrix, D])
+    joined = np.hstack([action_operator(action, tmpl.base_matrix()), D])
     return guarded_rank(joined) == len(joined)
 
 

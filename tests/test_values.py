@@ -24,7 +24,6 @@ from matstrata import (
     DeformationTemplate,
     EigLabel,
     JordanType,
-    OperatorMatrix,
     ParametricGraph,
     Partition,
     PerturbReport,
@@ -128,11 +127,6 @@ RECORDS = {
 
 # records holding arrays: built around the same arrays, so equality can be decided
 ARRAY_RECORDS = {
-    "OperatorMatrix": (
-        lambda: OperatorMatrix("sim", A, B), ("action", "base", "matrix"),
-        "OperatorMatrix(action='sim', base=array([[0., 1.],\n       [0., 0.]]), "
-        "matrix=array([[1., 0.],\n       [0., 1.]]))",
-    ),
     "ReductionResult": (
         lambda: ReductionResult(B, A, 0.0, 1, True),
         ("S", "D", "residual", "iterations", "pattern_ok"),
