@@ -34,7 +34,8 @@ _EXPORTS = {
         "parametric_to_json_doc", "path_exists", "star_graph_2x2",
     ),
     "tangent": (
-        "action_operator", "congruence_codim_numeric", "similarity_codim_numeric", "star_congruence_codim_numeric",
+        "action_operator", "congruence_codim_numeric",
+        "similarity_codim_numeric", "star_congruence_codim_numeric",
     ),
     "templates": (
         "DeformationTemplate", "jordan_matrix", "miniversal_template", "pattern_check",

@@ -96,19 +96,17 @@ class _BetweenGroups:
 
     def __init__(self, J, plan: _Plan):
         lam = np.diag(J)
-        self.J, self.N, self.starts, self.passes = J, J - np.diag(lam), plan.starts, plan.passes
-        # between-group residuals are normed over 2^exp >= 1, exactly, so that no square overflows
-        self.exp = max(0, scale_exponent(J).item())
-        self.weight = np.where(plan.between, np.ldexp(1.0, -self.exp), 0.0)
+        self.J, self.N = J, J - np.diag(lam)
+        self.starts, self.between, self.passes = plan.starts, plan.between, plan.passes
         gap = lam[None, :] - lam[:, None]
         self.gap = self._blocks(np.minimum, np.abs(gap))
         top = np.maximum.reduceat(np.abs(lam), self.starts)
         self.threshold = GAP_TOL * np.maximum(1.0, np.maximum.outer(top, top))
         self.close = (self.gap < self.threshold) & ~np.eye(len(top), dtype=bool)
-        solved = plan.between & ~self.close[plan.group][:, plan.group]
+        solved = self.between & ~self.close[plan.group][:, plan.group]
         self.inv_gap = np.divide(1, gap, out=np.zeros_like(gap), where=solved)
         self.any_close = bool(self.close.any())
-        _freeze(self.N, self.weight, self.gap, self.threshold, self.close, self.inv_gap)
+        _freeze(self.N, self.gap, self.threshold, self.close, self.inv_gap)
 
     def _blocks(self, ufunc, cells):
         """``cells`` reduced by ``ufunc`` over each pair of groups."""
@@ -129,14 +127,14 @@ class _BetweenGroups:
         X = R * self.inv_gap
         for _ in range(self.passes - 1):
             X = (R + self.N @ X - X @ self.N) * self.inv_gap
-        residual, size = (
-            np.sqrt(self._blocks(np.add, (np.abs(Z) * self.weight) ** 2))
+        residual, size = (  # Frobenius norms by hypot, which neither overflows nor underflows
+            self._blocks(np.hypot, np.where(self.between, np.abs(Z), 0))
             for Z in (X @ self.J - self.J @ X - R, R)
         )
         if len(bad := np.argwhere(~(residual <= 1e-10 * size))):
             a, b = bad[0]
             raise ReductionError(
-                f"Sylvester residual {np.ldexp(residual[a, b], self.exp):.3e} exceeds 1e-10*|C|; "
+                f"Sylvester residual {residual[a, b]:.3e} exceeds 1e-10*|C|; "
                 f"spectral gap {self.gap[a, b]:.3e} too small for a reliable solve"
             )
         return X
@@ -183,7 +181,7 @@ def _setup(t: JordanType, key) -> tuple:
     _freeze(J, eye)
     between = _BetweenGroups(J, plan) if len(plan.starts) > 1 else None
     e = scale_exponent(J).item()  # |J|_F normed on J / 2^e, so it overflows for no finite J
-    return J, plan, between, max(1.0, float(np.ldexp(np.linalg.norm(unit_scale(J, e)), e))), eye
+    return J, plan, between, max(1.0, float(np.ldexp(np.linalg.norm(unit_scale(J)), e))), eye
 
 
 class ReductionResult(Value):

@@ -56,11 +56,11 @@ def scale_exponent(A: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(np.ascontiguousarray(A).view(float)).max(axis=(-2, -1), keepdims=True))[1]
 
 
-def unit_scale(A: np.ndarray, e=None) -> np.ndarray:
-    """A / 2^e, each matrix of a stack by its own ``scale_exponent`` unless e is given:
-    exact short of subnormals, so no decision moves, no norm overflows."""
+def unit_scale(A: np.ndarray) -> np.ndarray:
+    """A / 2^e, each matrix of a stack by its own ``scale_exponent`` e: exact short
+    of subnormals, so no decision moves, no norm overflows."""
     parts = np.ascontiguousarray(A).view(float)
-    return np.ldexp(parts, -(scale_exponent(parts) if e is None else e)).view(complex)
+    return np.ldexp(parts, -scale_exponent(parts)).view(complex)
 
 
 def _closure(linked: np.ndarray) -> np.ndarray:

@@ -351,8 +351,9 @@ class TestSetupCache:
 
 
 class TestFloatRange:
-    """|J|_F and the between-group residual are normed on arrays divided by
-    J's power of two, so no square overflows near the top of the float range."""
+    """|J|_F is normed on J divided by its power of two, and the between-group
+    residual on R divided by its own, so no square over- or underflows at the
+    ends of the float range."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s", [1.0, 1e150, 1e200])
@@ -379,6 +380,18 @@ class TestFloatRange:
             between.passes = 1
             with pytest.raises(ReductionError, match=re.escape(f"Sylvester residual {np.ldexp(want, k):.3e} exceeds")):
                 between.solve(R)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(("j", "c"), [(0, 0), (664, 0), (0, -600), (664, 664)])
+    def test_ill_conditioned_solve_refused_at_any_scale(self, j, c):
+        # a 3-block 2e-8 away from a 1-block: the exact passes still leave a
+        # residual of about 0.73 |C| in roundoff, whatever the scales of J and C
+        J1, J2 = np.ldexp(np.eye(3) + np.eye(3, k=1), j), np.ldexp([[1 + 2e-8]], j)
+        C = np.ldexp([[1.0, 0.3, 0.7]], c)
+        with pytest.raises(ReductionError, match=r"Sylvester residual (\S+) exceeds") as info:
+            sylvester_solve(J1, J2, C)
+        residual = float(re.search(r"residual (\S+)", str(info.value))[1])
+        assert np.ldexp(residual, -c) == pytest.approx(0.728, abs=5e-4)
 
 
 class TestSplit:
