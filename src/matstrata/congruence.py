@@ -26,6 +26,7 @@ from ._value import Value
 from .errors import CatalogError, NumericalAmbiguityError, raise_ambiguous
 from .parametric import (  # noqa: F401 -- the closure graphs live in parametric.py, re-exported here
     PARAM_TOL,
+    _inst,
     _normalize_h_lambda,
     congruence_graph,
     parametric_to_dot,
@@ -171,17 +172,26 @@ def block_matrix(b: Block) -> np.ndarray:
 
 
 def canonical_matrix(form) -> np.ndarray:
-    return _direct_sum(form.blocks)
-
-
-def _direct_sum(blocks) -> np.ndarray:
-    n = sum(b.size for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((form.n, form.n), dtype=complex)
     off = 0
-    for b in blocks:
+    for b in form.blocks:
         out[off : off + b.size, off : off + b.size] = block_matrix(b)
         off += b.size
     return out
+
+
+def family_form(g, inst):
+    """The form of an instance ``(fid,)`` or ``(fid, params)`` of a family of
+    the parametric graph ``g``, its free parameters put in place."""
+    family, params = _inst(g, inst)
+    value = dict(zip(family.symbols, params))
+    blocks = []
+    for kind, size, *param in family.blocks:
+        p = param[0] if param else None
+        if isinstance(p, str):
+            p = -value[p[1:]] if p[0] == "-" else value[p]
+        blocks.append(Block(kind, size, p))
+    return (StarForm if g.kind.startswith("star") else CongruenceForm)(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ def _label_moves(key: tuple[tuple[int, ...], ...]) -> list:
     return [key[:i] + (q,) + key[i + 1 :] for i, p in enumerate(key) for q in _coarsenings(p)]
 
 
-@lru_cache(maxsize=None)
 def _key_moves(key: tuple[tuple[int, ...], ...], merge: bool) -> tuple:
     """Bundle keys one degeneration step below ``key``.
 

@@ -3,7 +3,7 @@
 A vertex is a family of canonical forms with free parameters, and an arrow
 may hold only under a condition on the parameters of its two ends.  The
 graphs are row tables (families, then arrows) turned into
-``ParametricGraph`` values on first use.  Only ``graph congr|star`` and
+``ParametricGraph`` values on each call.  Only ``graph congr|star`` and
 the congruence layer load this module, so a similarity graph process
 never compiles it.
 """
@@ -11,7 +11,6 @@ never compiles it.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from ._value import Value
 from .errors import CatalogError
@@ -61,19 +60,6 @@ class Family(Value):
     @property
     def nparams(self) -> int:
         return len(self.symbols)
-
-    def make(self, params):
-        """Canonical matrix (a numpy array) of the member with these parameters."""
-        from .congruence import Block, _direct_sum
-
-        value = dict(zip(self.symbols, params))
-        blocks = []
-        for kind, size, *param in self.blocks:
-            p = param[0] if param else None
-            if isinstance(p, str):
-                p = -value[p[1:]] if p[0] == "-" else value[p]
-            blocks.append(Block(kind, size, p))
-        return _direct_sum(blocks)
 
     def check(self, params: tuple):
         params = tuple(complex(p) for p in params)
@@ -364,7 +350,6 @@ def _parametric_graph(kind: str, family_rows, arrow_rows) -> ParametricGraph:
     return ParametricGraph(kind, tuple(families), tuple(Arrow(*a) for a in arrow_rows))
 
 
-@lru_cache(maxsize=None)
 def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
     """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
     if kind not in ("classes", "bundles"):
@@ -375,7 +360,6 @@ def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
     return _parametric_graph(kind, _CONGRUENCE_FAMILIES[n], shared + own[kind == "bundles"])
 
 
-@lru_cache(maxsize=None)
 def star_graph_2x2() -> ParametricGraph:
     """Closure graph for *congruence classes of 2x2 matrices (real dims)."""
     return _parametric_graph("star_classes", _STAR_FAMILIES, _STAR_ARROWS)

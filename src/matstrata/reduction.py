@@ -10,7 +10,7 @@ pass.  Inside a group, X fills along the diagonals of each sub-block of
 the block grid, chains that start from zero: X[i+1, j] = X[i, j-1] -
 R[i, j] on and above the block diagonal, X[i, j-1] = X[i+1, j] + R[i, j]
 below it.  All chains are one cumulative sum, its indices built once per
-block grid.  Each step shrinks the pinned residual by a factor of about
+structure.  Each step shrinks the pinned residual by a factor of about
 |E|, and S stays within a constant times |E| of the identity.  The
 iteration refuses rather than leave that regime.  What depends on the
 structure alone is cached (``_setup``), keyed on it and its label reprs,
@@ -47,7 +47,7 @@ def _freeze(*fields) -> None:
 
 class _Plan:
     """What a reduction needs of a block grid (the block sizes of each
-    eigenvalue group), built once per grid by ``_plan``; arrays read-only."""
+    eigenvalue group), built by ``_setup`` once per structure; arrays read-only."""
 
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
         sizes = [sum(parts) for parts in grid]
@@ -77,9 +77,6 @@ class _Plan:
         self.chains = np.where(fill, cells + shifts, 2 * n * n)
         self.sums, self.cells = np.flatnonzero(fill), cells[fill]
         _freeze(*vars(self).values())
-
-
-_plan = lru_cache(maxsize=256)(_Plan)
 
 
 class _BetweenGroups:
@@ -144,21 +141,24 @@ def sylvester_solve(J1, J2, C) -> np.ndarray:
     """Solve J2 M - M J1 = -C for M (n2 x n1), J1 and J2 upper triangular.
 
     M is the between-group block of XJ - JX = R for J = blockdiag(J1, J2)
-    (``_BetweenGroups``).  Refuses entries below the diagonal, diagonals
-    closer than GAP_TOL times the data scale, and a residual above
-    1e-10 |C| (or NaN).
+    (``_BetweenGroups``).  Refuses a NaN or infinite entry, an order above
+    MAX_MATRIX_N, entries below the diagonal, diagonals closer than GAP_TOL
+    times the data scale, and a residual above 1e-10 |C| (or NaN).
     """
     J1, J2, C = (np.asarray(a, dtype=complex) for a in (J1, J2, C))
     n1, n2 = J1.shape[0], J2.shape[0]
     if J1.shape != (n1, n1) or J2.shape != (n2, n2) or C.shape != (n2, n1):
         raise SizeMismatchError(f"incompatible shapes {J1.shape}, {J2.shape}, {C.shape}")
+    J1, J2 = check_finite(J1, "J1"), check_finite(J2, "J2")
+    if not np.isfinite(C).all():
+        raise ValueError("C must be finite, got a NaN or infinite entry")
     if np.tril(J1, -1).any() or np.tril(J2, -1).any():
         raise ValueError("sylvester_solve needs upper-triangular J1 and J2")
     J = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     J[:n1, :n1], J[n1:, n1:] = J1, J2
     R = np.zeros_like(J)
     R[n1:, :n1] = C
-    between = _BetweenGroups(J, _plan(((n1,), (n2,))))
+    between = _BetweenGroups(J, _Plan(((n1,), (n2,))))
     between.refuse_close(True)
     return between.solve(R)[n1:, :n1]
 
@@ -177,7 +177,7 @@ def _chord_step(R, between, plan: _Plan) -> np.ndarray:
 def _setup(t: JordanType, key) -> tuple:
     """J, plan, between-group solver, stopping scale max(1, |J|_F) and step
     identity of the structure ``t``, arrays read-only; ``key`` only keys the cache."""
-    J, eye, plan = jordan_matrix(t), np.eye(t.n), _plan(tuple(part.parts for _, part in t.entries))
+    J, eye, plan = jordan_matrix(t), np.eye(t.n), _Plan(tuple(part.parts for _, part in t.entries))
     _freeze(J, eye)
     between = _BetweenGroups(J, plan) if len(plan.starts) > 1 else None
     e = scale_exponent(J).item()  # |J|_F normed on J / 2^e, so it overflows for no finite J

@@ -191,10 +191,9 @@ def _shared_partition(parts: tuple[int, ...]) -> Partition:
     return Partition(parts)
 
 
-@lru_cache(maxsize=None)
 def bundle_of_key(key: tuple[tuple[int, ...], ...]) -> BundleType:
-    """The BundleType of a bundle key, one shared object per key; a key out
-    of canonical order goes to the checked constructor, which refuses it."""
+    """The BundleType of a bundle key, built unchecked from shared partitions;
+    a key out of canonical order goes to the checked constructor, which refuses it."""
     entries = tuple((EigLabel.symbolic(i + 1), _shared_partition(p)) for i, p in enumerate(key))
     if not key or bundle_key(key) != key:
         return BundleType(entries)
@@ -398,7 +397,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def bundle_types(n: int) -> tuple[BundleType, ...]:
     """All bundle structures of order n (multisets of partitions).
 

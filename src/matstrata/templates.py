@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,7 +142,7 @@ def miniversal_template(t: JordanType) -> DeformationTemplate:
     )
 
 
-class PatternCheck(NamedTuple):
+class PatternCheck(Value):
     ok: bool
     residual: float
 

@@ -29,6 +29,7 @@ from matstrata.congruence import (
     StarForm,
     canonical_matrix,
     congruence_entries,
+    family_form,
     form_display,
     form_equal,
     form_from_json_doc,
@@ -304,7 +305,7 @@ class TestCongruenceGraphs:
         for n in (2, 3):
             g = congruence_graph(n, "classes")
             for f in g.families:
-                A = f.make(f.sample)
+                A = canonical_matrix(family_form(g, (f.fid, f.sample)))
                 assert f.dim == n * n - congruence_codim_numeric(A), f.fid
 
     def test_bundle_dims_add_parameter_count(self):
@@ -348,7 +349,7 @@ class TestStarGraph:
     def test_dims_match_numeric_real_codim(self):
         g = star_graph_2x2()
         for f in g.families:
-            A = f.make(f.sample)
+            A = canonical_matrix(family_form(g, (f.fid, f.sample)))
             assert f.dim == 8 - star_congruence_codim_numeric(A), f.fid
 
     def test_predicates(self):

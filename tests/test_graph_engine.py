@@ -267,9 +267,7 @@ def test_graphs_build_without_jordan_type_moves_or_relabeling(monkeypatch):
     def refuse(*args):
         raise AssertionError("called while building a graph")
 
-    for cached in (graphs._key_moves, graphs._coarsenings, structure.bundle_of_key,
-                   structure.bundle_types):
-        cached.cache_clear()
+    graphs._coarsenings.cache_clear()
     monkeypatch.setattr(graphs, "bundle_down_moves", refuse)
     monkeypatch.setattr(structure, "canonical_bundle_labeling", refuse)
     assert len(graphs.build_bundle_graph(8).vertices) == 223

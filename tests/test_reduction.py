@@ -64,11 +64,22 @@ class TestSylvester:
         with pytest.raises(ValueError, match="upper-triangular"):
             sylvester_solve(J[0], J[1], np.ones((3, 2)))
 
-    def test_nan_rhs_refused(self):
-        C = np.ones((3, 2), dtype=complex)
-        C[1, 0] = np.nan
-        with pytest.raises(ReductionError, match="residual"):
-            sylvester_solve(jordan_matrix(jt({conc(0): (2,)})), jordan_matrix(jt({conc(1): (3,)})), C)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf j"])
+    @pytest.mark.parametrize("which", ["J1", "J2", "C"])
+    def test_non_finite_entry_refused_before_the_solve(self, which, bad):
+        args = {"J1": jordan_matrix(jt({conc(0): (2,)})), "J2": jordan_matrix(jt({conc(1): (3,)})),
+                "C": np.ones((3, 2), dtype=complex)}
+        args[which][1, 1 if which != "C" else 0] = bad
+        with pytest.raises(ValueError, match=f"^{which} must be finite, got a NaN or infinite entry$"):
+            sylvester_solve(**args)
+
+    @pytest.mark.parametrize("which", ["J1", "J2"])
+    def test_order_beyond_envelope_refused(self, which):
+        big, one = np.eye(13), np.array([[2.0]])
+        J1, J2 = (big, one) if which == "J1" else (one, big)
+        with pytest.raises(ValueError, match=f"^{which} has order 13, beyond the supported 12x12$"):
+            sylvester_solve(J1, J2, np.ones((len(J2), len(J1))))
 
     def test_scalar(self):
         M = sylvester_solve(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.5]]))
@@ -185,7 +196,7 @@ def grid_of(t):
 def chord_inputs(layout):
     """Structure, Jordan matrix, plan and between-group solver of a layout."""
     t = jt({conc(lam): parts for lam, parts in zip(GRID_EIGS, layout)})
-    J, plan = jordan_matrix(t), reduction._plan(grid_of(t))
+    J, plan = jordan_matrix(t), reduction._Plan(grid_of(t))
     return t, J, plan, reduction._BetweenGroups(J, plan) if len(layout) > 1 else None
 
 
@@ -233,7 +244,7 @@ class TestChainFill:
         assert count == 919
 
     def test_plan_keeps_no_eigenvalue(self):
-        # (0)^2 (1e-9) has the grid of (0)^2 (1), whose plan is then cached,
+        # (0)^2 (1e-9) has the grid of (0)^2 (1), whose setup is then cached,
         # but its gap of 1e-9 is still below GAP_TOL
         E = np.zeros((3, 3), dtype=complex)
         E[0, 2] = 1e-5
@@ -242,7 +253,7 @@ class TestChainFill:
             reduce_to_miniversal(jt({conc(0): (2,), conc(1e-9): (1,)}), E)
 
     def test_cached_plan_is_read_only(self):
-        plan = reduction._plan(((3, 1), (2, 2)))
+        plan = reduction._setup(jt({conc(0): (3, 1), conc(1): (2, 2)}), ("0j", "(1+0j)"))[1]
         arrays = [field for field in vars(plan).values() if isinstance(field, np.ndarray)]
         assert len(arrays) == 7 and all(a.size for a in arrays)
         for a in arrays:
@@ -283,7 +294,7 @@ class TestSetupCache:
         J, plan, between, scale, eye = reduction._setup(t, ("0j", "(1+0j)"))  # the key of t
         arrays = [J, eye, *(a for a in vars(between).values() if isinstance(a, np.ndarray))]
         assert len(arrays) == 10 and all(a.size for a in arrays)
-        assert between.J is J and between.any_close is False and plan is reduction._plan(((3, 1), (2, 2)))
+        assert between.J is J and between.any_close is False and plan.pinned is reduction.pinned_cells(((3, 1), (2, 2)))
         assert scale == np.linalg.norm(J) and np.array_equal(eye, np.eye(8))
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -369,7 +380,7 @@ class TestFloatRange:
     def test_residual_message_is_unscaled(self):
         # one pass of the between-group solve where four are needed leaves a
         # residual on block (0, 1); at 2^664 (about 1e200) its square would overflow
-        J0, plan = jordan_matrix(jt({conc(0): (3,), conc(1): (2,)})), reduction._plan(((3,), (2,)))
+        J0, plan = jordan_matrix(jt({conc(0): (3,), conc(1): (2,)})), reduction._Plan(((3,), (2,)))
         R0 = np.zeros((5, 5), dtype=complex)
         R0[:3, 3:] = 1e-5
         X = R0 * reduction._BetweenGroups(J0, plan).inv_gap

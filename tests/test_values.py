@@ -38,6 +38,7 @@ from matstrata.congruence import TableEntry
 from matstrata.graphs import GraphVertex
 from matstrata.parametric import Arrow, Family
 from matstrata.perturb import ArrowWitness
+from matstrata.templates import PatternCheck
 
 sym = EigLabel.symbolic
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -114,6 +115,9 @@ RECORDS = {
         lambda: DeformationTemplate(1, ((0j,),), (("star",),), "sim"),
         ("n", "base", "kinds", "source"),
         "DeformationTemplate(n=1, base=((0j,),), kinds=(('star',),), source='sim')",
+    ),
+    "PatternCheck": (
+        lambda: PatternCheck(False, 0.5), ("ok", "residual"), "PatternCheck(ok=False, residual=0.5)",
     ),
     "PerturbReport": (
         lambda: PerturbReport(parse_compact("(0)^2"), 1e-3, 2, 7, "dense", 0.1, 1e-8,
