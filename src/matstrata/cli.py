@@ -21,16 +21,12 @@ import sys
 
 from .errors import NumericalAmbiguityError, StrataError
 from .graphs import build_bundle_graph, build_class_graph, graph_to_dot, graph_to_json_doc
-from .structure import complex_from_pair, format_compact, parse_compact
-
-
-class _UsageError(Exception):
-    pass
+from .structure import MAX_MATRIX_N, complex_from_pair, format_compact, parse_compact
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _stable(obj):
@@ -60,34 +56,34 @@ def _matrix_to_doc(A) -> dict:
 
 
 def _load_matrix(path: str):
-    from .tangent import MAX_MATRIX_N, check_finite
+    from .tangent import check_finite
 
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read matrix file {path}: {exc}") from exc
+        raise ValueError(f"cannot read matrix file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"matrix file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"matrix file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
-        raise _UsageError(f"matrix file {path} needs an object with a 'rows' list")
+        raise ValueError(f"matrix file {path} needs an object with a 'rows' list")
     rows = doc["rows"]
     n = doc.get("n", len(rows))
     if not isinstance(n, int) or isinstance(n, bool):
-        raise _UsageError(f"matrix file {path}: 'n' must be an integer, got {n!r}")
+        raise ValueError(f"matrix file {path}: 'n' must be an integer, got {n!r}")
     if len(rows) > MAX_MATRIX_N:
-        raise _UsageError(
+        raise ValueError(
             f"matrix file {path}: order {len(rows)} exceeds the supported "
             f"{MAX_MATRIX_N}x{MAX_MATRIX_N}"
         )
     try:
         entries = [[complex_from_pair(e) for e in row] for row in rows]
     except TypeError as exc:
-        raise _UsageError(f"matrix file {path}: rows must be [[re,im], ...] lists") from exc
+        raise ValueError(f"matrix file {path}: rows must be [[re,im], ...] lists") from exc
     except ValueError as exc:
-        raise _UsageError(f"matrix file {path}: entries must be finite") from exc
+        raise ValueError(f"matrix file {path}: entries must be finite") from exc
     if n == 0 or len(entries) != n or any(len(row) != n for row in entries):
-        raise _UsageError(f"matrix file {path}: expected a square {n}x{n} matrix")
+        raise ValueError(f"matrix file {path}: expected a square {n}x{n} matrix")
     return check_finite(entries)
 
 
@@ -98,29 +94,27 @@ def _load_form(path: str):
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read form file {path}: {exc}") from exc
+        raise ValueError(f"cannot read form file {path}: {exc}") from exc
     try:
         return form_from_json_doc(doc)
-    except (KeyError, TypeError, ValueError, StrataError) as exc:
-        raise _UsageError(f"form file {path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"form file {path}: {exc}") from exc
 
 
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
-        raise _UsageError(f"cannot parse complex number {text!r}") from exc
+        raise ValueError(f"cannot parse complex number {text!r}") from exc
 
 
 def _parse_jordan(text: str):
-    from .tangent import MAX_MATRIX_N
-
     try:
         t = parse_compact(text)
     except StrataError as exc:
-        raise _UsageError(f"bad compact notation {text!r}: {exc}") from exc
+        raise ValueError(f"bad compact notation {text!r}: {exc}") from exc
     if t.n > MAX_MATRIX_N:
-        raise _UsageError(
+        raise ValueError(
             f"{text!r} has order {t.n}, beyond the supported {MAX_MATRIX_N}x{MAX_MATRIX_N}"
         )
     return t
@@ -136,7 +130,7 @@ def _default_tol(args) -> float:
         try:
             tol = float(env)
         except ValueError as exc:
-            raise _UsageError(f"STRATA_TOL={env!r} is not a number") from exc
+            raise ValueError(f"STRATA_TOL={env!r} is not a number") from exc
     if tol is None:
         tol = DEFAULT_RANK_TOL
     check_tol(tol)
@@ -171,9 +165,9 @@ def _cmd_codim(args) -> None:
 
 def _cmd_graph(args) -> None:
     if args.nilpotent and args.what != "sim":
-        raise _UsageError(f"--nilpotent applies to graph sim only, not graph {args.what}")
+        raise ValueError(f"--nilpotent applies to graph sim only, not graph {args.what}")
     if args.kind is not None and args.what != "congr":
-        raise _UsageError(f"--kind applies to graph congr only, not graph {args.what}")
+        raise ValueError(f"--kind applies to graph congr only, not graph {args.what}")
     to_dot, to_doc = graph_to_dot, graph_to_json_doc
     if args.what == "sim":
         g = build_class_graph(args.n, nilpotent=args.nilpotent)
@@ -191,7 +185,7 @@ def _cmd_graph(args) -> None:
         if args.what == "congr":
             g = congruence_graph(args.n, args.kind or "classes")
         elif args.n != 2:
-            raise _UsageError("the *congruence closure graph is available for n = 2")
+            raise ValueError("the *congruence closure graph is available for n = 2")
         else:
             g = star_graph_2x2()
     if args.format == "dot":
@@ -206,11 +200,11 @@ def _cmd_template(args) -> None:
 
     if args.what == "sim":
         if not args.jordan:
-            raise _UsageError("template sim needs --jordan")
+            raise ValueError("template sim needs --jordan")
         tmpl = miniversal_template(_parse_jordan(args.jordan))
     else:
         if not args.form:
-            raise _UsageError(f"template {args.what} needs --form FILE")
+            raise ValueError(f"template {args.what} needs --form FILE")
         form = _load_form(args.form)
         tmpl = congruence_template(form) if args.what == "congr" else star_template(form)
     if args.format == "ascii":
@@ -224,7 +218,7 @@ def _cmd_reduce(args) -> None:
 
     t = _parse_jordan(args.jordan)
     if any(l.is_symbolic for l in t.labels):
-        raise _UsageError("reduce needs concrete eigenvalues, e.g. \"(0)^3 (0)^2\"")
+        raise ValueError("reduce needs concrete eigenvalues, e.g. \"(0)^3 (0)^2\"")
     E = _load_matrix(args.pert)
     tol = args.tol if args.tol is not None else DEFAULT_PATTERN_TOL
     res = reduce_to_miniversal(t, E, tol=tol)
@@ -255,7 +249,7 @@ def _cmd_survey(args) -> None:
 
     t = _parse_jordan(args.jordan)
     if any(l.is_symbolic for l in t.labels):
-        raise _UsageError("survey needs concrete eigenvalues, e.g. \"(0)^2 (0)^2\"")
+        raise ValueError("survey needs concrete eigenvalues, e.g. \"(0)^2 (0)^2\"")
     rep = random_survey(
         t,
         eps=args.eps,
@@ -287,10 +281,7 @@ def _cmd_witness(args) -> None:
 
     src = _parse_jordan(args.src)
     dst = _parse_jordan(args.dst)
-    try:
-        hit = find_arrow_witness(src, dst, eps=args.eps, tol=_default_tol(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    hit = find_arrow_witness(src, dst, eps=args.eps, tol=_default_tol(args))
     doc = {"from": format_compact(src), "to": format_compact(dst), "found": hit is not None}
     if hit is not None:
         doc["positions"] = [list(p) for p in hit.positions]
@@ -374,9 +365,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         _SUBCOMMANDS[args.command][1](args)
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalAmbiguityError as exc:
         print(f"numerical ambiguity: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ class Block(Value):
     param: complex | None = None
 
     def __init__(self, kind: str, size: int, param: complex | None = None):
-        if kind not in _KIND_ORDER:
+        if type(kind) is not str or kind not in _KIND_ORDER:
             raise CatalogError(f"unknown block kind {kind!r}")
         if size < 1:
             raise CatalogError(f"block size must be positive, got {size}")
@@ -117,20 +117,6 @@ def block_display(b: Block) -> str:
 
 def form_display(form) -> str:
     return "⊕".join(block_display(b) for b in form.blocks)
-
-
-def form_equal(a, b, tol: float = 1e-8) -> bool:
-    """Structural equality with parameter tolerance."""
-    if type(a) is not type(b) or len(a.blocks) != len(b.blocks):
-        return False
-    for x, y in zip(a.blocks, b.blocks):
-        if (x.kind, x.size) != (y.kind, y.size):
-            return False
-        px = x.param if x.param is not None else 0j
-        py = y.param if y.param is not None else 0j
-        if abs(px - py) > tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +487,17 @@ def form_to_json_doc(form) -> dict:
 
 
 def form_from_json_doc(doc) -> CongruenceForm | StarForm:
-    sizes = [e["size"] for e in doc["blocks"]]
+    entries = doc.get("blocks") if isinstance(doc, dict) else None
+    if type(entries) is not list or not all(type(e) is dict and {"kind", "size"} <= e.keys() for e in entries):
+        raise CatalogError(
+            'a form is an object with a "blocks" list of objects, each holding "kind" and "size"'
+        )
+    sizes = [e["size"] for e in entries]
     if not all(type(size) is int for size in sizes):
         raise CatalogError(f"block sizes must be integers, got {sizes}")
     blocks = tuple(
         Block(e["kind"], size, complex_from_pair(e["param"]) if "param" in e else None)
-        for e, size in zip(doc["blocks"], sizes)
+        for e, size in zip(entries, sizes)
     )
     if type(star := doc.get("star", False)) is not bool:
         raise CatalogError(f'the form flag "star" must be true or false, got {star!r}')

@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from ._value import Value
 from .errors import SizeMismatchError
 from .structure import (
+    MAX_MATRIX_N,
     BundleType,
     EigLabel,
     JordanType,
@@ -34,8 +35,6 @@ from .structure import (
     partitions,
     _partition_order_key,
 )
-
-DEFAULT_MAX_N = 8
 
 
 def _prefix_dominates(w_lo: tuple[int, ...], w_hi: tuple[int, ...]) -> bool:
@@ -179,8 +178,8 @@ def build_class_graph(
     with neither, all structures appear once modulo eigenvalue renaming.
     Those classes are the bundles, ordered by single-partition moves.
     """
-    if not 1 <= n <= DEFAULT_MAX_N:
-        raise ValueError(f"order {n} outside supported range 1..{DEFAULT_MAX_N}")
+    if not 1 <= n <= MAX_MATRIX_N:
+        raise ValueError(f"order {n} outside supported range 1..{MAX_MATRIX_N}")
     if nilpotent and pattern is not None:
         raise ValueError("a nilpotent class graph takes no eigenvalue pattern")
     if nilpotent:
@@ -280,8 +279,8 @@ def _move_graph(kind: str, structs, dim_of, moves) -> ClosureGraph:
 
 def build_bundle_graph(n: int) -> ClosureGraph:
     """Closure graph for similarity bundles of n x n matrices."""
-    if not 1 <= n <= DEFAULT_MAX_N:
-        raise ValueError(f"order {n} outside supported range 1..{DEFAULT_MAX_N}")
+    if not 1 <= n <= MAX_MATRIX_N:
+        raise ValueError(f"order {n} outside supported range 1..{MAX_MATRIX_N}")
     return _move_graph("bundles", bundle_types(n), bundle_dim, lambda k: _key_moves(k, True))
 
 

@@ -19,6 +19,7 @@ from functools import lru_cache, total_ordering
 from ._value import Value
 from .errors import CompactParseError
 
+MAX_MATRIX_N = 12  # the design envelope: the largest order of a matrix input or a closure graph
 GREEK_LETTERS = "λμνξρστω"
 _SUPERSCRIPTS = {str(d): s for d, s in enumerate("⁰¹²³⁴⁵⁶⁷⁸⁹")}
 
@@ -430,17 +431,3 @@ def jordan_types_for_pattern(mults: tuple[int, ...]) -> tuple[JordanType, ...]:
             JordanType({EigLabel.symbolic(i + 1): p for i, p in enumerate(combo)})
         )
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# block layout
-# ---------------------------------------------------------------------------
-
-
-def label_layout(t: JordanType) -> list[tuple[EigLabel, Partition, int]]:
-    """(label, partition, row offset) for each label in canonical order."""
-    out, off = [], 0
-    for label, part in t.entries:
-        out.append((label, part, off))
-        off += part.total
-    return out

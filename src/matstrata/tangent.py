@@ -16,13 +16,13 @@ import math
 import numpy as np
 
 from .errors import NumericalAmbiguityError, raise_ambiguous
+from .structure import MAX_MATRIX_N
 
 DEFAULT_RANK_TOL = 1e-8
 # a singular value within this factor of the rank threshold is ambiguous
 RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
-MAX_MATRIX_N = 12  # the design envelope of every matrix input; graphs have their own bound
 
 
 def check_tol(tol: float) -> None:

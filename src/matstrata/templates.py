@@ -25,7 +25,6 @@ from .structure import (
     format_compact,
     format_complex,
     label_display,
-    label_layout,
 )
 from .tangent import check_positive
 
@@ -72,20 +71,25 @@ def jordan_block(m: int, lam: complex) -> np.ndarray:
     """m x m Jordan block: lam on the diagonal, ones on the superdiagonal."""
     J = np.zeros((m, m), dtype=complex)
     np.fill_diagonal(J, lam)
-    for i in range(m - 1):
-        J[i, i + 1] = 1.0
+    J.flat[1 :: m + 1] = 1.0
     return J
+
+
+def jordan_rows(t: JordanType) -> list[tuple[EigLabel, bool]]:
+    """(label, whether a 1 sits right of the diagonal) for each row of the
+    Jordan matrix of ``t``: labels in canonical order, block sizes descending."""
+    return [(label, k < m - 1) for label, part in t.entries for m in part.parts for k in range(m)]
 
 
 def jordan_matrix(t: JordanType) -> np.ndarray:
     """Canonical Jordan matrix of a structure with concrete labels."""
     if any(l.is_symbolic for l in t.labels):
         raise ValueError("jordan_matrix needs concrete eigenvalue labels")
-    n = t.n
+    rows = jordan_rows(t)
+    n = len(rows)
     J = np.zeros((n, n), dtype=complex)
-    J.flat[:: n + 1] = [label.value for label, part in t.entries for _ in range(part.total)]
-    ones = [float(k < m - 1) for _, part in t.entries for m in part.parts for k in range(m)]
-    J.flat[1 :: n + 1] = ones[:-1]
+    J.flat[:: n + 1] = [label.value for label, _ in rows]
+    J.flat[1 :: n + 1] = [float(one) for _, one in rows[:-1]]
     return J
 
 
@@ -102,7 +106,7 @@ def real_param_count(tmpl: DeformationTemplate) -> int:
 @lru_cache(maxsize=256)
 def pinned_cells(grid: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Read-only n x n mask of the pinned cells of the template whose
-    eigenvalue groups have the block sizes ``grid``, in ``label_layout`` order."""
+    eigenvalue groups have the block sizes ``grid``, in ``jordan_rows`` order."""
     n = sum(map(sum, grid))
     pinned = np.ones((n, n), dtype=bool)
     for off, sizes in zip(accumulate(map(sum, grid[:-1]), initial=0), grid):
@@ -125,14 +129,10 @@ def miniversal_template(t: JordanType) -> DeformationTemplate:
     """
     n = t.n
     base = [[0.0 + 0.0j] * n for _ in range(n)]
-    for label, part, off in label_layout(t):
-        lam = label if label.is_symbolic else label.value
-        for m in part.parts:
-            for i in range(off, off + m):
-                base[i][i] = lam
-                if i + 1 < off + m:
-                    base[i][i + 1] = 1.0 + 0.0j
-            off += m
+    for i, (label, one) in enumerate(jordan_rows(t)):
+        base[i][i] = label if label.is_symbolic else label.value
+        if one:
+            base[i][i + 1] = 1.0 + 0.0j
     pinned = pinned_cells(tuple(part.parts for _, part in t.entries))
     return DeformationTemplate(
         n=n,

@@ -19,3 +19,13 @@ def random_complex(rng, n, norm=None, strict_upper=False):
 def well_conditioned(rng, n, spread=0.3):
     R = random_complex(rng, n)
     return np.eye(n) + spread * R / np.linalg.norm(R)
+
+
+def label_layout(t):
+    """(label, partition, row offset) for each label of ``t`` in canonical order:
+    the block layout of its Jordan matrix, written out independently of the package."""
+    out, off = [], 0
+    for label, part in t.entries:
+        out.append((label, part, off))
+        off += part.total
+    return out

@@ -99,7 +99,7 @@ class TestGraphCommand:
         assert code == 1
 
     def test_out_of_range(self):
-        code, _ = invoke("graph", "sim", "--n", "12")
+        code, _ = invoke("graph", "sim", "--n", "13")
         assert code == 1
 
     @pytest.mark.parametrize(
@@ -159,6 +159,17 @@ class TestTemplateCommand:
         assert invoke("template", "congr", "--form", str(path)) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("error: form file") and 'flag "star"' in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("what, kind, param, value", [
+        ("congr", "H", [-2, -0.0], "[-2.0, -0.0]"),
+        ("star", "H*", [-0.5, -0.0], "[-0.5, -0.0]"),
+    ])
+    def test_signed_zero_parameter_kept(self, tmp_path, what, kind, param, value):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"star": what == "star", "blocks": [{"kind": kind, "size": 2, "param": param}]}))
+        code, out = invoke("template", what, "--form", str(path))
+        assert code == 0
+        assert out.endswith('{"i": 1, "j": 0, "kind": "star", "value": %s}]}\n' % value), out
 
     def test_bare_minus_exponent_refused(self, capsys):
         assert invoke("template", "sim", "--jordan", "a^-") == (1, "")
@@ -331,6 +342,19 @@ class TestInputValidation:
         assert invoke("template", "congr", "--form", str(path)) == (1, "")
         assert "block size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"blocks": {"kind": "N"}}, {"blocks": [["N", 1]]}, [1, 2], {"blocks": [{"size": 1}]},
+        {"star": False}, {"blocks": [{"kind": "N", "size": 1}, {"kind": "N"}]},
+    ])
+    def test_form_of_wrong_shape_refused(self, tmp_path, capsys, doc):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        assert invoke("template", "congr", "--form", str(path)) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: form file {path}: a form is an object with a \"blocks\" list of objects,"
+            ' each holding "kind" and "size"\n'
+        )
+
     def test_unknown_subcommand(self):
         assert invoke("frobnicate")[0] == 1
 
@@ -363,6 +387,18 @@ class TestMatrixEnvelope:
     def test_largest_jordan_structure_accepted(self):
         code, out = invoke("template", "sim", "--jordan", "(0)^12")
         assert code == 0 and json.loads(out)["n"] == 12
+
+    @pytest.mark.parametrize("base", ["(0)^9", "(0)^3 (0)^2 (1)^4 (2)^3"])
+    def test_survey_past_order_eight(self, base):
+        code, out = invoke("survey", "--jordan", base, "--eps", "1e-3", "--trials", "3", "--seed", "1")
+        assert code == 0 and sum(json.loads(out)["observed_counts"].values()) == 3
+
+    @pytest.mark.parametrize("what", ["sim", "bundle"])
+    def test_graph_orders_up_to_twelve(self, capsys, what):
+        code, out = invoke("graph", what, "--n", "12")
+        assert code == 0 and len(json.loads(out)["vertices"]) == 2870
+        assert invoke("graph", what, "--n", "13") == (1, "")
+        assert capsys.readouterr().err == "error: order 13 outside supported range 1..12\n"
 
     def test_oversized_matrix_file(self, capsys, tmp_path):
         path = write_matrix(tmp_path / "m13.json", np.eye(13))

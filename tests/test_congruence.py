@@ -31,7 +31,6 @@ from matstrata.congruence import (
     congruence_entries,
     family_form,
     form_display,
-    form_equal,
     form_from_json_doc,
     star_entries,
 )
@@ -45,6 +44,20 @@ H, G, N, U, HS = (
     lambda s, mu: Block("U", s, mu),
     lambda m, lam: Block("H*", 2 * m, lam),
 )
+
+
+def form_equal(a, b, tol: float = 1e-8) -> bool:
+    """Structural equality with parameter tolerance."""
+    if type(a) is not type(b) or len(a.blocks) != len(b.blocks):
+        return False
+    for x, y in zip(a.blocks, b.blocks):
+        if (x.kind, x.size) != (y.kind, y.size):
+            return False
+        px = x.param if x.param is not None else 0j
+        py = y.param if y.param is not None else 0j
+        if abs(px - py) > tol:
+            return False
+    return True
 
 
 class TestBlocks:
@@ -415,6 +428,19 @@ class TestSerialization:
         doc = {"star": flag, "blocks": [{"kind": "H", "size": 2, "param": [2, 0]}]}
         with pytest.raises(CatalogError, match='flag "star"'):
             form_from_json_doc(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"blocks": {"kind": "N"}}, {"blocks": [["N", 1]]}, [1, 2], {"blocks": [{"size": 1}]},
+        None, {}, {"blocks": [{"kind": "N"}]},
+    ])
+    def test_wrong_shape_refused(self, doc):
+        with pytest.raises(CatalogError, match='"blocks" list of objects, each holding "kind" and "size"'):
+            form_from_json_doc(doc)
+
+    @pytest.mark.parametrize("kind", [["N"], {"N": 1}, 1, None])
+    def test_kind_not_a_name_refused(self, kind):
+        with pytest.raises(CatalogError, match="unknown block kind"):
+            form_from_json_doc({"blocks": [{"kind": kind, "size": 1}]})
 
     def test_absent_star_flag_means_congruence(self):
         assert isinstance(form_from_json_doc({"blocks": [{"kind": "N", "size": 1}]}), CongruenceForm)

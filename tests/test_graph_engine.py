@@ -191,7 +191,7 @@ def resorted_key_moves(key, merge):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_inserted_moves_equal_resorted_moves(n):
-    # orders 9 and 10 lie past DEFAULT_MAX_N; _key_moves takes any key
+    # _key_moves takes any key, whatever the order
     for b in bundle_types(n):
         for merge in (False, True):
             assert graphs._key_moves(key_of(b), merge) == resorted_key_moves(key_of(b), merge), b

@@ -98,7 +98,7 @@ class TestClassGraphs:
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            build_class_graph(9)
+            build_class_graph(13)
         with pytest.raises(ValueError):
             build_class_graph(4, pattern=(3,))
 
@@ -141,10 +141,21 @@ class TestBundleGraphs:
             ("λλ", "λ²"), ("λ²", "λμ"),
         }
 
-    @pytest.mark.parametrize("n", [0, 9])
+    @pytest.mark.parametrize("n", [0, 13])
     def test_order_outside_range_refused(self, n):
         with pytest.raises(ValueError, match="outside supported range"):
             build_bundle_graph(n)
+
+    def test_12x12_counts(self):
+        g = build_bundle_graph(12)
+        assert len(g.vertices) == 2870 and len(g.edges) == 15234
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_ids_and_notations_unique_past_order_eight(self, n):
+        for g in (build_bundle_graph(n), build_class_graph(n), build_class_graph(n, nilpotent=True)):
+            for name in ("id", "notation"):
+                values = [getattr(v, name) for v in g.vertices]
+                assert len(set(values)) == len(values), (n, g.kind, name)
 
     def test_1x1(self):
         g = build_bundle_graph(1)

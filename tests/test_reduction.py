@@ -21,8 +21,7 @@ from matstrata import (
     reduction,
     sylvester_solve,
 )
-from matstrata.structure import label_layout
-from conftest import random_complex
+from conftest import label_layout, random_complex
 
 conc = EigLabel.concrete
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -27,6 +28,7 @@ from matstrata import (
     similarity_codim_numeric,
     star_congruence_codim_numeric,
 )
+from matstrata import structure, tangent
 from matstrata.congruence import Block, CongruenceForm, canonical_matrix, form_display
 from matstrata.tangent import (
     ACTIONS, DEFAULT_RANK_TOL, MAX_MATRIX_N, _closure, _summand_pieces, band_ranks, check_positive, check_tol,
@@ -416,6 +418,11 @@ class TestEntryCheck:
         assert MAX_MATRIX_N == 12
         with pytest.raises(ValueError, match=r"has order 13, beyond the supported 12x12$"):
             call(np.eye(13))
+
+    def test_one_envelope(self):
+        # one definition, in the numpy-free structure layer; the numeric layers import it
+        assert tangent.MAX_MATRIX_N is structure.MAX_MATRIX_N
+        assert not re.search(r"^MAX_MATRIX_N\s*=", inspect.getsource(tangent), re.M)
 
 
 def per_matrix_unit_scale(A):

@@ -19,8 +19,8 @@ from matstrata import (
     template_ascii,
     template_to_json_doc,
 )
-from matstrata.structure import label_layout
-from matstrata.templates import FIXED, STAR, pinned_cells
+from matstrata.templates import FIXED, STAR, jordan_block, pinned_cells
+from conftest import label_layout
 
 sym = EigLabel.symbolic
 conc = EigLabel.concrete
@@ -63,6 +63,88 @@ class TestPatterns:
 
     def test_one_by_one(self):
         assert star_count(miniversal_template(jt({sym(1): (1,)}))) == 1
+
+
+def reference_jordan_block(m, lam):
+    """One Jordan block, entry by entry."""
+    J = np.zeros((m, m), dtype=complex)
+    np.fill_diagonal(J, lam)
+    for i in range(m - 1):
+        J[i, i + 1] = 1.0
+    return J
+
+
+def reference_jordan_matrix(t):
+    """The Jordan matrix from the label layout, one diagonal slice each."""
+    n = t.n
+    J = np.zeros((n, n), dtype=complex)
+    J.flat[:: n + 1] = [label.value for label, part in t.entries for _ in range(part.total)]
+    ones = [float(k < m - 1) for _, part in t.entries for m in part.parts for k in range(m)]
+    J.flat[1 :: n + 1] = ones[:-1]
+    return J
+
+
+def reference_base(t):
+    """The template base, block by block from the label layout."""
+    n = t.n
+    base = [[0.0 + 0.0j] * n for _ in range(n)]
+    for label, part, off in label_layout(t):
+        lam = label if label.is_symbolic else label.value
+        for m in part.parts:
+            for i in range(off, off + m):
+                base[i][i] = lam
+                if i + 1 < off + m:
+                    base[i][i + 1] = 1.0 + 0.0j
+            off += m
+    return tuple(tuple(row) for row in base)
+
+
+def cell_bits(base):
+    """Each cell's type and exact text: repr tells -0.0 from 0.0 in either part."""
+    return [(type(v), repr(v)) for row in base for v in row]
+
+
+# signed zeros in either part, a negative, an imaginary and a near-overflow value
+LABEL_POOL = (-0.0, -1, 1j, 1e200, complex(-2, -0.0), complex(0.5, -0.0))
+
+
+def labelled_structures(max_n):
+    """Every structure of order <= max_n, once with symbolic labels and once per
+    rotation of ``LABEL_POOL`` over its eigenvalues."""
+    for n in range(1, max_n + 1):
+        for b in bundle_types(n):
+            yield b
+            for r in range(len(LABEL_POOL)):
+                yield JordanType({
+                    conc(LABEL_POOL[(i + r) % len(LABEL_POOL)]): p for i, (_, p) in enumerate(b.entries)
+                })
+
+
+class TestJordanRows:
+    """``jordan_block``, ``jordan_matrix`` and the template base match their
+    written-out references bit for bit, signed zeros included."""
+
+    def test_jordan_block(self):
+        for m in range(1, 7):
+            for lam in LABEL_POOL + (0.0, complex(-0.0, -0.0)):
+                assert jordan_block(m, lam).tobytes() == reference_jordan_block(m, lam).tobytes(), (m, lam)
+
+    def test_jordan_matrix_and_template_base(self):
+        count = 0
+        for t in labelled_structures(6):
+            tmpl = miniversal_template(t)
+            assert cell_bits(tmpl.base) == cell_bits(reference_base(t)), t
+            if not any(l.is_symbolic for l in t.labels):
+                J = jordan_matrix(t)
+                assert J.tobytes() == reference_jordan_matrix(t).tobytes(), t
+                assert tmpl.base_matrix().tobytes() == J.tobytes(), t
+                count += 1
+        assert count == 6 * sum(len(bundle_types(n)) for n in range(1, 7))
+
+    def test_signed_zero_survives(self):
+        J = jordan_matrix(jt({conc(complex(-2, -0.0)): (2,), conc(-0.0): (1,)}))
+        assert np.signbit(J.real.diagonal()).tolist() == [True, True, True]
+        assert np.signbit(J.imag.diagonal()).tolist() == [True, True, False]
 
 
 class TestAgreement:
