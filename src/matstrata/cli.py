@@ -2,8 +2,8 @@
 
 Every subcommand is a thin shell over a library call and prints a single
 JSON document (graphs can also emit DOT).  Exit codes: 0 success, 1 usage
-or input error, 2 numerical-ambiguity error.  The environment variable
-STRATA_TOL overrides the default rank tolerance.
+or input error, 2 numerical-ambiguity error.  ``--tol`` sets the rank
+tolerance of the commands that rank; no environment variable is read.
 
 Only the exact similarity layers (structure and the similarity closure
 graphs) are imported up front.  The congruence and *congruence closure
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import NumericalAmbiguityError, StrataError
@@ -121,16 +120,10 @@ def _parse_jordan(text: str):
 
 
 def _default_tol(args) -> float:
-    """--tol, else STRATA_TOL, else the library default; always in (0, 1)."""
+    """--tol, else the library default; always in (0, 1)."""
     from .tangent import DEFAULT_RANK_TOL, check_tol
 
     tol = getattr(args, "tol", None)
-    env = os.environ.get("STRATA_TOL")
-    if tol is None and env:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ValueError(f"STRATA_TOL={env!r} is not a number") from exc
     if tol is None:
         tol = DEFAULT_RANK_TOL
     check_tol(tol)

@@ -205,12 +205,10 @@ def normalize_form(form):
             blocks.append(Block("H", b.size, _normalize_h_lambda(b.param, b.m)))
         elif b.kind == "H*":
             blocks.append(Block("H*", b.size, _normalize_hstar_lambda(b.param)))
-        elif b.kind == "U":
-            if abs(abs(b.param) - 1) > PARAM_TOL:
-                raise CatalogError(
-                    f"U-block parameter must be unimodular, |mu| = {abs(b.param):.6g}"
-                )
-            blocks.append(b)
+        elif b.kind == "U" and abs(abs(b.param) - 1) > PARAM_TOL:
+            raise CatalogError(
+                f"U-block parameter must be unimodular, |mu| = {abs(b.param):.6g}"
+            )
         else:
             blocks.append(b)
     blocks.sort(key=_block_sort_key)

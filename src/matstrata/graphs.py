@@ -12,7 +12,6 @@ kinds as DOT.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from functools import cached_property, lru_cache
 
@@ -33,7 +32,6 @@ from .structure import (
     jordan_types_for_pattern,
     orbit_dim,
     partitions,
-    _partition_order_key,
 )
 
 
@@ -119,11 +117,7 @@ class ClosureGraph(Value):
             if self.vertices[i].dim >= self.vertices[j].dim:
                 raise ValueError(f"edge {a!r} -> {b!r} does not raise the dimension")
             preds[j].append(i)
-        below = [0] * len(preds)
-        for j in sorted(range(len(preds)), key=lambda j: self.vertices[j].dim):
-            for i in preds[j]:
-                below[j] |= 1 << i | below[i]
-        return below
+        return _down_sets(preds, sorted(range(len(preds)), key=lambda j: self.vertices[j].dim))
 
     def _index(self, key) -> int:
         try:
@@ -146,21 +140,30 @@ def _bits(x: int):
         x ^= low
 
 
-def _hasse_edges(below: list[int], steps: list[int]) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with vertex i strictly below vertex j.
+def _down_sets(preds: list[list[int]], order) -> list[int]:
+    """Strict down-set of each vertex as a Python-int bitset over vertex
+    indices, bit i of ``below[j]`` set when vertex i lies strictly below
+    vertex j.  ``preds[j]`` lists vertices below j that generate its down-set
+    (every vertex below j lies at or below one of them), and ``order`` visits
+    each vertex after its ``preds``, so ``below[j]`` is the OR over them of
+    ``bit i | below[i]``."""
+    below = [0] * len(preds)
+    for j in order:
+        for i in preds[j]:
+            below[j] |= 1 << i | below[i]
+    return below
 
-    The order is given as Python-int bitsets over vertex indices: bit i of
-    ``below[j]`` is set when vertex i lies strictly below vertex j.
-    ``steps[j]`` is a subset of ``below[j]`` that generates it: every vertex
-    below j lies at or below some vertex of ``steps[j]``, as the down-moves
-    of j do.  Then j covers exactly the vertices of ``below[j]`` that lie
-    strictly below no vertex of ``steps[j]``: one OR per step, no scan over
-    all triples.
+
+def _hasse_edges(below: list[int], preds: list[list[int]]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) with vertex i strictly below vertex j, from the
+    down-sets and generators of ``_down_sets``: j covers exactly the vertices
+    of ``below[j]`` that lie strictly below none of ``preds[j]``, one OR per
+    generator, no scan over all triples.
     """
     edges = []
-    for j, (down, step) in enumerate(zip(below, steps)):
+    for j, (down, pred) in enumerate(zip(below, preds)):
         under = 0
-        for m in _bits(step):
+        for m in pred:
             under |= below[m]
         edges.extend((i, j) for i in _bits(down & ~under))
     return edges
@@ -178,7 +181,7 @@ def build_class_graph(
     with neither, all structures appear once modulo eigenvalue renaming.
     Those classes are the bundles, ordered by single-partition moves.
     """
-    if not 1 <= n <= MAX_MATRIX_N:
+    if type(n) is not int or not 1 <= n <= MAX_MATRIX_N:
         raise ValueError(f"order {n} outside supported range 1..{MAX_MATRIX_N}")
     if nilpotent and pattern is not None:
         raise ValueError("a nilpotent class graph takes no eigenvalue pattern")
@@ -187,7 +190,7 @@ def build_class_graph(
         structs = [JordanType({zero: p}) for p in partitions(n)]
     elif pattern is not None:
         pattern = tuple(pattern)
-        if not all(isinstance(m, int) and m >= 1 for m in pattern):
+        if not all(type(m) is int and m >= 1 for m in pattern):
             raise ValueError(f"pattern {pattern} needs positive integer multiplicities")
         if sum(pattern) != n:
             raise ValueError(f"pattern {pattern} does not sum to {n}")
@@ -226,17 +229,11 @@ def _key_moves(key: tuple[tuple[int, ...], ...], merge: bool) -> tuple:
     out = set()
     for i, p in enumerate(key):
         rest = key[:i] + key[i + 1 :]
-        out.update(_insert_part(rest, q) for q in _coarsenings(p))
+        out.update(bundle_key(rest + (q,)) for q in _coarsenings(p))
         for j in range(i + 1, len(key)) if merge else ():
             merged = tuple(map(sum, itertools.zip_longest(p, key[j], fillvalue=0)))
-            out.add(_insert_part(key[:i] + key[i + 1 : j] + key[j + 1 :], merged))
+            out.add(bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
     return tuple(out)
-
-
-def _insert_part(key: tuple[tuple[int, ...], ...], part: tuple[int, ...]) -> tuple:
-    """``bundle_key(key + (part,))`` for a ``key`` already in label order."""
-    at = bisect.bisect_right(key, _partition_order_key(part), key=_partition_order_key)
-    return key[:at] + (part,) + key[at:]
 
 
 def bundle_down_moves(b: JordanType) -> list[BundleType]:
@@ -251,35 +248,27 @@ def _move_graph(kind: str, structs, dim_of, moves) -> ClosureGraph:
     tuples in label order, ``moves(key)`` giving the keys one degeneration
     step below.  One pass over the vertices in ``(dim, notation)`` order:
     the moves of vertex j lower ``dim_of``, so they point to earlier
-    vertices (checked), and ``below[j]`` is the OR over moves d of
-    ``bit d | below[d]``; the moves generate ``below[j]``, so
-    ``_hasse_edges`` reads the covers off them."""
+    vertices (checked); they generate its down-set, so ``_down_sets`` and
+    ``_hasse_edges`` read the order and its covers off them."""
     verts = [GraphVertex(format_compact(s), format_display(s), dim_of(s), s) for s in structs]
     verts.sort(key=lambda v: (v.dim, v.notation))
     index = {tuple(p.parts for _, p in v.structure.entries): j for j, v in enumerate(verts)}
-    below, steps = [], []
-    for j, key in enumerate(index):
-        step = 0
-        for d in moves(key):
-            i = index[d]
+    preds = [[index[d] for d in moves(key)] for key in index]
+    for j, pred in enumerate(preds):
+        for i in pred:
             if i >= j:
                 raise RuntimeError(
                     f"down-move {verts[i].id} of {verts[j].id} does not come earlier "
                     f"in the {dim_of.__name__.removesuffix('_dim')}-dimension order"
                 )
-            step |= 1 << i
-        down = step
-        for i in _bits(step):
-            down |= below[i]
-        below.append(down)
-        steps.append(step)
-    edges = sorted((verts[i].id, verts[j].id) for i, j in _hasse_edges(below, steps))
+    below = _down_sets(preds, range(len(preds)))
+    edges = sorted((verts[i].id, verts[j].id) for i, j in _hasse_edges(below, preds))
     return ClosureGraph(kind=kind, vertices=tuple(verts), edges=tuple(edges))
 
 
 def build_bundle_graph(n: int) -> ClosureGraph:
     """Closure graph for similarity bundles of n x n matrices."""
-    if not 1 <= n <= MAX_MATRIX_N:
+    if type(n) is not int or not 1 <= n <= MAX_MATRIX_N:
         raise ValueError(f"order {n} outside supported range 1..{MAX_MATRIX_N}")
     return _move_graph("bundles", bundle_types(n), bundle_dim, lambda k: _key_moves(k, True))
 

@@ -354,7 +354,7 @@ def congruence_graph(n: int, kind: str = "classes") -> ParametricGraph:
     """Closure graph for congruence classes or bundles of 2x2/3x3 matrices."""
     if kind not in ("classes", "bundles"):
         raise ValueError("kind must be 'classes' or 'bundles'")
-    if n not in _CONGRUENCE_FAMILIES:
+    if type(n) is not int or n not in _CONGRUENCE_FAMILIES:
         raise CatalogError(f"congruence closure graphs cover sizes 2 and 3, not {n}")
     shared, *own = _CONGRUENCE_ARROWS[n]  # own: the class graph's, the bundle graph's
     return _parametric_graph(kind, _CONGRUENCE_FAMILIES[n], shared + own[kind == "bundles"])

@@ -223,7 +223,6 @@ def weyr_of(t: JordanType, label: EigLabel) -> tuple[int, ...]:
     return conjugate_partition(p).parts
 
 
-@lru_cache(maxsize=None)
 def _partition_codim(parts: tuple[int, ...]) -> int:
     """Codimension contributed by one eigenvalue with these block sizes: the
     sum of its squared block counts, in closed form sum (2i-1) p_i."""
@@ -381,45 +380,36 @@ def format_display(t: JordanType) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _multisets(items, size, total: int, start: int = 0):
+    """Multisets of ``items`` whose ``size``s add up to ``total``, each once,
+    as a tuple of items by nondecreasing index, in lexicographic order of
+    those indices."""
+    if total == 0:
+        yield ()
+        return
+    for idx in range(start, len(items)):
+        item = items[idx]
+        if size(item) <= total:
+            for rest in _multisets(items, size, total - size(item), idx):
+                yield (item,) + rest
+
+
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in canonical (descending-lex) order."""
-
-    def gen(remaining, maxpart):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maxpart), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    out = [Partition(p) for p in gen(n, n)]
-    out.sort(key=_partition_order_key)
-    return tuple(out)
+    """All partitions of n, in canonical (descending-lex) order: multisets
+    of the parts n, ..., 1."""
+    return tuple(map(Partition, _multisets(range(n, 0, -1), int, n)))
 
 
 def bundle_types(n: int) -> tuple[BundleType, ...]:
     """All bundle structures of order n (multisets of partitions).
 
-    They are enumerated as keys, by nondecreasing indices into the
-    partitions in label order: each multiset once, already in label order,
-    and the multisets in lexicographic order of their partitions.
+    They are enumerated as keys, multisets of the partitions of n, ..., 1
+    in label order: each multiset once, already in label order, and the
+    multisets in lexicographic order of their partitions.
     """
-    universe = sorted(
-        (p.parts for m in range(1, n + 1) for p in partitions(m)), key=_partition_order_key
-    )
-
-    def gen(remaining, start):
-        if remaining == 0:
-            yield ()
-            return
-        for idx in range(start, len(universe)):
-            p = universe[idx]
-            if sum(p) <= remaining:
-                for rest in gen(remaining - sum(p), idx):
-                    yield (p,) + rest
-
-    return tuple(map(bundle_of_key, gen(n, 0)))
+    universe = [p.parts for m in range(n, 0, -1) for p in partitions(m)]
+    return tuple(map(bundle_of_key, _multisets(universe, sum, n)))
 
 
 def jordan_types_for_pattern(mults: tuple[int, ...]) -> tuple[JordanType, ...]:

@@ -52,19 +52,12 @@ class DeformationTemplate(Value):
 
     def base_matrix(self) -> np.ndarray:
         """Numeric base; fails when the source had symbolic eigenvalues."""
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                v = self.base[i][j]
-                if isinstance(v, EigLabel):
-                    if v.is_symbolic:
-                        raise ValueError(
-                            "template has symbolic eigenvalues; build it from "
-                            "a structure with concrete labels"
-                        )
-                    v = v.value
-                out[i, j] = v
-        return out
+        if any(isinstance(v, EigLabel) for row in self.base for v in row):
+            raise ValueError(
+                "template has symbolic eigenvalues; build it from "
+                "a structure with concrete labels"
+            )
+        return np.array(self.base, dtype=complex)
 
 
 def jordan_block(m: int, lam: complex) -> np.ndarray:

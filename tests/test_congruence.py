@@ -335,6 +335,11 @@ class TestCongruenceGraphs:
                 for a in g.arrows:
                     assert dim[a.src] < dim[a.dst]
 
+    @pytest.mark.parametrize("n", [2.0, 3.0, True, 4])
+    def test_size_that_is_not_2_or_3_refused(self, n):
+        with pytest.raises(CatalogError, match="cover sizes 2 and 3"):
+            congruence_graph(n)
+
     def test_path_through_rank_one(self):
         g = congruence_graph(2, "classes")
         assert path_exists(g, ("zero2", ()), ("h_lambda", (5.0,)))

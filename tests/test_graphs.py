@@ -102,7 +102,7 @@ class TestClassGraphs:
         with pytest.raises(ValueError):
             build_class_graph(4, pattern=(3,))
 
-    @pytest.mark.parametrize("pattern", [(-1, 4), (0, 3), (1.5, 1.5), (3, 0)])
+    @pytest.mark.parametrize("pattern", [(-1, 4), (0, 3), (1.5, 1.5), (3, 0), (True, 2)])
     def test_malformed_pattern_refused(self, pattern):
         with pytest.raises(ValueError, match="positive integer multiplicities"):
             build_class_graph(3, pattern=pattern)
@@ -145,6 +145,12 @@ class TestBundleGraphs:
     def test_order_outside_range_refused(self, n):
         with pytest.raises(ValueError, match="outside supported range"):
             build_bundle_graph(n)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 3.0])
+    def test_order_that_is_not_an_int_refused(self, n):
+        for build in (build_bundle_graph, build_class_graph):
+            with pytest.raises(ValueError, match="outside supported range"):
+                build(n)
 
     def test_12x12_counts(self):
         g = build_bundle_graph(12)

@@ -75,6 +75,41 @@ class TestConjugate:
                 assert conjugate_partition(conjugate_partition(p)) == p
 
 
+def _partitions_by_compositions(n):
+    """Every partition of n, each once: the compositions of n (one per
+    subset of the n - 1 cut points) with their parts sorted descending."""
+    out = set()
+    for cuts in range(1 << (n - 1)):
+        parts, run = [], 1
+        for k in range(n - 1):
+            if cuts >> k & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        out.add(tuple(sorted(parts + [run], reverse=True)))
+    return out
+
+
+PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+BUNDLE_COUNTS = [1, 3, 6, 14, 27, 58, 111, 223, 424, 817, 1527, 2870]  # OEIS A001970
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_partitions_match_compositions(self, n):
+        got = [p.parts for p in partitions(n)]
+        assert got == sorted(_partitions_by_compositions(n), reverse=True)
+        assert len(got) == PARTITION_COUNTS[n - 1]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bundle_types_count_and_order(self, n):
+        keys = [tuple(p.parts for _, p in b.entries) for b in bundle_types(n)]
+        assert len(keys) == BUNDLE_COUNTS[n - 1]
+        assert all(structure.bundle_key(k) == k for k in keys)
+        order = [tuple(map(structure._partition_order_key, k)) for k in keys]
+        assert all(a < b for a, b in zip(order, order[1:]))
+
+
 class TestWeyr:
     # block-count sequences for the five nilpotent 4x4 structures
     @pytest.mark.parametrize(
