@@ -19,6 +19,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ._value import Value
 from .errors import NumericalAmbiguityError, raise_ambiguous
@@ -222,14 +223,64 @@ class PerturbReport(Value):
         return dict(sorted(out.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _random_directions(children, n: int, mode: str) -> np.ndarray:
-    """One unit-Frobenius-norm direction per seed sequence, as a (k, n, n)
-    stack; each draw is normalised on its own, as a lone draw would be."""
-    X = np.array([np.random.default_rng(c).standard_normal((2, n, n)) for c in children])
+def _hash_chain(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32, i = start .. start + count - 1: the running
+    constant of count - 1 steps of NumPy's SeedSequence hash.  As uint32, it
+    wraps the hash without a warning or, under NEP 50, an OverflowError."""
+    return np.array([init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(start, start + count)], np.uint32)
+
+
+_STATE_HASH = _hash_chain(0x8B51F9DD, 0x58F38DED, 0, 9)  # generate_state's eight steps
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_steps(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """One hash step of column j of the uint32 words at constant chain[j]."""
+    v = (words ^ chain[:-1]) * chain[1:]
+    return v ^ v >> 16
+
+
+def _child_words(seeds, first: int, count: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each of
+    ``seeds.spawn(first + count)[first:]``, one row each, for the
+    SeedSequence ``seeds`` of an integer seed.
+
+    NumPy's hash (O'Neill's seed_seq, PCG report 2014) in one uint32 pass.
+    Child k hashes the seed's words, padded to four, then k.  The seed's
+    part is ``seeds.pool``, after four hash steps a word.  k takes four more,
+    one mixed into each pool word, and ``generate_state`` hashes the pool
+    twice over.
+    """
+    steps = 4 * max(4, -(-int(seeds.entropy).bit_length() // 32))
+    k = np.arange(first, first + count, dtype=np.uint32)[:, None]
+    pool = _MIX_L * seeds.pool - _MIX_R * _hash_steps(k, _hash_chain(0x43B0D7E5, 0x931E8875, steps, 5))
+    pool ^= pool >> 16
+    state = _hash_steps(np.tile(pool, 2), _STATE_HASH)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """One child's seed words, handed to PCG64 as its SeedSequence would."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _random_directions(words: np.ndarray, n: int, mode: str) -> np.ndarray:
+    """One unit-Frobenius-norm direction per row of ``_child_words``, as a
+    (k, n, n) stack; each draw is normalised as a lone draw would be: the
+    norm's two dot products run through BLAS on np.linalg.norm's strides."""
+    X = np.empty((len(words), 2, n, n))
+    for w, x in zip(words, X):
+        np.random.Generator(np.random.PCG64(_Words(w))).standard_normal(out=x)
     R = X[:, 0] + 1j * X[:, 1]
     if mode == "strict_upper":
         R = np.triu(R, 1)
-    norms = np.array([np.linalg.norm(r) for r in R])
+    re, im = (part.reshape(len(R), 1, n * n) for part in (R.real, R.imag))
+    norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
     return R / np.where(norms > 0, norms, 1.0)[:, None, None]
 
 
@@ -248,28 +299,34 @@ def random_survey(
     the bundle closure graph; trials that are not (or whose structure
     estimate is ambiguous) land in the violation list.  Trial k draws its
     direction from the k-th child of ``SeedSequence(seed)``, so identical
-    seeds give identical reports.  Trials are estimated SURVEY_STACK at a
-    time with the estimator behind numeric_jordan_type; the report equals
-    one estimated a trial at a time.
+    seeds give identical reports; the seed is an integer >= 0, and a spawn
+    key is one uint32 word, so trials stay below 2**32.  Trials are drawn and
+    estimated SURVEY_STACK at a time with the estimator behind
+    numeric_jordan_type; the report equals one estimated a trial at a time.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials >= 1 << 32:
+        raise ValueError(f"trials must be below 2**32, got {trials}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    J = jordan_matrix(t)
-    n = t.n
-    graph = build_bundle_graph(n)
-    base = canonical_bundle_labeling(t)
     if mode not in ("dense", "strict_upper"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
     check_positive(cluster_radius, "cluster radius")
     check_tol(tol)
-    seeds = np.random.SeedSequence(seed)
+    seeds = np.random.SeedSequence(seed)  # NumPy's own error for a negative or non-integer seed
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    J = jordan_matrix(t)
+    n = t.n
+    graph = build_bundle_graph(n)
+    base = canonical_bundle_labeling(t)
     # sorted block sizes -> (notation, reachable from the base)
     labels: dict[tuple, tuple[str, bool]] = {}
     observed, violations = [], []
     for start in range(0, trials, SURVEY_STACK):
-        A = J + eps * _random_directions(seeds.spawn(min(SURVEY_STACK, trials - start)), n, mode)
+        words = _child_words(seeds, start, min(SURVEY_STACK, trials - start))
+        A = J + eps * _random_directions(words, n, mode)
         for k, est in enumerate(_estimate_sizes(A, cluster_radius, tol), start):
             if isinstance(est, NumericalAmbiguityError):
                 violations.append({"trial": k, "reason": f"ambiguous estimate: {est}"})

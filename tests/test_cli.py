@@ -284,6 +284,11 @@ class TestSurveyAndWitness:
         assert code == 0 and doc["passed"] is False
         assert [v["reason"] for v in doc["violations"]] == ["unreachable bundle"] * 3
 
+    def test_survey_refuses_a_negative_seed(self, capsys):
+        code, out = invoke("survey", "--jordan", "(0)^2", "--eps", "1e-3", "--trials", "3", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+
     def test_witness(self):
         code, out = invoke("witness", "--from", "(0)^2 (0)^2", "--to", "(0)^4")
         doc = json.loads(out)

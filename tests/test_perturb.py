@@ -206,6 +206,54 @@ class TestSurvey:
         with pytest.raises(ValueError):
             random_survey(jt({conc(0): (2,)}), 1e-3, trials=0, seed=1)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"trials": 2**32}, r"trials must be below 2\*\*32"),  # a spawn key is one uint32 word
+        ({"eps": -1.0}, "eps must be finite"),
+        ({"mode": "lower"}, "unknown perturbation mode"),
+        ({"cluster_radius": 0.0}, "cluster radius must be finite"),
+        ({"tol": 5.0}, r"tol must lie in \(0, 1\)"),
+        ({"seed": -1}, "expected non-negative integer"),  # NumPy's own errors
+        ({"seed": 1.5}, "SeedSequence expects int"),
+        ({"seed": [1, 2]}, "seed must be an integer"),
+    ], ids=["trials", "eps", "mode", "radius", "tol", "negative-seed", "float-seed", "list-seed"])
+    def test_arguments_checked_before_any_work(self, monkeypatch, bad, match):
+        def refuse(*args):
+            raise AssertionError("work started before the arguments were checked")
+
+        for name in ("build_bundle_graph", "jordan_matrix", "canonical_bundle_labeling"):
+            monkeypatch.setattr(perturb, name, refuse)
+        args = dict(t=jt({conc(0): (2,)}), eps=1e-3, trials=3, seed=1) | bad
+        with pytest.raises((ValueError, TypeError), match=match):
+            random_survey(**args)
+
+
+class TestSeedHash:
+    """The survey's seed hash against NumPy's SeedSequence."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7])
+    @pytest.mark.parametrize("first", [0, 64, 1984])
+    def test_child_words_equal_spawned_state(self, seed, first):
+        got = perturb._child_words(np.random.SeedSequence(seed), first, 64)
+        children = np.random.SeedSequence(seed).spawn(first + 64)[first:]
+        want = np.array([c.generate_state(4, np.uint64) for c in children])
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("mode", ["dense", "strict_upper"])
+    def test_directions_equal_each_lone_draw(self, n, mode):
+        words = perturb._child_words(np.random.SeedSequence(n), 0, 64)
+        got = perturb._random_directions(words, n, mode)
+        for k, child in enumerate(np.random.SeedSequence(n).spawn(64)):
+            rng = np.random.default_rng(child)
+            R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if mode == "strict_upper":
+                R = np.triu(R, 1)
+            norm = np.linalg.norm(R)
+            want = R / norm if norm > 0 else R
+            assert got[k].tobytes() == want.tobytes(), k  # bit for bit, signed zeros too
+        if n == 1 and mode == "strict_upper":  # every draw is zero: the norms > 0 guard
+            assert not got.any()
+
 
 class TestWitness:
     def test_published_positions_realize_the_moves(self):
@@ -576,7 +624,8 @@ class TestTriangularEigenvalues:
     def test_survey_draws_keep_their_diagonal(self):
         t = parse_compact("(0)^3 (0)^2 (0)")
         for eps in (1e-9, 1e-3, 0.3):
-            R = perturb._random_directions(np.random.SeedSequence(4).spawn(64), t.n, "strict_upper")
+            words = perturb._child_words(np.random.SeedSequence(4), 0, 64)
+            R = perturb._random_directions(words, t.n, "strict_upper")
             A = jordan_matrix(t) + eps * R
             assert np.array_equal(np.linalg.eigvals(A), np.zeros((64, t.n)))
 
