@@ -38,7 +38,7 @@ from .structure import (
 from .tangent import (
     DEFAULT_RANK_TOL, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
 )
-from .templates import jordan_matrix
+from .templates import jordan_matrix, jordan_rows
 
 DEFAULT_CLUSTER_RADIUS = 1e-6
 # trials a survey estimates together; a fixed size keeps its memory flat
@@ -304,18 +304,20 @@ def random_survey(
     estimated SURVEY_STACK at a time with the estimator behind
     numeric_jordan_type; the report equals one estimated a trial at a time.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials >= 1 << 32:
         raise ValueError(f"trials must be below 2**32, got {trials}")
-    if not (math.isfinite(eps) and eps >= 0):
+    if isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if mode not in ("dense", "strict_upper"):
         raise ValueError(f"unknown perturbation mode {mode!r}")
     check_positive(cluster_radius, "cluster radius")
     check_tol(tol)
     seeds = np.random.SeedSequence(seed)  # NumPy's own error for a negative or non-integer seed
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     J = jordan_matrix(t)
     n = t.n
@@ -365,8 +367,10 @@ class ArrowWitness(Value):
     matrix: np.ndarray
 
 
-def _is_single_zero_label(t: JordanType) -> bool:
-    return len(t.labels) == 1 and not t.labels[0].is_symbolic and t.labels[0].value == 0
+def _is_nilpotent(t: JordanType) -> bool:
+    """Whether 0 is the only eigenvalue of ``t``, read off ``jordan_rows``,
+    which refuses an order beyond the envelope first."""
+    return {label for label, _ in jordan_rows(t)} == {EigLabel.concrete(0)}
 
 
 def find_arrow_witness(
@@ -383,7 +387,8 @@ def find_arrow_witness(
     exhausted.
     """
     check_positive(eps, "eps")
-    if not (_is_single_zero_label(J) and _is_single_zero_label(J2)):
+    check_tol(tol)
+    if not (_is_nilpotent(J) and _is_nilpotent(J2)):
         raise ValueError("witness search covers nilpotent structures only")
     if not closure_leq(J, J2):
         raise ValueError(

@@ -32,8 +32,8 @@ def check_tol(tol: float) -> None:
 
 
 def check_positive(x: float, what: str) -> None:
-    """Refuse ``x`` unless it is finite and > 0, NaN included."""
-    if not (math.isfinite(x) and x > 0):
+    """Refuse ``x`` unless it is finite and > 0, NaN and booleans included."""
+    if isinstance(x, bool) or not (math.isfinite(x) and x > 0):
         raise ValueError(f"{what} must be finite and > 0, got {x}")
 
 
@@ -200,6 +200,7 @@ def _codim(action: str, A, tol: float) -> int:
     commutator map is pure roundoff and has rank 0.  (The Frobenius norm is
     within sqrt(n) of the spectral norm and, unlike it, needs no SVD.)
     """
+    check_tol(tol)
     A = unit_scale(check_finite(A))
     ref = float(np.linalg.norm(A))
     rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in _summand_pieces(A))

@@ -20,6 +20,7 @@ import numpy as np
 from ._value import Value
 from .errors import SizeMismatchError
 from .structure import (
+    MAX_MATRIX_N,
     EigLabel,
     JordanType,
     format_compact,
@@ -70,15 +71,18 @@ def jordan_block(m: int, lam: complex) -> np.ndarray:
 
 def jordan_rows(t: JordanType) -> list[tuple[EigLabel, bool]]:
     """(label, whether a 1 sits right of the diagonal) for each row of the
-    Jordan matrix of ``t``: labels in canonical order, block sizes descending."""
+    Jordan matrix of ``t``: labels in canonical order, block sizes descending.
+    The order check of every Jordan structure: none beyond MAX_MATRIX_N."""
+    if t.n > MAX_MATRIX_N:
+        raise ValueError(f"Jordan structure has order {t.n}, beyond the supported {MAX_MATRIX_N}x{MAX_MATRIX_N}")
     return [(label, k < m - 1) for label, part in t.entries for m in part.parts for k in range(m)]
 
 
 def jordan_matrix(t: JordanType) -> np.ndarray:
     """Canonical Jordan matrix of a structure with concrete labels."""
-    if any(l.is_symbolic for l in t.labels):
-        raise ValueError("jordan_matrix needs concrete eigenvalue labels")
     rows = jordan_rows(t)
+    if any(l.is_symbolic for l in t.labels):
+        raise ValueError('the Jordan matrix needs concrete eigenvalues, e.g. "(0)^3 (0)^2"')
     n = len(rows)
     J = np.zeros((n, n), dtype=complex)
     J.flat[:: n + 1] = [label.value for label, _ in rows]
@@ -120,9 +124,10 @@ def miniversal_template(t: JordanType) -> DeformationTemplate:
     Works for symbolic or concrete labels; the grid layout matches
     ``jordan_matrix`` (labels in canonical order, block sizes descending).
     """
-    n = t.n
+    rows = jordan_rows(t)
+    n = len(rows)
     base = [[0.0 + 0.0j] * n for _ in range(n)]
-    for i, (label, one) in enumerate(jordan_rows(t)):
+    for i, (label, one) in enumerate(rows):
         base[i][i] = label if label.is_symbolic else label.value
         if one:
             base[i][i + 1] = 1.0 + 0.0j

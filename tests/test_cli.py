@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import inspect
 import io
 import json
 import time
@@ -6,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from matstrata import perturb
+from matstrata import cli, perturb
 from matstrata.cli import run
 
 
@@ -507,3 +509,33 @@ class TestComplexEntries:
         assert invoke("codim", "--action", "sim", "--matrix", str(path)) == (1, "")
         err = capsys.readouterr().err
         assert message in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestLibraryRefuses:
+    """The CLI parses; every rule on a parsed value is the library's."""
+
+    def test_cli_holds_no_value_check(self):
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(cli)))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not names & {"check_finite", "check_tol", "check_positive", "is_symbolic", "labels"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("template", "sim", "--jordan", "(0)^13"), "error: Jordan structure has order 13, beyond the supported 12x12\n"),
+        (("witness", "--from", "(0)", "--to", "(0)", "--tol", "5"), "error: tol must lie in (0, 1), got 5.0\n"),
+        (("survey", "--jordan", "a^2", "--eps", "1e-3", "--trials", "1", "--seed", "0"),
+         'error: the Jordan matrix needs concrete eigenvalues, e.g. "(0)^3 (0)^2"\n'),
+    ], ids=["order", "tol", "labels"])
+    def test_library_message(self, capsys, argv, message):
+        assert invoke(*argv) == (1, "")
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("what", ["matrix", "form"])
+    def test_one_json_reader(self, tmp_path, capsys, what):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rows": [')
+        argv = ("codim", "--action", "sim", "--matrix") if what == "matrix" else ("template", "congr", "--form")
+        assert invoke(*argv, str(path)) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: {what} file {path} is not valid JSON: ")

@@ -208,14 +208,21 @@ class TestSurvey:
 
     @pytest.mark.parametrize("bad, match", [
         ({"trials": 2**32}, r"trials must be below 2\*\*32"),  # a spawn key is one uint32 word
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": 3.0}, "trials must be an integer, got 3.0"),
+        ({"trials": True}, "trials must be an integer, got True"),
         ({"eps": -1.0}, "eps must be finite"),
+        ({"eps": True}, "eps must be finite and >= 0, got True"),
+        ({"cluster_radius": True}, "cluster radius must be finite and > 0, got True"),
         ({"mode": "lower"}, "unknown perturbation mode"),
         ({"cluster_radius": 0.0}, "cluster radius must be finite"),
         ({"tol": 5.0}, r"tol must lie in \(0, 1\)"),
         ({"seed": -1}, "expected non-negative integer"),  # NumPy's own errors
         ({"seed": 1.5}, "SeedSequence expects int"),
         ({"seed": [1, 2]}, "seed must be an integer"),
-    ], ids=["trials", "eps", "mode", "radius", "tol", "negative-seed", "float-seed", "list-seed"])
+        ({"seed": True}, "seed must be an integer, got True"),
+    ], ids=["trials", "half-trials", "float-trials", "bool-trials", "eps", "bool-eps", "bool-radius",
+            "mode", "radius", "tol", "negative-seed", "float-seed", "list-seed", "bool-seed"])
     def test_arguments_checked_before_any_work(self, monkeypatch, bad, match):
         def refuse(*args):
             raise AssertionError("work started before the arguments were checked")
@@ -278,6 +285,19 @@ class TestWitness:
         for a, b in g.edges:
             hit = find_arrow_witness(g.vertex(a).structure, g.vertex(b).structure)
             assert hit is not None and len(hit.positions) == 1
+
+    @pytest.mark.parametrize("tol", [5.0, 1.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_tolerance_refused_whatever_the_search_space(self, order, tol):
+        # at order 1 there is no position to try, so no rank is ever taken
+        J = jt({conc(0): (1,) * order})
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            find_arrow_witness(J, J, tol=tol)
+
+    @pytest.mark.parametrize("src, dst", [("(1)^12 (2)", "(0)^13"), ("(0)^2", "(0)^13"), ("(0)^13", "(0)^2")])
+    def test_order_beyond_the_envelope_refused_before_the_nilpotent_check(self, src, dst):
+        with pytest.raises(ValueError, match="beyond the supported 12x12"):
+            find_arrow_witness(parse_compact(src), parse_compact(dst))
 
     def test_precondition_enforced(self):
         with pytest.raises(ValueError):

@@ -330,6 +330,19 @@ class TestCodimGuard:
             assert band_ranks(rng.permutation(stack.ravel())[None], 1e-8, 1.0) == [want]
 
 
+class TestCodimTolerance:
+    @pytest.mark.parametrize("tol", [5.0, 1.0, 0.0, -1e-8, float("nan"), True])
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_refused_before_the_operator_is_built(self, monkeypatch, action, tol):
+        def refuse(*args):
+            raise AssertionError("work started before the tolerance was checked")
+
+        for name in ("check_finite", "_summand_pieces", "_assemble"):
+            monkeypatch.setattr(tangent, name, refuse)
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\), got "):
+            tangent._codim(action, np.eye(2), tol)
+
+
 class TestFloatRange:
     """codim and classify give the same answer at every scale of the float
     range: the power-of-two scaling is exact, and no norm overflows or
@@ -478,7 +491,7 @@ class TestSharedRules:
             for r, w in zip(rel, want):
                 assert np.array_equal(_closure(r), w)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_each_positivity_check_keeps_its_message(self, bad):
         t, E = parse_compact("(0)^2 (1)"), np.zeros((3, 3))
         J, J2 = parse_compact("(0)^2 (0)"), parse_compact("(0)^3")

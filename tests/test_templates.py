@@ -12,6 +12,7 @@ from matstrata import (
     jordan_matrix,
     miniversal_template,
     orbit_codim,
+    parse_compact,
     partitions,
     pattern_check,
     similarity_codim_numeric,
@@ -19,7 +20,8 @@ from matstrata import (
     template_ascii,
     template_to_json_doc,
 )
-from matstrata.templates import FIXED, STAR, jordan_block, pinned_cells
+from matstrata import templates
+from matstrata.templates import FIXED, STAR, jordan_block, jordan_rows, pinned_cells
 from conftest import label_layout
 
 sym = EigLabel.symbolic
@@ -145,6 +147,29 @@ class TestJordanRows:
         J = jordan_matrix(jt({conc(complex(-2, -0.0)): (2,), conc(-0.0): (1,)}))
         assert np.signbit(J.real.diagonal()).tolist() == [True, True, True]
         assert np.signbit(J.imag.diagonal()).tolist() == [True, True, False]
+
+
+class TestOrderEnvelope:
+    """``jordan_rows`` refuses a structure beyond MAX_MATRIX_N, and both
+    builders reach it before they allocate anything."""
+
+    @pytest.mark.parametrize("text", ["(0)^13", "a^13", "(0)^12 (1)"])
+    @pytest.mark.parametrize("build", [jordan_matrix, miniversal_template])
+    def test_order_beyond_the_envelope_refused(self, monkeypatch, build, text):
+        monkeypatch.setattr(np, "zeros", None)  # the Jordan matrix's first allocation
+        monkeypatch.setattr(templates, "pinned_cells", None)  # the template's mask
+        n = parse_compact(text).n
+        with pytest.raises(ValueError, match=f"^Jordan structure has order {n}, beyond the supported 12x12$"):
+            build(parse_compact(text))
+
+    @pytest.mark.parametrize("text", ["(0)^12", "a^12", "a^6 (1)^6"])
+    def test_largest_order_accepted(self, text):
+        t = parse_compact(text)
+        assert len(jordan_rows(t)) == miniversal_template(t).n == 12
+
+    def test_symbolic_labels_refused_by_the_jordan_matrix_alone(self):
+        with pytest.raises(ValueError, match=r'^the Jordan matrix needs concrete eigenvalues, e\.g\. "\(0\)\^3 \(0\)\^2"$'):
+            jordan_matrix(parse_compact("a^2 (1)"))
 
 
 class TestAgreement:
