@@ -197,12 +197,12 @@ def _cmd_template(args) -> None:
 
 
 def _cmd_reduce(args) -> None:
-    from .reduction import DEFAULT_PATTERN_TOL, reduce_to_miniversal
+    from .reduction import reduce_to_miniversal
+    from .templates import DEFAULT_PATTERN_TOL
 
     t = _parse_jordan(args.jordan)
     E = _load_matrix(args.pert)
-    tol = args.tol if args.tol is not None else DEFAULT_PATTERN_TOL
-    res = reduce_to_miniversal(t, E, tol=tol)
+    res = reduce_to_miniversal(t, E, tol=args.tol if args.tol is not None else DEFAULT_PATTERN_TOL)
     _emit(
         {
             "jordan": format_compact(t),

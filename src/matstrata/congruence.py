@@ -56,6 +56,8 @@ class Block(Value):
     def __init__(self, kind: str, size: int, param: complex | None = None):
         if type(kind) is not str or kind not in _KIND_ORDER:
             raise CatalogError(f"unknown block kind {kind!r}")
+        if type(size) is not int:
+            raise CatalogError(f"block sizes must be integers, got {size!r}")
         if size < 1:
             raise CatalogError(f"block size must be positive, got {size}")
         if kind in ("H", "H*"):
@@ -68,6 +70,8 @@ class Block(Value):
                 raise CatalogError("U blocks need a unimodular parameter")
         elif param is not None:
             raise CatalogError(f"{kind} blocks carry no parameter")
+        if isinstance(param, (bool, np.bool_)):
+            raise CatalogError(f"a block parameter must be a number, got {param!r}")
         if param is not None:
             param = complex(param)
         self._set(kind, size, param)
@@ -388,7 +392,7 @@ def _common_kernel(A: np.ndarray, tol: float):
     """Orthonormal bases (complement, kernel) of ker A ∩ ker A^T."""
     _, s, vh = np.linalg.svd(np.concatenate((A, A.T)), full_matrices=False)
     V = np.conj(vh).T
-    r = raise_ambiguous(band_ranks(s[None], tol))[0]
+    r = raise_ambiguous(band_ranks(s[None], tol, s[:1]))[0]  # against its own largest
     return V[:, :r], V[:, r:]
 
 
@@ -416,7 +420,7 @@ def _classify_core(A: np.ndarray, tol: float) -> tuple[Block, ...]:
         return (_G1,)
     # the ranks of A, A + A^T and A - A^T, all against the scale of A
     s = np.linalg.svd(np.array((A, A + A.T, A - A.T)), compute_uv=False)  # np.stack costs 5 us more
-    key = (n, *raise_ambiguous(band_ranks(s, tol, s[0, 0])))
+    key = (n, *raise_ambiguous(band_ranks(s, tol, (s[0, 0],) * 3)))
     if key in _FINGERPRINTS:
         return _FINGERPRINTS[key]
     if key not in ((2, 2, 2, 2), (3, 3, 3, 2)):
@@ -490,12 +494,9 @@ def form_from_json_doc(doc) -> CongruenceForm | StarForm:
         raise CatalogError(
             'a form is an object with a "blocks" list of objects, each holding "kind" and "size"'
         )
-    sizes = [e["size"] for e in entries]
-    if not all(type(size) is int for size in sizes):
-        raise CatalogError(f"block sizes must be integers, got {sizes}")
     blocks = tuple(
-        Block(e["kind"], size, complex_from_pair(e["param"]) if "param" in e else None)
-        for e, size in zip(entries, sizes)
+        Block(e["kind"], e["size"], complex_from_pair(e["param"]) if "param" in e else None)
+        for e in entries
     )
     if type(star := doc.get("star", False)) is not bool:
         raise CatalogError(f'the form flag "star" must be true or false, got {star!r}')

@@ -219,20 +219,17 @@ def _label_moves(key: tuple[tuple[int, ...], ...]) -> list:
 def _key_moves(key: tuple[tuple[int, ...], ...], merge: bool) -> tuple:
     """Bundle keys one degeneration step below ``key``.
 
-    Either one eigenvalue's partition coarsens (strictly lower in the
-    single-eigenvalue closure order) or, with ``merge``, two eigenvalues
+    Either one eigenvalue's partition coarsens (a ``_label_moves`` key,
+    re-sorted by ``bundle_key``) or, with ``merge``, two eigenvalues
     merge, the merged block sizes being the part-wise sum of the two sorted
     size lists.  Coarsenings alone generate the order of classes modulo
     eigenvalue renaming: a ≤ b there when some bijection of the eigenvalues
     pairs each partition of a with one of b that dominates it.
     """
-    out = set()
-    for i, p in enumerate(key):
-        rest = key[:i] + key[i + 1 :]
-        out.update(bundle_key(rest + (q,)) for q in _coarsenings(p))
-        for j in range(i + 1, len(key)) if merge else ():
-            merged = tuple(map(sum, itertools.zip_longest(p, key[j], fillvalue=0)))
-            out.add(bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
+    out = set(map(bundle_key, _label_moves(key)))
+    for i, j in itertools.combinations(range(len(key)), 2) if merge else ():
+        merged = tuple(map(sum, itertools.zip_longest(key[i], key[j], fillvalue=0)))
+        out.add(bundle_key(key[:i] + key[i + 1 : j] + key[j + 1 :] + (merged,)))
     return tuple(out)
 
 

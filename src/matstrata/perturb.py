@@ -81,7 +81,8 @@ def _weyr(A: np.ndarray, lam: np.ndarray, tol: float) -> list:
     running = [(k, [], n) for k in range(m)]  # (row, block counts so far, previous rank)
     for _ in range(n):
         P = P @ B
-        rows = zip(running, band_ranks(np.linalg.svd(P, compute_uv=False), tol))
+        s = np.linalg.svd(P, compute_uv=False)
+        rows = zip(running, band_ranks(s, tol, s[:, 0]))  # each power against its own largest
         kept, running = [], []
         for i, ((k, w, prev), r) in enumerate(rows):
             if isinstance(r, NumericalAmbiguityError):
@@ -145,16 +146,6 @@ def _estimate_sizes(A: np.ndarray, cluster_radius: float, tol: float) -> list:
     ]
 
 
-def _estimate(A: np.ndarray, cluster_radius: float, tol: float) -> list:
-    """numeric_jordan_type of each matrix of the stack A (k, n, n): the
-    JordanType, or the NumericalAmbiguityError it raises on its own."""
-    return [
-        s if isinstance(s, NumericalAmbiguityError)
-        else JordanType({EigLabel.concrete(c): p for c, p in s})
-        for s in _estimate_sizes(A, cluster_radius, tol)
-    ]
-
-
 def eigen_clusters(A, cluster_radius: float = DEFAULT_CLUSTER_RADIUS):
     """Single-linkage grouping of the eigenvalues of A.
 
@@ -175,6 +166,8 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     NumericalAmbiguityError.
     """
     check_tol(tol)
+    if isinstance(lam, (bool, np.bool_)):
+        raise TypeError(f"eigenvalue must be a number, got {lam!r}")
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"eigenvalue {lam} is not finite")
@@ -191,7 +184,8 @@ def numeric_jordan_type(
     check_positive(cluster_radius, "cluster radius")
     check_tol(tol)
     A = check_finite(A)
-    return raise_ambiguous(_estimate(A[None], cluster_radius, tol))[0]
+    sizes = raise_ambiguous(_estimate_sizes(A[None], cluster_radius, tol))[0]
+    return JordanType({EigLabel.concrete(c): p for c, p in sizes})
 
 
 # ---------------------------------------------------------------------------

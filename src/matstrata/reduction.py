@@ -28,9 +28,8 @@ from ._value import Value
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
 from .structure import JordanType
 from .tangent import check_finite, check_positive, scale_exponent, unit_scale
-from .templates import jordan_matrix, pinned_cells
+from .templates import DEFAULT_PATTERN_TOL, jordan_matrix, pinned_cells
 
-DEFAULT_PATTERN_TOL = 1e-8
 GAP_TOL = 1e-8  # least spectral separation, relative to the data scale
 MAX_STEP = 0.25  # largest spectral norm of one step X
 MAX_STEPS = 20  # chord steps before the iteration gives up

@@ -138,7 +138,7 @@ def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> in
     singular value would count roundoff as rank when M should be zero.
     """
     check_tol(tol)
-    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False).reshape(1, -1), tol, ref))[0]
+    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False).reshape(1, -1), tol, (ref,)))[0]
 
 
 # stacks of at most this many singular values take the plain-Python pass
@@ -154,41 +154,35 @@ def _band_error(band: list, thr: float) -> NumericalAmbiguityError:
     )
 
 
-def band_ranks(s: np.ndarray, tol: float, ref: float | None = None) -> list:
+def band_ranks(s: np.ndarray, tol: float, ref) -> list:
     """Guarded rank of each row of a stack of singular values s (k, m).
 
-    A row counts its values at or above thr = ``tol * ref``.  ``ref``
-    defaults to the row's largest value, taken as its first (so the row
-    must be in descending order, and 0 when it is empty); with a given
-    ``ref`` the order of a row does not matter.  A zero ``ref`` gives rank
-    0.  A row with a value inside the ambiguity band (thr / RANK_BAND,
-    thr * RANK_BAND) gets, in place of its rank, the
+    Row i counts its values at or above thr = ``tol * ref[i]``, in any
+    order: ``ref`` holds one scale per row, named at every call.  A zero
+    scale gives rank 0.  A row with a value inside the ambiguity band
+    (thr / RANK_BAND, thr * RANK_BAND) gets, in place of its rank, the
     NumericalAmbiguityError that ranking that row alone raises.
     """
     if s.size <= _SMALL_STACK:
         out = []
-        for row in s.tolist():
-            thr = tol * (float(ref) if ref is not None else row[0] if row else 0.0)
+        for row, scale in zip(s.tolist(), ref):
+            thr = tol * float(scale)
             band = [v for v in row if thr / RANK_BAND < v < thr * RANK_BAND]
             out.append(_band_error(band, thr) if band else (sum(v >= thr for v in row) if thr > 0 else 0))
         return out
-    if ref is None:
-        thr = tol * (s[:, :1] if s.shape[1] else np.zeros((len(s), 1)))
-        thr[thr == 0] = np.inf  # a zero scale: no value at or above it, none inside the band
-    else:
-        thr = tol * float(ref) or np.inf
+    thr = tol * np.asarray(ref, dtype=float)[:, None]
+    thr[thr == 0] = np.inf  # a zero scale: no value at or above it, none inside the band
     inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
     out = (s >= thr).sum(axis=1).tolist()
-    if inside.any():
-        for i in np.flatnonzero(inside.any(axis=1)).tolist():
-            out[i] = _band_error(s[i, inside[i]].tolist(), thr if ref is not None else thr[i, 0])
+    for i in np.flatnonzero(inside.any(axis=1)).tolist():
+        out[i] = _band_error(s[i, inside[i]].tolist(), thr[i, 0])
     return out
 
 
 def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """band_ranks of the singular values of M, against the largest of them."""
     check_tol(tol)
-    return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False)[None], tol))[0]
+    return raise_ambiguous(band_ranks((s := np.linalg.svd(M, compute_uv=False))[None], tol, s[:1]))[0]
 
 
 def _codim(action: str, A, tol: float) -> int:

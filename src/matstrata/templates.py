@@ -36,6 +36,7 @@ EPS_IM = "eps_im"
 DELTA = "delta"
 
 _REAL_PARAMS = {FIXED: 0, STAR: 2, EPS_RE: 1, EPS_IM: 1, DELTA: 2}
+DEFAULT_PATTERN_TOL = 1e-8  # largest deviation of a pinned cell that still matches
 
 
 class DeformationTemplate(Value):
@@ -145,7 +146,7 @@ class PatternCheck(Value):
     residual: float
 
 
-def pattern_check(M, tmpl: DeformationTemplate, tol: float = 1e-8) -> PatternCheck:
+def pattern_check(M, tmpl: DeformationTemplate, tol: float = DEFAULT_PATTERN_TOL) -> PatternCheck:
     """Does M agree with the template's pinned entries within tol?
 
     Parameter cells (star/eps/delta) are unconstrained; the residual is

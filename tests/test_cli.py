@@ -154,6 +154,11 @@ class TestTemplateCommand:
     def test_missing_argument(self):
         assert invoke("template", "sim")[0] == 1
 
+    @pytest.mark.parametrize("what", ["congr", "star"])
+    def test_form_template_needs_a_form(self, capsys, what):
+        assert invoke("template", what) == (1, "")
+        assert capsys.readouterr().err == f"error: template {what} needs --form FILE\n"
+
     def test_star_flag_not_a_boolean_refused(self, tmp_path, capsys):
         path = tmp_path / "form.json"
         path.write_text(json.dumps({"star": "false", "blocks": [{"kind": "H", "size": 2, "param": [2, 0]}]}))
@@ -218,12 +223,12 @@ class TestReduceCommand:
         assert doc["residual"] <= 1e-14 and doc["pattern_ok"] == (doc["residual"] <= 1e-16)
 
     def test_default_tolerance_is_the_library_default(self, tmp_path, monkeypatch, capsys):
-        from matstrata import reduction
+        from matstrata import templates
 
         path = write_matrix(tmp_path / "e.json", np.zeros((3, 3)))
         assert invoke("reduce", "--jordan", "(0)^3", "--pert", path)[0] == 0
         # without --tol the command must pass on whatever the library default is
-        monkeypatch.setattr(reduction, "DEFAULT_PATTERN_TOL", -1.0)
+        monkeypatch.setattr(templates, "DEFAULT_PATTERN_TOL", -1.0)
         assert invoke("reduce", "--jordan", "(0)^3", "--pert", path)[0] == 1
         assert "got -1.0" in capsys.readouterr().err
 

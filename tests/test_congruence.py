@@ -97,6 +97,28 @@ class TestBlocks:
         with pytest.raises(CatalogError, match="must be positive"):
             Block("N", size)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True, False, None])
+    def test_size_must_be_an_integer(self, size):
+        # Block is the one owner of the rule: a float size used to reach canonical_matrix
+        # and a bool size used to pass as 1 or 0
+        with pytest.raises(CatalogError, match="must be integers"):
+            Block("N", size)
+
+    @pytest.mark.parametrize("kind, size, param", [
+        ("U", 1, True), ("U", 2, np.True_), ("H", 2, True), ("H*", 2, False),
+    ])
+    def test_bool_parameter_refused(self, kind, size, param):
+        with pytest.raises(CatalogError, match="block parameter must be a number"):
+            Block(kind, size, param)
+
+    @pytest.mark.parametrize("kind, size, match", [
+        ("H", 2, "H blocks need a parameter"), ("H*", 4, "H blocks need a parameter"),
+        ("U", 1, "U blocks need a unimodular parameter"),
+    ])
+    def test_parametric_kinds_need_a_parameter(self, kind, size, match):
+        with pytest.raises(CatalogError, match=match):
+            Block(kind, size)
+
 
 class TestNormalize:
     def test_inverts_small_lambda(self):
@@ -171,6 +193,13 @@ class TestCongruenceTables:
         # a standalone 2x2 nilpotent block has codim 1: one star below the 1
         tmpl = congruence_template(CongruenceForm((N(2),)))
         assert [(i, j) for i, j in np.ndindex(2, 2) if tmpl.kinds[i][j] == STAR] == [(1, 0)]
+
+    @pytest.mark.parametrize("mus", [(), (1.0, 1j)])
+    def test_entry_takes_one_mu_per_u_block(self, mus):
+        (entry,) = [e for e in star_entries(2) if e.signature == (("U", 2),)]
+        assert entry.make(mus=(1j,)) == StarForm((U(2, 1j),))
+        with pytest.raises(ValueError, match="entry needs 1 unimodular parameters"):
+            entry.make(mus=mus)
 
     @pytest.mark.parametrize("block", [U(1, 1.0), HS(1, 2.0)])
     def test_star_block_refused_by_name(self, block):
@@ -297,6 +326,27 @@ class TestCongruenceGraphs:
         g = congruence_graph(2, "classes")
         for lam in (2.0, 5 - 1j, 0.25):
             assert has_arrow(g, ("diag_1_0", ()), ("h_lambda", (lam,)))
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="kind must be 'classes' or 'bundles'"):
+            congruence_graph(2, "x")
+
+    @pytest.mark.parametrize("inst, match", [
+        (("h_lambda", ()), r"family h_lambda takes 1 parameter\(s\), got 0"),
+        (("zero2", (2.0,)), r"family zero2 takes 0 parameter\(s\), got 1"),
+        (("h_lambda", (2.0, 3.0)), r"family h_lambda takes 1 parameter\(s\), got 2"),
+    ])
+    def test_instance_needs_one_value_per_free_parameter(self, inst, match):
+        g = congruence_graph(2, "classes")
+        with pytest.raises(ValueError, match=match):
+            has_arrow(g, inst, ("h_lambda", (2.0,)))
+
+    def test_unknown_family_refused(self):
+        g = congruence_graph(2, "classes")
+        with pytest.raises(KeyError, match="no family 'nope' in graph"):
+            has_arrow(g, ("nope",), ("h_lambda", (2.0,)))
+        with pytest.raises(KeyError, match="no family 'nope' in graph"):
+            family_form(g, ("nope",))
 
     def test_3x3_counts(self):
         classes = congruence_graph(3, "classes")

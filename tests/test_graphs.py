@@ -40,6 +40,13 @@ class TestClosureLeq:
         b = jt({sym(1): (2,), sym(2): (1, 1)})
         assert not closure_leq(a, b)
 
+    @pytest.mark.parametrize("a, b", [
+        ({conc(0): (1,), conc(1): (1,)}, {conc(0): (1,), conc(2): (1,)}),
+        ({sym(1): (2,)}, {conc(0): (2,)}),
+    ])
+    def test_different_labels_are_not_comparable(self, a, b):
+        assert not closure_leq(jt(a), jt(b)) and not closure_leq(jt(b), jt(a))
+
     def test_reflexive(self):
         t = jt({sym(1): (2, 1), sym(2): (1,)})
         assert closure_leq(t, t)

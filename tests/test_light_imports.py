@@ -142,6 +142,11 @@ class TestLazyExports:
         with pytest.raises(ImportError):
             from matstrata import no_such_name  # noqa: F401
 
+    def test_unknown_name_is_named(self):
+        # neither an export nor a submodule: __getattr__ raises rather than returning None
+        with pytest.raises(AttributeError, match="^module 'matstrata' has no attribute 'nope'$"):
+            matstrata.nope
+
     def test_names_are_not_cached_in_the_package(self):
         original = matstrata.perturb.random_survey
         try:

@@ -45,6 +45,12 @@ def _band_reference(row: list, tol: float, ref) -> int | tuple:
     return len([v for v in row if v >= thr]) if thr > 0 else 0
 
 
+def _scales(s: np.ndarray, ref) -> list:
+    """One scale per row of s: ``ref``, or for None each row's largest
+    value, taken as its first (0 when the row is empty)."""
+    return [(row[0] if row else 0.0) if ref is None else ref for row in s.tolist()]
+
+
 def _band_outcome(r) -> int | tuple:
     return (str(r), r.details) if isinstance(r, NumericalAmbiguityError) else r
 
@@ -101,6 +107,13 @@ class TestNumericWeyr:
     def test_non_finite_eigenvalue_refused(self, lam):
         with pytest.raises(ValueError, match="not finite"):
             numeric_weyr(np.zeros((3, 3)), lam)
+
+    @pytest.mark.parametrize("lam", [True, False, np.True_])
+    def test_bool_eigenvalue_refused_before_any_work(self, monkeypatch, lam):
+        # complex(True) is 1: a bool would silently pass as the eigenvalue 1 or 0
+        monkeypatch.setattr(perturb, "check_finite", lambda *a: pytest.fail("work started"))
+        with pytest.raises(TypeError, match="eigenvalue must be a number"):
+            numeric_weyr(np.eye(2), lam)
 
     def test_rising_block_counts_abstain(self):
         # ranks 4, 2 against each power's own scale: one block, then two
@@ -299,6 +312,18 @@ class TestWitness:
         with pytest.raises(ValueError, match="beyond the supported 12x12"):
             find_arrow_witness(parse_compact(src), parse_compact(dst))
 
+    def test_exhausted_search_returns_none(self, monkeypatch):
+        # no one or two strictly-upper entries give the zero 4x4 matrix rank 3
+        tried = []
+
+        def counted(A, lam, tol):
+            tried.append(A)
+            return numeric_weyr(A, lam, tol)
+
+        monkeypatch.setattr(perturb, "numeric_weyr", counted)
+        assert find_arrow_witness(parse_compact("(0) (0) (0) (0)"), parse_compact("(0)^4")) is None
+        assert len(tried) == 6 + 15  # every single entry, then every pair, above the diagonal
+
     def test_precondition_enforced(self):
         with pytest.raises(ValueError):
             find_arrow_witness(jt({conc(0): (4,)}), jt({conc(0): (2, 2)}))
@@ -493,7 +518,10 @@ class TestStackedSurvey:
             np.diag([0.0, 1e-7, 1e-3]),  # cluster wider than its rank sequence
         ]
         radius, tol = 1e-6, 1e-8
-        rows = perturb._estimate(np.array(mats, dtype=complex), radius, tol)
+        rows = [
+            s if isinstance(s, NumericalAmbiguityError) else JordanType({conc(c): p for c, p in s})
+            for s in perturb._estimate_sizes(np.array(mats, dtype=complex), radius, tol)
+        ]
         kinds = set()
         for A, got in zip(mats, rows):
             if isinstance(got, NumericalAmbiguityError):
@@ -525,7 +553,7 @@ class TestOneDecisionPath:
             np.diag([1.0, 1e-8, 0.0]),  # a singular value on the threshold
         ]
         s = np.linalg.svd(np.array(mats), compute_uv=False)
-        rows = band_ranks(s, 1e-8, ref)
+        rows = band_ranks(s, 1e-8, _scales(s, ref))
         assert len(rows) == len(mats)
         if ref is None:
             for M, got in zip(mats, rows):
@@ -562,9 +590,9 @@ class TestOneDecisionPath:
         big[planted, 1 + np.array(planted) % 4] = thr * 10.0 ** rng.uniform(-0.99, 0.99, size=len(planted))
         big = -np.sort(-big, axis=1)
         for s in (edges, big, np.zeros((4, 0)), np.zeros((0, 3))):
-            got = band_ranks(s, 1e-8, ref)
+            got = band_ranks(s, 1e-8, _scales(s, ref))
             assert [_band_outcome(r) for r in got] == [_band_reference(row, 1e-8, ref) for row in s.tolist()]
-        assert [_band_outcome(r) for r in band_ranks(edges, 1e-8, ref)] == (
+        assert [_band_outcome(r) for r in band_ranks(edges, 1e-8, _scales(edges, ref))] == (
             [0, 0, 0] if ref == 0.0 else [
                 ("singular values fall inside the rank-tolerance band", {"band": [thr], "threshold": thr}),
                 2,
@@ -572,7 +600,7 @@ class TestOneDecisionPath:
                  {"band": [thr * RANK_BAND / 1.5, thr / RANK_BAND * 1.5], "threshold": thr}),
             ]
         )
-        n_band = sum(isinstance(r, NumericalAmbiguityError) for r in band_ranks(big, 1e-8, ref))
+        n_band = sum(isinstance(r, NumericalAmbiguityError) for r in band_ranks(big, 1e-8, _scales(big, ref)))
         assert n_band == (0 if ref == 0.0 else len(planted)) and len(planted) > 10
 
 

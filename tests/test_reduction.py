@@ -10,6 +10,7 @@ from matstrata import (
     JordanType,
     Partition,
     ReductionError,
+    SizeMismatchError,
     SpectraOverlapError,
     jordan_matrix,
     miniversal_template,
@@ -79,6 +80,16 @@ class TestSylvester:
         J1, J2 = (big, one) if which == "J1" else (one, big)
         with pytest.raises(ValueError, match=f"^{which} has order 13, beyond the supported 12x12$"):
             sylvester_solve(J1, J2, np.ones((len(J2), len(J1))))
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (3, 3), (3, 2)),  # J1 not square
+        ((2, 2), (3, 2), (3, 2)),  # J2 not square
+        ((2, 2), (3, 3), (2, 3)),  # C is n1 x n2, not n2 x n1
+    ])
+    def test_incompatible_shapes_refused(self, shapes):
+        J1, J2, C = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(SizeMismatchError, match="incompatible shapes"):
+            sylvester_solve(J1, J2, C)
 
     def test_scalar(self):
         M = sylvester_solve(np.array([[0.0]]), np.array([[1.0]]), np.array([[2.5]]))
@@ -461,6 +472,11 @@ class TestFullReduction:
         res = reduce_to_miniversal(t, np.zeros((6, 6)))
         assert np.array_equal(res.S, np.eye(6))
         assert res.residual == 0 and res.pattern_ok
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_perturbation_of_another_order_refused(self, order):
+        with pytest.raises(SizeMismatchError, match=rf"perturbation shape \({order}, {order}\) vs order 3"):
+            reduce_to_miniversal(jt({conc(0): (2, 1)}), np.zeros((order, order)))
 
     def test_mixed_structure(self, rng):
         t = jt({conc(0): (3, 2), conc(1): (1,)})

@@ -55,10 +55,31 @@ class TestPartition:
         with pytest.raises(TypeError):
             JordanType({conc(0): (2.5, 1.2)})
 
+    def test_structure_needs_an_eigenvalue(self):
+        with pytest.raises(ValueError, match="needs at least one eigenvalue"):
+            JordanType({})
+
+    @pytest.mark.parametrize("label", [0, "a", None, 1j])
+    def test_structure_keyed_by_labels_only(self, label):
+        with pytest.raises(TypeError, match="expected EigLabel"):
+            JordanType({label: (1,)})
+
     def test_integer_parts_become_ints(self):
         p = Partition((np.int64(3), True))
         assert p.parts == (3, 1) and all(type(x) is int for x in p.parts)
         assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
+
+
+class TestLabels:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_symbolic_ids_start_at_one(self, k):
+        with pytest.raises(ValueError, match="symbolic label ids start at 1"):
+            EigLabel.symbolic(k)
+
+    @pytest.mark.parametrize("z", [float("inf"), float("nan"), complex(0, float("-inf"))])
+    def test_concrete_labels_must_be_finite(self, z):
+        with pytest.raises(ValueError, match="concrete labels must be finite"):
+            EigLabel.concrete(z)
 
 
 class TestConjugate:
@@ -165,6 +186,22 @@ class TestCompactNotation:
         with pytest.raises(CompactParseError, match=r"missing exponent after '\^'") as err:
             parse_compact(text)
         assert err.value.position == text.index("^") + 1  # 2 for "a^-"
+
+    @pytest.mark.parametrize("text, match, position", [
+        ("(1+)", "bad complex literal '1\\+'", 0),
+        ("a^2b", "unexpected character 'b' after token", 3),
+        ("", "empty input", 0),
+        ("  ", "empty input", 0),
+    ])
+    def test_error_names_the_token(self, text, match, position):
+        with pytest.raises(CompactParseError, match=match) as err:
+            parse_compact(text)
+        assert err.value.position == position
+
+    def test_symbolic_ids_end_at_z(self):
+        assert format_compact(jt({sym(26): (1,)})) == "z"
+        with pytest.raises(ValueError, match="symbolic ids up to 26"):
+            format_compact(jt({sym(27): (1,)}))
 
     def test_error_unterminated_literal(self):
         with pytest.raises(CompactParseError):

@@ -325,9 +325,9 @@ class TestCodimGuard:
         s = 10.0 ** rng.uniform(-16, 0, size=(40, 6))
         s = -np.sort(-s[~((s > 1e-9) & (s < 1e-7)).any(axis=1)], axis=1)
         for stack in (s, s[:8]):  # the array pass and the plain-Python pass
-            want = sum(band_ranks(stack, 1e-8, 1.0))
+            want = sum(band_ranks(stack, 1e-8, [1.0] * len(stack)))
             assert 0 < want < stack.size
-            assert band_ranks(rng.permutation(stack.ravel())[None], 1e-8, 1.0) == [want]
+            assert band_ranks(rng.permutation(stack.ravel())[None], 1e-8, (1.0,)) == [want]
 
 
 class TestCodimTolerance:
