@@ -15,6 +15,7 @@ keeps every `graph` process free of numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -353,7 +354,12 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the command has printed: the interpreter's closing collections skip
+    # every object alive now (numpy, the layers, the result), while stdout
+    # and stderr are still flushed and atexit handlers still run
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

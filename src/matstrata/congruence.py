@@ -70,7 +70,7 @@ class Block(Value):
                 raise CatalogError("U blocks need a unimodular parameter")
         elif param is not None:
             raise CatalogError(f"{kind} blocks carry no parameter")
-        if isinstance(param, (bool, np.bool_)):
+        if isinstance(param, (bool, np.bool_, str, bytes)):  # complex() would parse a string
             raise CatalogError(f"a block parameter must be a number, got {param!r}")
         if param is not None:
             param = complex(param)

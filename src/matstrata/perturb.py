@@ -166,7 +166,8 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     NumericalAmbiguityError.
     """
     check_tol(tol)
-    if isinstance(lam, (bool, np.bool_)):
+    # complex() would parse a string, and a bool is no eigenvalue
+    if isinstance(lam, (bool, np.bool_, str, bytes)):
         raise TypeError(f"eigenvalue must be a number, got {lam!r}")
     lam = complex(lam)
     if not np.isfinite(lam):

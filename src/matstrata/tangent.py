@@ -171,11 +171,13 @@ def band_ranks(s: np.ndarray, tol: float, ref) -> list:
             out.append(_band_error(band, thr) if band else (sum(v >= thr for v in row) if thr > 0 else 0))
         return out
     thr = tol * np.asarray(ref, dtype=float)[:, None]
-    thr[thr == 0] = np.inf  # a zero scale: no value at or above it, none inside the band
+    if not thr.all():
+        thr[thr == 0] = np.inf  # a zero scale: no value at or above it, none inside the band
     inside = (thr / RANK_BAND < s) & (s < thr * RANK_BAND)
     out = (s >= thr).sum(axis=1).tolist()
-    for i in np.flatnonzero(inside.any(axis=1)).tolist():
-        out[i] = _band_error(s[i, inside[i]].tolist(), thr[i, 0])
+    if inside.any():  # the common case scans no row
+        for i in np.flatnonzero(inside.any(axis=1)).tolist():
+            out[i] = _band_error(s[i, inside[i]].tolist(), thr[i, 0])
     return out
 
 

@@ -3,7 +3,11 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,15 @@ def invoke(*argv):
     with contextlib.redirect_stdout(out):
         code = run(list(argv))
     return code, out.getvalue()
+
+
+def in_fresh_interpreter(*args):
+    """Exit code, stdout and stderr of a fresh interpreter run on the source tree."""
+    res = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)), timeout=60,
+    )
+    return res.returncode, res.stdout, res.stderr
 
 
 def write_matrix(path, A):
@@ -544,3 +557,33 @@ class TestLibraryRefuses:
         argv = ("codim", "--action", "sim", "--matrix") if what == "matrix" else ("template", "congr", "--form")
         assert invoke(*argv, str(path)) == (1, "")
         assert capsys.readouterr().err.startswith(f"error: {what} file {path} is not valid JSON: ")
+
+
+class TestProcessExit:
+    """``main``, the entry point of ``strata`` and ``python -m matstrata.cli``,
+    prints and exits as ``cli.run`` returns, though it freezes the heap first."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["graph", "bundle", "--n", "4"], 0),
+        (["graph", "bundle", "--n", "13"], 1),
+        (["codim", "--action", "sim", "--matrix", "NEAR"], 2),
+    ], ids=["exit-0", "exit-1-refusal", "exit-2-abstention"])
+    def test_process_matches_run(self, tmp_path, capsys, argv, code):
+        # NEAR: eigenvalues split inside the tolerance band, so codim abstains
+        argv = [write_matrix(tmp_path / "near.json", np.diag([1.0, 1.0 + 3e-8])) if a == "NEAR" else a for a in argv]
+        expected = (*invoke(*argv), capsys.readouterr().err)
+        assert expected[0] == code
+        assert in_fresh_interpreter("-m", "matstrata.cli", *argv) == expected
+
+    def test_atexit_runs_after_the_freeze(self):
+        probe = (
+            "import atexit, gc, sys\n"
+            "from matstrata import cli\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['strata', 'graph', 'bundle', '--n', '2']\n"
+            "cli.main()\n"
+        )
+        code, out, err = in_fresh_interpreter("-c", probe)
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[0])["vertices"]
+        assert out.splitlines()[1:] == ["True"]

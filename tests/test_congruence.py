@@ -106,8 +106,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("kind, size, param", [
         ("U", 1, True), ("U", 2, np.True_), ("H", 2, True), ("H*", 2, False),
+        pytest.param("U", 1, "1j", id="U-1-str"), pytest.param("H", 2, "2", id="H-2-str"),
+        pytest.param("H*", 2, b"2", id="H*-2-bytes"),
     ])
     def test_bool_parameter_refused(self, kind, size, param):
+        # complex() would take True as 1 and parse "1j" as 1j
         with pytest.raises(CatalogError, match="block parameter must be a number"):
             Block(kind, size, param)
 

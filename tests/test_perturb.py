@@ -108,9 +108,13 @@ class TestNumericWeyr:
         with pytest.raises(ValueError, match="not finite"):
             numeric_weyr(np.zeros((3, 3)), lam)
 
-    @pytest.mark.parametrize("lam", [True, False, np.True_])
+    @pytest.mark.parametrize("lam", [
+        True, False, np.True_,
+        pytest.param("1", id="str"), pytest.param(np.str_("1"), id="np-str"), pytest.param(b"1", id="bytes"),
+    ])
     def test_bool_eigenvalue_refused_before_any_work(self, monkeypatch, lam):
-        # complex(True) is 1: a bool would silently pass as the eigenvalue 1 or 0
+        # complex(True) is 1 and complex("1") is 1: a bool or a string would
+        # silently pass as an eigenvalue
         monkeypatch.setattr(perturb, "check_finite", lambda *a: pytest.fail("work started"))
         with pytest.raises(TypeError, match="eigenvalue must be a number"):
             numeric_weyr(np.eye(2), lam)
