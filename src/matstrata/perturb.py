@@ -36,7 +36,7 @@ from .structure import (
     format_display,
 )
 from .tangent import (
-    DEFAULT_RANK_TOL, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
+    DEFAULT_RANK_TOL, NOT_NUMBERS, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
 )
 from .templates import jordan_matrix, jordan_rows
 
@@ -167,7 +167,7 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """
     check_tol(tol)
     # complex() would parse a string, and a bool is no eigenvalue
-    if isinstance(lam, (bool, np.bool_, str, bytes)):
+    if isinstance(lam, NOT_NUMBERS):
         raise TypeError(f"eigenvalue must be a number, got {lam!r}")
     lam = complex(lam)
     if not np.isfinite(lam):

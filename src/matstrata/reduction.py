@@ -27,7 +27,7 @@ import numpy as np
 from ._value import Value
 from .errors import ReductionError, SizeMismatchError, SpectraOverlapError
 from .structure import JordanType
-from .tangent import check_finite, check_positive, scale_exponent, unit_scale
+from .tangent import as_complex, check_finite, check_positive, scale_exponent, unit_scale
 from .templates import DEFAULT_PATTERN_TOL, jordan_matrix, pinned_cells
 
 GAP_TOL = 1e-8  # least spectral separation, relative to the data scale
@@ -140,11 +140,11 @@ def sylvester_solve(J1, J2, C) -> np.ndarray:
     """Solve J2 M - M J1 = -C for M (n2 x n1), J1 and J2 upper triangular.
 
     M is the between-group block of XJ - JX = R for J = blockdiag(J1, J2)
-    (``_BetweenGroups``).  Refuses a NaN or infinite entry, an order above
-    MAX_MATRIX_N, entries below the diagonal, diagonals closer than GAP_TOL
-    times the data scale, and a residual above 1e-10 |C| (or NaN).
+    (``_BetweenGroups``).  Refuses a string, boolean, NaN or infinite entry,
+    an order above MAX_MATRIX_N, entries below the diagonal, diagonals closer
+    than GAP_TOL times the data scale, and a residual above 1e-10 |C| (or NaN).
     """
-    J1, J2, C = (np.asarray(a, dtype=complex) for a in (J1, J2, C))
+    J1, J2, C = (as_complex(a, what) for a, what in ((J1, "J1"), (J2, "J2"), (C, "C")))
     n1, n2 = J1.shape[0], J2.shape[0]
     if J1.shape != (n1, n1) or J2.shape != (n2, n2) or C.shape != (n2, n1):
         raise SizeMismatchError(f"incompatible shapes {J1.shape}, {J2.shape}, {C.shape}")

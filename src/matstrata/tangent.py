@@ -1,17 +1,13 @@
-"""Numerical tangent-space dimensions for the three group actions.
-
-The tangent space to the orbit of A is the image of a linear map on
-matrices (commutator for similarity, X^T A + A X for congruence,
-X* A + A X for *congruence, the last one only real-linear).  Codimension
-is the ambient dimension minus the rank of that map by the band rule
-against tol |A|_F (A first brought to unit size by an exact power of two,
-``unit_scale``), ranked one block per unordered pair of direct summands
-of A; a singular value inside the band abstains.
-"""
+"""Numerical tangent-space dimensions for the three group actions: the ambient
+dimension minus the rank of the tangent map (X A - A X, X^T A + A X, or the
+real-linear X* A + A X), by the band rule against tol |A|_F at A scaled by an
+exact power of two, one block per unordered pair of direct summands of A; a
+singular value inside the band abstains."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +19,7 @@ DEFAULT_RANK_TOL = 1e-8
 RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
+NOT_NUMBERS = (str, bytes, bool, np.bool_)  # complex() would take each of them
 
 
 def check_tol(tol: float) -> None:
@@ -37,10 +34,18 @@ def check_positive(x: float, what: str) -> None:
         raise ValueError(f"{what} must be finite and > 0, got {x}")
 
 
+def as_complex(A, what: str = "matrix") -> np.ndarray:
+    """A as a complex array; refuse strings and booleans, in an object array too."""
+    A = np.asarray(A)
+    if A.dtype.kind in "USb" or A.dtype == object and any(isinstance(x, NOT_NUMBERS) for x in A.flat):
+        raise TypeError(f"{what} entries must be numbers, got {A.dtype} entries")
+    return A.astype(complex, copy=False)
+
+
 def check_finite(A, what: str = "matrix") -> np.ndarray:
     """A as a complex array; refuse anything but a finite, non-empty, square 2-D
     array of order <= MAX_MATRIX_N (the one entry check of every numeric layer)."""
-    A = np.asarray(A, dtype=complex)
+    A = as_complex(A, what)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise ValueError(f"{what} must be a non-empty square 2-D array, got shape {A.shape}")
     if len(A) > MAX_MATRIX_N:
@@ -71,54 +76,11 @@ def _closure(linked: np.ndarray) -> np.ndarray:
     return linked
 
 
-def _assemble(action: str, A: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Tangent map of ``action`` at A on a stack (..., N) of entry sets (i, j)
-    of X and of the image: E_kl maps to [i=k] A[l,j] - A[i,k] [l=j] under
-    similarity, to [l=i] A[k,j] + A[i,k] [l=j] under congruence."""
-    k, l = i[..., None, :], j[..., None, :]
-    i, j = i[..., :, None], j[..., :, None]
-    # each gather is scaled in place, with no N x N temporary per term
-    left = A[i, k]
-    left *= l == j  # A X
-    if action == "similarity":
-        M = A[l, j]
-        M *= i == k  # X A
-        M -= left
-        return M
-    M = A[k, j]
-    M *= l == i  # X^T A
-    if action == "star_congruence":
-        # X = i E_kl maps to i (A E_kl - E_lk A)
-        turn = left - M
-        M += left
-        cols = (np.concatenate([M.real, M.imag], axis=-2), np.concatenate([-turn.imag, turn.real], axis=-2))
-        return np.stack(cols, axis=-1).reshape(*M.shape[:-2], 2 * M.shape[-2], 2 * M.shape[-1])
-    M += left
-    return M
-
-
-def action_operator(action: str, A: np.ndarray) -> np.ndarray:
-    """Matrix of the tangent map of ``action`` at A, on every entry of X:
-    complex n^2 x n^2 for similarity and congruence, real 2n^2 x 2n^2 for
-    *congruence (the map is only real-linear there).
-
-    Column k*n + l is the image of E_kl (for *congruence, columns 2(k*n + l)
-    and 2(k*n + l) + 1 are the images of E_kl and i*E_kl); rows are the
-    row-major entries of the image (for *congruence, real parts above
-    imaginary parts).
-    """
-    A = check_finite(A)
-    if action not in ACTIONS:
-        raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-    return _assemble(action, A, *np.divmod(np.arange(A.size), len(A)))
-
-
 def _summand_pieces(A: np.ndarray) -> list:
-    """Entry stacks (i, j) of shape (s, N), one per size N, of the blocks of
-    the tangent map at A: one block per unordered pair of direct summands
-    (components of the graph linking i and j where A[i, j] or A[j, i] is
-    nonzero), as X's blocks (a, b) and (b, a) map onto the same entries of
-    the image.  One summand gives one block of all n^2 entries, row-major."""
+    """Entry stacks (i, j) (s, N), one per size N, of the tangent map's blocks at A:
+    one per unordered pair of direct summands (components of the graph of A + A^T),
+    as X's blocks (a, b) and (b, a) map onto the same entries of the image.  One
+    summand is one block of all n^2 entries, row-major, as ``action_operator`` has it."""
     n = len(A)
     linked = _closure((A != 0) | (A.T != 0) | np.eye(n, dtype=bool))
     head = linked.argmax(axis=0)  # lowest index of each index's summand
@@ -129,40 +91,81 @@ def _summand_pieces(A: np.ndarray) -> list:
     return [np.divmod(order[starts[sizes == N, None] + np.arange(N)], n) for N in set(sizes.tolist())]
 
 
-def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank of M by the band rule of ``band_ranks`` against tol * ref.
+@lru_cache(maxsize=128)
+def _plan(action: str, n: int, pattern: bytes) -> tuple:
+    """Tangent map of ``action`` at order n and nonzero ``pattern`` (row-major bools):
+    its blocks stacked per size, all in one buffer of floats.  Image entry (i, j) of
+    E_kl reads A[l, j] at k = i and -A[i, k] at l = j (similarity), A[k, j] at l = i
+    and A[i, k] at l = j (congruence; *congruence puts Re, Im of v1 + v2 in rows r,
+    N + r of E_kl's column 2c, of i (v2 - v1) in i E_kl's).  Returns each term part's
+    buffer position and index into the parts of A, -A (int32, read-only), the buffer
+    size, and each stack's (start, stop, shape)."""
+    sim, w, neg = action == "similarity", 1 + (action == "star_congruence"), 2 * n * n  # -A's parts from neg
+    pieces = _summand_pieces(np.frombuffer(pattern, dtype=bool).reshape(n, n))
+    row, col, block, half = np.empty((4, n * n), dtype=np.intp)  # of each image entry, in floats
+    stacks, at = [], 0
+    for i, j in pieces:  # block after block, each row-major; (Re, Im) pairs under one column
+        (s, N), e = i.shape, i * n + j
+        block[e] = starts = np.arange(at, at + s * (size := 2 * w * N * N), size)[:, None]
+        row[e], col[e], half[e] = starts + (c := np.arange(0, 2 * N, 2)) * N, c, 2 * N * N
+        stacks.append((at // (3 - w), (at := at + s * size) // (3 - w), (s, w * N, w * N)))
+    diag = block[:: n + 1]  # (u, u) lies in the block of u's summand with itself
+    u, t = np.nonzero(diag[:, None] == diag)  # t in u's summand
+    un, tn, u, t, kn, k = u[:, None] * n, t[:, None] * n, u[:, None], t[:, None], np.arange(0, n * n, n), np.arange(n)
+    rows = np.concatenate([kn + u, un + k])  # the first terms at (u, t, k), then the second
+    cols = np.concatenate([kn + t if sim else tn + k, tn + k])
+    put = (row[rows] + col[cols]).astype(np.int32)[..., None] + np.arange(2, dtype=np.int32)
+    take = (2 * np.concatenate([tn + u, un + t])).astype(np.int32).repeat(n, axis=1).reshape(2, len(u), n, 1)
+    if w == 2:  # Re, Im to rows r and N + r of column 2c, then Im, Re (signed) to 2c + 1
+        put = put[..., None] + half[rows].astype(np.int32)[..., None, None] * np.arange(2, dtype=np.int32)
+        lanes = [[0, 1, 1, neg], [0, 1, neg + 1, 0]]
+    else:  # Re, Im side by side; -A for the second similarity term
+        lanes = [[0, 1], [sim * neg, sim * neg + 1]]
+    put, take = put.ravel(), (take + np.array(lanes, dtype=np.int32)[:, None, None]).ravel()
+    put.setflags(write=False), take.setflags(write=False)
+    return put, take, at, tuple(stacks)
 
-    M may be a stack (..., m, p) of matrices; all their singular values are
-    ranked as one row, so its rank is the sum of theirs.  ``ref`` is the
-    scale of the data M was built from: ranking against M's own largest
-    singular value would count roundoff as rank when M should be zero.
-    """
+
+def _blocks(action: str, A: np.ndarray, pattern: bytes) -> list:
+    """``_plan``'s block stacks at A, each float the sum of the parts it gets."""
+    put, take, size, stacks = _plan(action, len(A), pattern)
+    out = np.bincount(put, np.concatenate([flat := A.reshape(-1), -flat]).view(float)[take], size)
+    out = out if action == "star_congruence" else out.view(complex)
+    return [out[start:stop].reshape(shape) for start, stop, shape in stacks]
+
+
+def action_operator(action: str, A: np.ndarray) -> np.ndarray:
+    """The tangent map of ``action`` at A as one block: complex n^2 x n^2, column
+    k*n + l the image of E_kl at the row-major entries; for *congruence real 2n^2 x 2n^2,
+    columns 2(k*n + l) and 2(k*n + l) + 1 for E_kl and i*E_kl, real parts above imaginary."""
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
+    A = check_finite(A)
+    return _blocks(action, A, b"\x01" * A.size)[0][0]
+
+
+def numeric_rank(M: np.ndarray, ref: float, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Rank of M, or the sum of the ranks of a stack (..., m, p), by ``band_ranks``
+    against tol * ref, ``ref`` the scale of the data M was built from: against M's
+    own largest singular value, roundoff would count as rank when M should be zero."""
     check_tol(tol)
     return raise_ambiguous(band_ranks(np.linalg.svd(M, compute_uv=False).reshape(1, -1), tol, (ref,)))[0]
 
 
-# stacks of at most this many singular values take the plain-Python pass
-# of band_ranks, larger ones the array pass: about 0.35 us a value against
-# about 20 us flat, so the two meet near 64 values
+# band_ranks takes its plain-Python pass up to this many singular values, about
+# 0.35 us a value, and its array pass, about 20 us flat, above
 _SMALL_STACK = 64
 
 
 def _band_error(band: list, thr: float) -> NumericalAmbiguityError:
-    return NumericalAmbiguityError(
-        "singular values fall inside the rank-tolerance band",
-        details={"band": band, "threshold": float(thr)},
-    )
+    details = {"band": band, "threshold": float(thr)}
+    return NumericalAmbiguityError("singular values fall inside the rank-tolerance band", details=details)
 
 
 def band_ranks(s: np.ndarray, tol: float, ref) -> list:
-    """Guarded rank of each row of a stack of singular values s (k, m).
-
-    Row i counts its values at or above thr = ``tol * ref[i]``, in any
-    order: ``ref`` holds one scale per row, named at every call.  A zero
-    scale gives rank 0.  A row with a value inside the ambiguity band
-    (thr / RANK_BAND, thr * RANK_BAND) gets, in place of its rank, the
-    NumericalAmbiguityError that ranking that row alone raises.
-    """
+    """Guarded rank of each row of singular values s (k, m): its count of values at or
+    above thr = ``tol * ref[i]`` (0 at a zero scale), or, with a value inside the band
+    (thr / RANK_BAND, thr * RANK_BAND), the NumericalAmbiguityError that row raises."""
     if s.size <= _SMALL_STACK:
         out = []
         for row, scale in zip(s.tolist(), ref):
@@ -188,18 +191,13 @@ def guarded_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def _codim(action: str, A, tol: float) -> int:
-    """Domain dimension of the tangent map of ``action`` at A minus its rank.
-
-    The blocks of ``_summand_pieces`` of one size are ranked in one stacked
-    SVD, against the Frobenius norm of A rather than the map's own largest
-    singular value: at a scalar matrix moved by a unitary similarity the
-    commutator map is pure roundoff and has rank 0.  (The Frobenius norm is
-    within sqrt(n) of the spectral norm and, unlike it, needs no SVD.)
-    """
+    """Domain dimension of the tangent map of ``action`` at A minus its rank, the
+    blocks of one size in one SVD, against |A|_F (within sqrt(n) of |A|_2, no SVD):
+    at a scalar matrix moved by a unitary similarity the map is roundoff, rank 0."""
     check_tol(tol)
     A = unit_scale(check_finite(A))
     ref = float(np.linalg.norm(A))
-    rank = sum(numeric_rank(_assemble(action, A, i, j), ref, tol) for i, j in _summand_pieces(A))
+    rank = sum(numeric_rank(M, ref, tol) for M in _blocks(action, A, (A != 0).tobytes()))
     return A.size * (2 if action == "star_congruence" else 1) - rank
 
 

@@ -64,6 +64,15 @@ class TestSylvester:
         with pytest.raises(ValueError, match="upper-triangular"):
             sylvester_solve(J[0], J[1], np.ones((3, 2)))
 
+    @pytest.mark.parametrize("kind", [str, bool])
+    @pytest.mark.parametrize("which", ["J1", "J2", "C"])
+    def test_string_or_boolean_entries_refused(self, which, kind):
+        # np.asarray(..., dtype=complex) would parse the strings and take the booleans
+        args = {"J1": np.eye(2), "J2": 2 * np.eye(3), "C": np.ones((3, 2))}
+        args[which] = args[which].astype(kind)
+        with pytest.raises(TypeError, match=f"^{which} entries must be numbers, got "):
+            sylvester_solve(**args)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf j"])
     @pytest.mark.parametrize("which", ["J1", "J2", "C"])

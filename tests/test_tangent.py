@@ -153,6 +153,12 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             action_operator("unitary", np.eye(2))
 
+    @pytest.mark.parametrize("A", [np.zeros((13, 13)), np.ones((2, 3)), [["1"]]], ids=["order 13", "2x3", "str"])
+    def test_unknown_action_refused_before_the_matrix(self, A):
+        # the action is checked first, before the matrix is converted or allocated
+        with pytest.raises(ValueError, match=r"^unknown action 'unitary'; expected one of "):
+            action_operator("unitary", A)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
     def test_non_finite_matrix_refused(self, bad):
         for action in ("similarity", "congruence", "star_congruence"):
@@ -271,6 +277,46 @@ class TestPermutedDirectSums:
             assert CODIM[action](B) == unsplit_codim(action, B)
 
 
+class TestPlan:
+    """Each block the cached plan scatters is the tangent map by definition
+    (``basis_images``) on that block's rows and columns, wherever the summands sit."""
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    @pytest.mark.parametrize("case", TestPermutedDirectSums.CASES)
+    def test_blocks_are_basis_images(self, action, case):
+        A = direct_sum(*TestPermutedDirectSums.CASES[case])
+        n = len(A)
+        rng = np.random.default_rng(100 + len(case))
+        for _ in range(4):
+            p = rng.permutation(n)
+            B = A[np.ix_(p, p)]
+            want = basis_images(action, B)
+            stacks, pieces = tangent._blocks(action, B, (B != 0).tobytes()), _summand_pieces(B)
+            assert [len(M) for M in stacks] == [len(i) for i, _ in pieces]
+            for M, (i, j) in zip(stacks, pieces):
+                for block, e in zip(M, i * n + j):
+                    rows = cols = e
+                    if action == "star_congruence":  # real parts above imaginary; E_kl, then i E_kl
+                        rows, cols = np.concatenate([e, e + n * n]), np.stack([2 * e, 2 * e + 1], axis=1).ravel()
+                    assert block.dtype == want.dtype and np.array_equal(block, want[np.ix_(rows, cols)])
+            # no nonzero of the map lies outside the blocks
+            assert sum(np.count_nonzero(M) for M in stacks) == np.count_nonzero(want)
+
+    def test_plan_is_read_only_int32_and_the_cache_bounded(self):
+        A = direct_sum(*TestPermutedDirectSums.CASES["mixed"])
+        for action in ACTIONS:
+            put, take, _, _ = tangent._plan(action, len(A), (A != 0).tobytes())
+            for index in (put, take):
+                assert index.dtype == np.int32 and not index.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 0
+        rng = np.random.default_rng(4)
+        for _ in range(140):  # more patterns than the cache holds
+            tangent._plan("similarity", 5, (rng.random((5, 5)) < 0.3).tobytes())
+        info = tangent._plan.cache_info()
+        assert info.maxsize == 128 and info.currsize <= 128
+
+
 class TestOneRoute:
     """Every matrix is ranked through ``_summand_pieces``: one summand is one
     block of all n^2 entries.  The reference is the route that ranked such a
@@ -337,7 +383,7 @@ class TestCodimTolerance:
         def refuse(*args):
             raise AssertionError("work started before the tolerance was checked")
 
-        for name in ("check_finite", "_summand_pieces", "_assemble"):
+        for name in ("check_finite", "_summand_pieces", "_plan"):
             monkeypatch.setattr(tangent, name, refuse)
         with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\), got "):
             tangent._codim(action, np.eye(2), tol)
@@ -431,6 +477,43 @@ class TestEntryCheck:
         assert MAX_MATRIX_N == 12
         with pytest.raises(ValueError, match=r"has order 13, beyond the supported 12x12$"):
             call(np.eye(13))
+
+    NOT_NUMBERS = {
+        "str": np.array([["1", "2"], ["3", "4"]]),
+        "bytes": np.array([[b"1", b"0"], [b"0", b"1"]]),
+        "bool": np.eye(2, dtype=bool),
+        "list of str": [["1", "0"], ["0", "1"]],
+        "object str": np.array([[1, "2"], [3, 4]], dtype=object),
+        "object bool": np.array([[True, 0], [0, 1]], dtype=object),
+        "object numpy bool": np.array([[np.True_, 0], [0, 1]], dtype=object),
+    }
+
+    @pytest.mark.parametrize("A", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+    @pytest.mark.parametrize("call", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
+    def test_strings_and_booleans_refused(self, call, A):
+        # complex() parses a string and takes a bool: neither is a matrix entry
+        with pytest.raises(TypeError, match=r"^matrix entries must be numbers, got "):
+            call(A)
+
+    def test_perturbation_strings_refused(self):
+        with pytest.raises(TypeError, match=r"^perturbation entries must be numbers, got "):
+            reduce_to_miniversal(parse_compact("(0)^2"), np.zeros((2, 2), dtype=str))
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.uint16, np.int64, np.float16, np.float32, np.float64, np.longdouble,
+        np.complex64, np.complex128, object,
+    ])
+    def test_every_numeric_dtype_accepted(self, dtype):
+        A = np.array([[1, 2], [0, 3]])
+        want = [similarity_codim_numeric(A.astype(complex)), action_operator("congruence", A.astype(complex))]
+        got = [similarity_codim_numeric(A.astype(dtype)), action_operator("congruence", A.astype(dtype))]
+        assert got[0] == want[0] == 2 and np.array_equal(got[1], want[1])
+
+    def test_object_array_of_numbers_accepted(self):
+        from fractions import Fraction
+
+        A = np.array([[Fraction(1, 2), 2], [0, 3.0 + 0j]], dtype=object)
+        assert similarity_codim_numeric(A) == similarity_codim_numeric(A.astype(complex)) == 2
 
     def test_one_envelope(self):
         # one definition, in the numpy-free structure layer; the numeric layers import it
