@@ -38,8 +38,6 @@ def _stable(obj):
         return {k: _stable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_stable(v) for v in obj]
-    if hasattr(obj, "dtype"):  # numpy scalar
-        obj = obj.item()
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, complex):

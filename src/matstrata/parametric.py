@@ -15,6 +15,7 @@ import itertools
 from ._value import Value
 from .errors import CatalogError
 from .graphs import dot_text
+from .structure import NOT_NUMBERS
 
 PARAM_TOL = 1e-12
 
@@ -62,6 +63,8 @@ class Family(Value):
         return len(self.symbols)
 
     def check(self, params: tuple):
+        if any(isinstance(p, NOT_NUMBERS) for p in params):
+            raise TypeError(f"family {self.fid} takes numbers as parameters, got {params}")
         params = tuple(complex(p) for p in params)
         if len(params) != self.nparams:
             raise ValueError(
@@ -97,8 +100,8 @@ class ParametricGraph(Value):
 def _inst(g: ParametricGraph, inst):
     """Family and checked parameters of an instance ``(fid,)`` or ``(fid, params)``."""
     params = inst[1] if len(inst) == 2 else ()
-    try:
-        params = tuple(params)
+    try:  # a bare str or bytes stays whole, for ``check`` to refuse
+        params = (params,) if isinstance(params, NOT_NUMBERS) else tuple(params)
     except TypeError:  # one bare number
         params = (params,)
     fam = g.family(inst[0])
@@ -118,8 +121,6 @@ def has_arrow(g: ParametricGraph, src_inst, dst_inst) -> bool:
 
 
 def _candidate_params(fam: Family, pool):
-    if fam.nparams == 0:
-        return [()]
     cands = set()
     for tup in itertools.product(pool, repeat=fam.nparams):
         try:
@@ -158,20 +159,15 @@ def path_exists(g: ParametricGraph, src_inst, dst_inst) -> bool:
         cur = stack.pop()
         if close(cur, goal):
             return True
-        cf, cp = g.family(cur[0]), cur[1]
         for a in g.arrows:
-            if a.src != cf.fid:
+            if a.src != cur[0]:
                 continue
-            nf = g.family(a.dst)
-            targets = [goal[1]] if a.dst == goal[0] else _candidate_params(nf, pool)
+            # the goal's and the candidates' parameters are checked and canonical
+            targets = [goal[1]] if a.dst == goal[0] else _candidate_params(g.family(a.dst), pool)
             for tp in targets:
-                try:
-                    tp = nf.check(tp)
-                except ValueError:
+                if a.predicate is not None and not a.predicate(cur[1], tp):
                     continue
-                if a.predicate is not None and not a.predicate(cp, tp):
-                    continue
-                nxt = (nf.fid, nf.canonical(tp))
+                nxt = (a.dst, tp)
                 if not any(close(nxt, s) for s in seen):
                     seen.append(nxt)
                     stack.append(nxt)

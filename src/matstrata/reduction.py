@@ -45,19 +45,14 @@ def _freeze(*fields) -> None:
 
 
 class _Plan:
-    """What a reduction needs of a block grid (the block sizes of each
-    eigenvalue group), built by ``_setup`` once per structure; arrays read-only."""
+    """The pinned mask and within-group chains of a block grid (the block sizes
+    of each eigenvalue group), built by ``_setup`` once per structure; arrays read-only."""
 
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
-        sizes = [sum(parts) for parts in grid]
-        n = sum(sizes)
+        n = sum(map(sum, grid))
         self.pinned = pinned_cells(grid)
-        self.starts = np.array(list(accumulate(sizes[:-1], initial=0)))  # of each group
-        self.group = np.repeat(np.arange(len(grid)), sizes)  # of each row
-        self.between = self.group[:, None] != self.group[None, :]
-        self.passes = sum(sorted(map(max, grid))[-2:]) - 1  # that solve ``between`` exactly
         chains = []  # (first cell, cell count, source index - cell) of each chain
-        for off, parts in zip(self.starts.tolist(), grid):
+        for off, parts in zip(accumulate(map(sum, grid[:-1]), initial=0), grid):
             blocks = list(zip(accumulate(parts[:-1], initial=off), parts))
             for (sp, mp), (sq, mq) in product(blocks, blocks):
                 if sp <= sq and mp > 1:  # rows fill downward from the top row
@@ -85,24 +80,28 @@ class _BetweenGroups:
     With J = L + N, L diagonal, it repeats X <- (R + NX - XN) / (L_j - L_i)
     from X = 0.  A cell depends only on cells below it or to its left, so
     depth_a + depth_b - 1 passes are exact, the largest block of each group
-    in ``plan`` bounding its nilpotency index.  It refuses a pair to solve
+    in ``grid`` bounding its nilpotency index.  It refuses a pair to solve
     whose diagonals lie closer than GAP_TOL times the data scale, and a
     residual above 1e-10 |R| (or NaN).  What depends on J alone is built here.
     """
 
-    def __init__(self, J, plan: _Plan):
+    def __init__(self, J, grid: tuple[tuple[int, ...], ...]):
+        sizes = [sum(parts) for parts in grid]
         lam = np.diag(J)
         self.J, self.N = J, J - np.diag(lam)
-        self.starts, self.between, self.passes = plan.starts, plan.between, plan.passes
+        self.starts = np.array(list(accumulate(sizes[:-1], initial=0)))  # of each group
+        group = np.repeat(np.arange(len(grid)), sizes)  # of each row
+        self.between = group[:, None] != group[None, :]
+        self.passes = sum(sorted(map(max, grid))[-2:]) - 1  # that solve ``between`` exactly
         gap = lam[None, :] - lam[:, None]
         self.gap = self._blocks(np.minimum, np.abs(gap))
         top = np.maximum.reduceat(np.abs(lam), self.starts)
         self.threshold = GAP_TOL * np.maximum(1.0, np.maximum.outer(top, top))
         self.close = (self.gap < self.threshold) & ~np.eye(len(top), dtype=bool)
-        solved = self.between & ~self.close[plan.group][:, plan.group]
+        solved = self.between & ~self.close[group][:, group]
         self.inv_gap = np.divide(1, gap, out=np.zeros_like(gap), where=solved)
         self.any_close = bool(self.close.any())
-        _freeze(self.N, self.gap, self.threshold, self.close, self.inv_gap)
+        _freeze(self.N, self.starts, self.between, self.gap, self.threshold, self.close, self.inv_gap)
 
     def _blocks(self, ufunc, cells):
         """``cells`` reduced by ``ufunc`` over each pair of groups."""
@@ -157,7 +156,7 @@ def sylvester_solve(J1, J2, C) -> np.ndarray:
     J[:n1, :n1], J[n1:, n1:] = J1, J2
     R = np.zeros_like(J)
     R[n1:, :n1] = C
-    between = _BetweenGroups(J, _Plan(((n1,), (n2,))))
+    between = _BetweenGroups(J, ((n1,), (n2,)))
     between.refuse_close(True)
     return between.solve(R)[n1:, :n1]
 
@@ -176,9 +175,10 @@ def _chord_step(R, between, plan: _Plan) -> np.ndarray:
 def _setup(t: JordanType, key) -> tuple:
     """J, plan, between-group solver, stopping scale max(1, |J|_F) and step
     identity of the structure ``t``, arrays read-only; ``key`` only keys the cache."""
-    J, eye, plan = jordan_matrix(t), np.eye(t.n), _Plan(tuple(part.parts for _, part in t.entries))
+    grid = tuple(part.parts for _, part in t.entries)
+    J, eye, plan = jordan_matrix(t), np.eye(t.n), _Plan(grid)
     _freeze(J, eye)
-    between = _BetweenGroups(J, plan) if len(plan.starts) > 1 else None
+    between = _BetweenGroups(J, grid) if len(grid) > 1 else None
     e = scale_exponent(J).item()  # |J|_F normed on J / 2^e, so it overflows for no finite J
     return J, plan, between, max(1.0, float(np.ldexp(np.linalg.norm(unit_scale(J)), e))), eye
 

@@ -20,6 +20,7 @@ from ._value import Value
 from .errors import CompactParseError
 
 MAX_MATRIX_N = 12  # the design envelope: the largest order of a matrix input or a closure graph
+NOT_NUMBERS = (str, bytes, bool)  # complex() parses a str, bytes iterate as ints, a bool is an int
 GREEK_LETTERS = "λμνξρστω"
 _SUPERSCRIPTS = {str(d): s for d, s in enumerate("⁰¹²³⁴⁵⁶⁷⁸⁹")}
 
@@ -28,12 +29,15 @@ class Partition(Value):
     """Weakly decreasing tuple of positive integers (Jordan block sizes).
 
     Each part is taken with ``operator.index``: ints and numpy integers
-    pass, anything else (a float, a string) raises TypeError.
+    pass, anything else (a bool, a float, a string) raises TypeError.
     """
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
+        if any(isinstance(p, NOT_NUMBERS) for p in parts):
+            raise TypeError(f"partition parts must be integers, got {parts}")
         parts = tuple(map(operator.index, parts))
         if not parts:
             raise ValueError("partition must be nonempty")
@@ -97,6 +101,8 @@ class EigLabel(Value):
 
     @staticmethod
     def concrete(z: complex) -> "EigLabel":
+        if isinstance(z, NOT_NUMBERS):
+            raise TypeError(f"a concrete label must be a number, got {z!r}")
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError("concrete labels must be finite")

@@ -12,14 +12,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalAmbiguityError, raise_ambiguous
-from .structure import MAX_MATRIX_N
+from .structure import MAX_MATRIX_N, NOT_NUMBERS
 
 DEFAULT_RANK_TOL = 1e-8
 # a singular value within this factor of the rank threshold is ambiguous
 RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
-NOT_NUMBERS = (str, bytes, bool, np.bool_)  # complex() would take each of them
+NOT_NUMBERS = (*NOT_NUMBERS, np.bool_)  # structure's rule, and numpy's bool
 
 
 def check_tol(tol: float) -> None:

@@ -12,7 +12,6 @@ cells equals the codimension of the similarity class.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -27,7 +26,7 @@ from .structure import (
     format_complex,
     label_display,
 )
-from .tangent import check_positive
+from .tangent import as_complex, check_positive
 
 FIXED = "fixed"
 STAR = "star"
@@ -101,9 +100,8 @@ def real_param_count(tmpl: DeformationTemplate) -> int:
     return sum(_REAL_PARAMS[k] for row in tmpl.kinds for k in row)
 
 
-@lru_cache(maxsize=256)
 def pinned_cells(grid: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Read-only n x n mask of the pinned cells of the template whose
+    """The n x n mask of the pinned cells of the template whose
     eigenvalue groups have the block sizes ``grid``, in ``jordan_rows`` order."""
     n = sum(map(sum, grid))
     pinned = np.ones((n, n), dtype=bool)
@@ -115,7 +113,6 @@ def pinned_cells(grid: tuple[tuple[int, ...], ...]) -> np.ndarray:
                     pinned[sp + mp - 1, sq : sq + mq] = False
                 else:
                     pinned[sp : sp + mp, sq] = False
-    pinned.setflags(write=False)
     return pinned
 
 
@@ -150,10 +147,11 @@ def pattern_check(M, tmpl: DeformationTemplate, tol: float = DEFAULT_PATTERN_TOL
     """Does M agree with the template's pinned entries within tol?
 
     Parameter cells (star/eps/delta) are unconstrained; the residual is
-    the largest deviation over fixed cells.  ``tol`` must be finite and > 0.
+    the largest deviation over fixed cells.  M's entries must be numbers,
+    ``tol`` finite and > 0.
     """
     check_positive(tol, "pattern tolerance")
-    M = np.asarray(M, dtype=complex)
+    M = as_complex(M)
     if M.shape != (tmpl.n, tmpl.n):
         raise SizeMismatchError(f"matrix shape {M.shape} vs template size {tmpl.n}")
     pinned = np.array(tmpl.kinds) == FIXED

@@ -63,6 +63,11 @@ class TestWeyrCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: eigenvalue") and err.count("\n") == 1, err
 
+    def test_unparsable_lambda_refused(self, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", np.zeros((3, 3)))
+        assert invoke("weyr", "--matrix", path, "--lambda", "x") == (1, "")
+        assert capsys.readouterr().err == "error: cannot parse complex number 'x'\n"
+
     def test_ambiguity_exit_code(self, tmp_path):
         path = write_matrix(tmp_path / "m.json", np.diag([1.0, 1e-8]))
         code, _ = invoke("weyr", "--matrix", path, "--lambda", "0")

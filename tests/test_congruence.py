@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -410,6 +412,60 @@ class TestCongruenceGraphs:
         assert has_arrow(g, ("zero2",), ("diag_1_0", ()))
         assert has_arrow(g, ("zero2",), ("zero2", []))
         assert not has_arrow(g, ("diag_1_0",), ("zero2",))
+
+    @pytest.mark.parametrize("params", ["2", b"2", ("2",), (b"2",), True, (True,)], ids=repr)
+    def test_instance_parameters_must_be_numbers(self, params):
+        # complex() parses a string and takes a bool, tuple() unpacks bytes
+        # into byte codes: a bare str or bytes is one parameter, and refused
+        g = congruence_graph(2, "classes")
+        calls = [
+            lambda: family_form(g, ("h_lambda", params)),
+            lambda: has_arrow(g, ("h_lambda", params), ("h_lambda", (2.0,))),
+            lambda: path_exists(g, ("zero2",), ("h_lambda", params)),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=r"^family h_lambda takes numbers as parameters, got "):
+                call()
+
+    def test_star_instance_strings_refused(self):
+        with pytest.raises(TypeError, match=r"^family diag_l_0 takes numbers as parameters, got "):
+            has_arrow(star_graph_2x2(), ("diag_l_0", ("1",)), ("u_tau", (1,)))
+
+
+# moduli on and near the unit circle (within 1e-12, below and above, each
+# side of the real axis), tiny and huge moduli, and +-1, +-i
+NEAR_ONE = [
+    cmath.rect(1 + dr, phi)
+    for dr in (-9e-13, -1e-13, 0.0, 1e-13, 9e-13)
+    for phi in (0.0, 1e-13, -1e-13, 0.7, -0.7, math.pi / 2, -math.pi / 2, 3.0, -3.0)
+]
+PARAM_GRID = [*NEAR_ONE, 1e-300, 1e-8, 0.5, 0.3 - 0.4j, 2.0, -3j, 1e8, 1e300, -1e300j]
+
+PARAMETRIC_GRAPHS = [
+    *(congruence_graph(n, kind) for n in (2, 3) for kind in ("classes", "bundles")),
+    star_graph_2x2(),
+]
+
+
+class TestCanonicalParameters:
+    """What ``path_exists`` relies on when it takes a goal's or a candidate's
+    parameters as they are: ``canonical`` of checked parameters is checked
+    and canonical itself."""
+
+    def test_canonical_is_idempotent_and_checked(self):
+        count = 0
+        for g in PARAMETRIC_GRAPHS:
+            for fam in g.families:
+                for params in itertools.product(PARAM_GRID, repeat=fam.nparams):
+                    try:
+                        params = fam.check(params)
+                    except ValueError:
+                        continue
+                    canon = fam.canonical(params)
+                    assert fam.check(canon) == canon, (g.kind, fam.fid, params)
+                    assert fam.canonical(canon) == canon, (g.kind, fam.fid, params)
+                    count += 1
+        assert count == 2042
 
 
 class TestStarGraph:

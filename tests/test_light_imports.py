@@ -133,6 +133,12 @@ class TestLazyExports:
                 assert obj.__module__.startswith("matstrata.")
                 assert getattr(sys.modules[obj.__module__], name) is obj
 
+    def test_submodule_resolves_in_process(self, monkeypatch):
+        # without the attribute the import system set, the package's own
+        # lookup finds the loaded submodule
+        monkeypatch.delattr(matstrata, "graphs")
+        assert matstrata.graphs is sys.modules["matstrata.graphs"]
+
     def test_dir_lists_exports(self):
         assert set(EXPORTS) <= set(dir(matstrata))
 

@@ -65,9 +65,20 @@ class TestPartition:
             JordanType({label: (1,)})
 
     def test_integer_parts_become_ints(self):
-        p = Partition((np.int64(3), True))
+        p = Partition((np.int64(3), 1))
         assert p.parts == (3, 1) and all(type(x) is int for x in p.parts)
         assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
+
+    @pytest.mark.parametrize("parts", [(True, True), (3, False), (np.int64(2), True), (b"3",)])
+    def test_rejects_booleans_and_bytes(self, parts):
+        # operator.index takes a bool as 0 or 1: a bool is no block size
+        with pytest.raises(TypeError, match=r"^partition parts must be integers, got "):
+            Partition(parts)
+
+    @pytest.mark.parametrize("label", [sym(1), conc(0)])
+    def test_repeated_label_in_a_list_refused(self, label):
+        with pytest.raises(ValueError, match="labels within one Jordan structure must be distinct"):
+            JordanType([(label, (2,)), (label, (1,))])
 
 
 class TestLabels:
@@ -80,6 +91,23 @@ class TestLabels:
     def test_concrete_labels_must_be_finite(self, z):
         with pytest.raises(ValueError, match="concrete labels must be finite"):
             EigLabel.concrete(z)
+
+    @pytest.mark.parametrize("z", ["2", b"2", True, False])
+    def test_concrete_labels_must_be_numbers(self, z):
+        # complex() parses a string and takes a bool: neither is an eigenvalue
+        with pytest.raises(TypeError, match=r"^a concrete label must be a number, got "):
+            EigLabel.concrete(z)
+
+    @pytest.mark.parametrize("z", [2, 2.0, 2 + 0j, np.int64(2), np.float64(2), np.complex128(2)])
+    def test_concrete_labels_take_numbers(self, z):
+        assert EigLabel.concrete(z).value == 2 and type(EigLabel.concrete(z).value) is complex
+
+    def test_one_not_a_number_rule(self):
+        # the numpy-free layers read structure's rule; tangent adds numpy's bool
+        from matstrata import tangent
+
+        assert structure.NOT_NUMBERS == (str, bytes, bool)
+        assert tangent.NOT_NUMBERS == (*structure.NOT_NUMBERS, np.bool_)
 
 
 class TestConjugate:

@@ -236,10 +236,6 @@ class TestSharedMask:
                         count += 1
         assert count == 919
 
-    def test_mask_is_read_only(self):
-        with pytest.raises(ValueError, match="read-only"):
-            pinned_cells(((2, 1), (1,)))[0, 0] = False
-
 
 class TestPatternCheck:
     def test_unperturbed(self):
@@ -263,6 +259,18 @@ class TestPatternCheck:
         res = pattern_check(M, tmpl, tol=1e-8)
         assert not res.ok
         assert res.residual == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("M", [
+        [["1", "0"], ["0", "1"]],
+        np.array([[b"1", b"0"], [b"0", b"1"]]),
+        np.eye(2, dtype=bool),
+        np.array([[True, 0], [0, 1]], dtype=object),
+    ], ids=["str", "bytes", "bool", "object bool"])
+    def test_entries_must_be_numbers(self, M):
+        # complex() parses a string and takes a bool: neither is a matrix entry
+        tmpl = miniversal_template(jt({conc(1): (1, 1)}))
+        with pytest.raises(TypeError, match=r"^matrix entries must be numbers, got "):
+            pattern_check(M, tmpl)
 
     def test_nan_on_pinned_cell_fails(self):
         # a NaN must fail the check, not drop out of the max
