@@ -33,10 +33,10 @@ from .parametric import (  # noqa: F401 -- the closure graphs live in parametric
     parametric_to_json_doc,
     star_graph_2x2,
 )
-from .structure import complex_from_pair, format_complex
+from .structure import complex_from_pair, format_complex, not_a_number
 from .templates import DELTA, EPS_IM, EPS_RE, FIXED, STAR, DeformationTemplate, jordan_block
 from .tangent import (
-    DEFAULT_RANK_TOL, NOT_NUMBERS, action_operator, band_ranks, check_finite, check_tol, guarded_rank, unit_scale,
+    DEFAULT_RANK_TOL, action_operator, band_ranks, check_finite, check_tol, guarded_rank, unit_scale,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ class Block(Value):
                 raise CatalogError("U blocks need a unimodular parameter")
         elif param is not None:
             raise CatalogError(f"{kind} blocks carry no parameter")
-        if isinstance(param, NOT_NUMBERS):
+        if not_a_number(param):
             raise CatalogError(f"a block parameter must be a number, got {param!r}")
         if param is not None:
             param = complex(param)

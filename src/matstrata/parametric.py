@@ -15,7 +15,7 @@ import itertools
 from ._value import Value
 from .errors import CatalogError
 from .graphs import dot_text
-from .structure import NOT_NUMBERS
+from .structure import NOT_NUMBERS, not_a_number
 
 PARAM_TOL = 1e-12
 
@@ -63,7 +63,7 @@ class Family(Value):
         return len(self.symbols)
 
     def check(self, params: tuple):
-        if any(isinstance(p, NOT_NUMBERS) for p in params):
+        if any(map(not_a_number, params)):
             raise TypeError(f"family {self.fid} takes numbers as parameters, got {params}")
         params = tuple(complex(p) for p in params)
         if len(params) != self.nparams:

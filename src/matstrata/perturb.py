@@ -34,9 +34,10 @@ from .structure import (
     conjugate_partition,
     format_compact,
     format_display,
+    not_a_number,
 )
 from .tangent import (
-    DEFAULT_RANK_TOL, NOT_NUMBERS, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
+    DEFAULT_RANK_TOL, _closure, band_ranks, check_finite, check_positive, check_tol, unit_scale,
 )
 from .templates import jordan_matrix, jordan_rows
 
@@ -167,7 +168,7 @@ def numeric_weyr(A, lam, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
     """
     check_tol(tol)
     # complex() would parse a string, and a bool is no eigenvalue
-    if isinstance(lam, NOT_NUMBERS):
+    if not_a_number(lam):
         raise TypeError(f"eigenvalue must be a number, got {lam!r}")
     lam = complex(lam)
     if not np.isfinite(lam):

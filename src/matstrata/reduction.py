@@ -51,6 +51,7 @@ class _Plan:
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
         n = sum(map(sum, grid))
         self.pinned = pinned_cells(grid)
+        self.pinned_at = np.flatnonzero(self.pinned)  # flat indices, for the residual
         chains = []  # (first cell, cell count, source index - cell) of each chain
         for off, parts in zip(accumulate(map(sum, grid[:-1]), initial=0), grid):
             blocks = list(zip(accumulate(parts[:-1], initial=off), parts))
@@ -91,17 +92,27 @@ class _BetweenGroups:
         self.J, self.N = J, J - np.diag(lam)
         self.starts = np.array(list(accumulate(sizes[:-1], initial=0)))  # of each group
         group = np.repeat(np.arange(len(grid)), sizes)  # of each row
-        self.between = group[:, None] != group[None, :]
-        self.passes = sum(sorted(map(max, grid))[-2:]) - 1  # that solve ``between`` exactly
+        self.passes = sum(sorted(map(max, grid))[-2:]) - 1  # that solve the between cells exactly
+        # the flat indices of the between cells, pair of groups (a, b) by pair in
+        # row-major order, into Z and then R laid end to end (``pair_norms``),
+        # each pair's run start in them, and the pairs themselves
+        spans = [range(s, s + m) for s, m in zip(accumulate(sizes[:-1], initial=0), sizes)]
+        pairs = [(a, b) for a, b in product(range(len(grid)), repeat=2) if a != b]
+        runs = [[i * len(J) + j for i in spans[a] for j in spans[b]] for a, b in pairs]
+        cells = [cell for run in runs for cell in run]
+        self.pairs = np.array(pairs)
+        self.cells = np.array(cells + [cell + J.size for cell in cells])
+        self.runs = np.array(list(accumulate(map(len, runs * 2), initial=0))[:-1])
         gap = lam[None, :] - lam[:, None]
         self.gap = self._blocks(np.minimum, np.abs(gap))
         top = np.maximum.reduceat(np.abs(lam), self.starts)
         self.threshold = GAP_TOL * np.maximum(1.0, np.maximum.outer(top, top))
         self.close = (self.gap < self.threshold) & ~np.eye(len(top), dtype=bool)
-        solved = self.between & ~self.close[group][:, group]
+        solved = (group[:, None] != group[None, :]) & ~self.close[group][:, group]
         self.inv_gap = np.divide(1, gap, out=np.zeros_like(gap), where=solved)
         self.any_close = bool(self.close.any())
-        _freeze(self.N, self.starts, self.between, self.gap, self.threshold, self.close, self.inv_gap)
+        _freeze(self.N, self.starts, self.pairs, self.cells, self.runs, self.gap, self.threshold,
+                self.close, self.inv_gap)
 
     def _blocks(self, ufunc, cells):
         """``cells`` reduced by ``ufunc`` over each pair of groups."""
@@ -115,6 +126,13 @@ class _BetweenGroups:
                 f"spectra separated by {self.gap[a, b]:.3e} < threshold {self.threshold[a, b]:.3e}"
             )
 
+    def pair_norms(self, Z, R) -> np.ndarray:
+        """The Frobenius norms of Z and of R over each of ``pairs``, two rows: one
+        gather of the between cells, summed by hypot, which neither overflows
+        nor underflows."""
+        cells = np.concatenate((Z, R), axis=None).take(self.cells)
+        return np.hypot.reduceat(np.abs(cells), self.runs).reshape(2, -1)
+
     def solve(self, R) -> np.ndarray:
         """X on the between-group cells, zero inside the groups."""
         if self.any_close:
@@ -122,15 +140,12 @@ class _BetweenGroups:
         X = R * self.inv_gap
         for _ in range(self.passes - 1):
             X = (R + self.N @ X - X @ self.N) * self.inv_gap
-        residual, size = (  # Frobenius norms by hypot, which neither overflows nor underflows
-            self._blocks(np.hypot, np.where(self.between, np.abs(Z), 0))
-            for Z in (X @ self.J - self.J @ X - R, R)
-        )
-        if len(bad := np.argwhere(~(residual <= 1e-10 * size))):
-            a, b = bad[0]
+        residual, size = self.pair_norms(X @ self.J - self.J @ X - R, R)
+        if len(bad := np.flatnonzero(~(residual <= 1e-10 * size))):  # NaN included
+            first = bad[0]
             raise ReductionError(
-                f"Sylvester residual {residual[a, b]:.3e} exceeds 1e-10*|C|; "
-                f"spectral gap {self.gap[a, b]:.3e} too small for a reliable solve"
+                f"Sylvester residual {residual[first]:.3e} exceeds 1e-10*|C|; "
+                f"spectral gap {self.gap[tuple(self.pairs[first])]:.3e} too small for a reliable solve"
             )
         return X
 
@@ -222,8 +237,8 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
     S = np.eye(len(J), dtype=complex)
     steps, previous = 0, np.inf
     while True:
-        R = np.where(plan.pinned, M - J, 0)
-        residual = float(np.abs(R).max())
+        delta = M - J
+        residual = float(np.abs(delta.take(plan.pinned_at)).max(initial=0.0))
         if residual <= target:
             break
         if not residual <= previous / 2:  # NaN included
@@ -233,7 +248,7 @@ def reduce_to_miniversal(t: JordanType, E, tol: float = DEFAULT_PATTERN_TOL) -> 
             )
         if steps == MAX_STEPS:
             raise ReductionError(f"no convergence in {MAX_STEPS} chord steps")
-        X = _chord_step(R, between, plan)
+        X = _chord_step(np.where(plan.pinned, delta, 0), between, plan)
         # the Frobenius norm bounds the spectral one, so the SVD runs only near the limit
         if np.linalg.norm(X) > MAX_STEP and (size := np.linalg.norm(X, 2)) > MAX_STEP:
             raise ReductionError(

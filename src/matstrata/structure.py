@@ -25,6 +25,13 @@ GREEK_LETTERS = "λμνξρστω"
 _SUPERSCRIPTS = {str(d): s for d, s in enumerate("⁰¹²³⁴⁵⁶⁷⁸⁹")}
 
 
+def not_a_number(x) -> bool:
+    """Whether ``x`` is one of NOT_NUMBERS or numpy's bool.  A numpy value exists
+    only once numpy is loaded, so its bool is looked up in ``sys.modules``."""
+    np = sys.modules.get("numpy")
+    return isinstance(x, NOT_NUMBERS) or np is not None and isinstance(x, np.bool_)
+
+
 class Partition(Value):
     """Weakly decreasing tuple of positive integers (Jordan block sizes).
 
@@ -36,7 +43,7 @@ class Partition(Value):
 
     def __init__(self, parts: tuple[int, ...]):
         parts = tuple(parts)
-        if any(isinstance(p, NOT_NUMBERS) for p in parts):
+        if any(map(not_a_number, parts)):
             raise TypeError(f"partition parts must be integers, got {parts}")
         parts = tuple(map(operator.index, parts))
         if not parts:
@@ -101,7 +108,7 @@ class EigLabel(Value):
 
     @staticmethod
     def concrete(z: complex) -> "EigLabel":
-        if isinstance(z, NOT_NUMBERS):
+        if not_a_number(z):
             raise TypeError(f"a concrete label must be a number, got {z!r}")
         z = complex(z)
         if not cmath.isfinite(z):

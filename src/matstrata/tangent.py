@@ -12,14 +12,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalAmbiguityError, raise_ambiguous
-from .structure import MAX_MATRIX_N, NOT_NUMBERS
+from .structure import MAX_MATRIX_N, not_a_number
 
 DEFAULT_RANK_TOL = 1e-8
 # a singular value within this factor of the rank threshold is ambiguous
 RANK_BAND = 10.0
 
 ACTIONS = ("similarity", "congruence", "star_congruence")
-NOT_NUMBERS = (*NOT_NUMBERS, np.bool_)  # structure's rule, and numpy's bool
 
 
 def check_tol(tol: float) -> None:
@@ -37,7 +36,7 @@ def check_positive(x: float, what: str) -> None:
 def as_complex(A, what: str = "matrix") -> np.ndarray:
     """A as a complex array; refuse strings and booleans, in an object array too."""
     A = np.asarray(A)
-    if A.dtype.kind in "USb" or A.dtype == object and any(isinstance(x, NOT_NUMBERS) for x in A.flat):
+    if A.dtype.kind in "USb" or A.dtype == object and any(map(not_a_number, A.flat)):
         raise TypeError(f"{what} entries must be numbers, got {A.dtype} entries")
     return A.astype(complex, copy=False)
 

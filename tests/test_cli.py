@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -266,6 +267,19 @@ class TestReduceCommand:
         assert code == 1 and out == ""
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: spectra separated by")
+
+    def test_ill_conditioned_solve_refused(self, tmp_path, capsys):
+        # a 3-block 2e-8 from a 1-block, above GAP_TOL: the exact passes still
+        # leave a between-group residual of about 0.72 |C| in roundoff
+        E = np.zeros((4, 4))
+        E[3, :3] = 1e-6 * np.array([1, 0.3, 0.7])
+        path = write_matrix(tmp_path / "e.json", E)
+        code, out = invoke("reduce", "--jordan", "(1)^3 (1.00000002)", "--pert", path)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"error: Sylvester residual \S+ exceeds 1e-10\*\|C\|; spectral gap \S+ too small for a reliable solve", err[0]
+        ), err
 
 
 class TestClassifyCommand:

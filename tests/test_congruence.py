@@ -413,7 +413,9 @@ class TestCongruenceGraphs:
         assert has_arrow(g, ("zero2",), ("zero2", []))
         assert not has_arrow(g, ("diag_1_0",), ("zero2",))
 
-    @pytest.mark.parametrize("params", ["2", b"2", ("2",), (b"2",), True, (True,)], ids=repr)
+    @pytest.mark.parametrize(
+        "params", ["2", b"2", ("2",), (b"2",), True, (True,), np.True_, (np.False_,), np.array([True])], ids=repr
+    )
     def test_instance_parameters_must_be_numbers(self, params):
         # complex() parses a string and takes a bool, tuple() unpacks bytes
         # into byte codes: a bare str or bytes is one parameter, and refused
@@ -427,9 +429,11 @@ class TestCongruenceGraphs:
             with pytest.raises(TypeError, match=r"^family h_lambda takes numbers as parameters, got "):
                 call()
 
-    def test_star_instance_strings_refused(self):
+    # complex(np.True_) is 1+0j: unrefused, diag_l_0 would take lambda = 1 and reach diag_l_l
+    @pytest.mark.parametrize("params, dst", [(("1",), "u_tau"), (np.array([True]), "diag_l_l")], ids=repr)
+    def test_star_instance_strings_refused(self, params, dst):
         with pytest.raises(TypeError, match=r"^family diag_l_0 takes numbers as parameters, got "):
-            has_arrow(star_graph_2x2(), ("diag_l_0", ("1",)), ("u_tau", (1,)))
+            has_arrow(star_graph_2x2(), ("diag_l_0", params), (dst, (1,)))
 
 
 # moduli on and near the unit circle (within 1e-12, below and above, each

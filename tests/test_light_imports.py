@@ -109,6 +109,12 @@ def test_parametric_graph_commands_load_them(code):
 TEMPLATE_SIM = "from matstrata import cli\nassert cli.run(['template', 'sim', '--jordan', '(0)^2']) == 0"
 
 
+def test_not_a_number_rule_skips_numpy():
+    # numpy's bool is refused through sys.modules, so the rule itself loads no numpy
+    assert not loads("numpy", "from matstrata.structure import EigLabel, not_a_number\n"
+                     "assert not_a_number(True) and not not_a_number(2) and EigLabel.concrete(2).value == 2")
+
+
 def test_numeric_command_loads_numpy():
     # the probe itself can see numpy, so the light-path checks above can fail
     assert loads("numpy", TEMPLATE_SIM)

@@ -274,7 +274,7 @@ class TestChainFill:
     def test_cached_plan_is_read_only(self):
         plan = reduction._setup(jt({conc(0): (3, 1), conc(1): (2, 2)}), ("0j", "(1+0j)"))[1]
         arrays = [field for field in vars(plan).values() if isinstance(field, np.ndarray)]
-        assert len(arrays) == 4 and all(a.size for a in arrays)
+        assert len(arrays) == 5 and all(a.size for a in arrays)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
@@ -312,10 +312,24 @@ class TestSetupCache:
         t = jt({conc(0): (3, 1), conc(1): (2, 2)})
         J, plan, between, scale, eye = reduction._setup(t, ("0j", "(1+0j)"))  # the key of t
         arrays = [J, eye, *(a for a in vars(between).values() if isinstance(a, np.ndarray))]
-        assert len(arrays) == 10 and all(a.size for a in arrays)
+        assert len(arrays) == 12 and all(a.size for a in arrays)
         assert between.J is J and between.any_close is False and np.array_equal(plan.pinned, reduction.pinned_cells(((3, 1), (2, 2))))
         assert scale == np.linalg.norm(J) and np.array_equal(eye, np.eye(8))
         for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    def test_between_cell_index_is_read_only(self):
+        # each pair of groups in row-major order, its between cells in row-major
+        # order, once into XJ - JX - R and once into R
+        t = jt({conc(0): (3, 1), conc(1): (2,), conc(2): (1,)})
+        between = reduction._setup(t, ("0j", "(1+0j)", "(2+0j)"))[2]
+        assert between.pairs.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+        spans = [range(0, 4), range(4, 6), range(6, 7)]
+        cells = [i * 7 + j for a, b in between.pairs for i in spans[a] for j in spans[b]]
+        assert between.cells.tolist() == cells + [c + 49 for c in cells]
+        assert between.runs.tolist() == [0, 8, 12, 20, 22, 26, 28, 36, 40, 48, 50, 54]
+        for a in (between.pairs, between.cells, between.runs):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
@@ -422,6 +436,61 @@ class TestFloatRange:
             sylvester_solve(J1, J2, C)
         residual = float(re.search(r"residual (\S+)", str(info.value))[1])
         assert np.ldexp(residual, -c) == pytest.approx(0.728, abs=5e-4)
+
+
+def random_grid(rng):
+    """Block grid of 2-4 eigenvalue groups, order at most 12, each group's
+    partition drawn at random."""
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k, 13))
+    mults = np.diff((0, *np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)), n))
+    return tuple(partitions(int(m))[rng.integers(len(partitions(int(m))))].parts for m in mults)
+
+
+class TestPairNorms:
+    """Each pair of groups' norms come from one gather of the between cells;
+    the two-stage reduction over the whole grid that it replaced is the reference."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [0, 664, -664])
+    def test_match_the_two_stage_reduction(self, rng, k):
+        for _ in range(200):
+            grid = random_grid(rng)
+            sizes = [sum(parts) for parts in grid]
+            n = sum(sizes)
+            J = np.diag(np.repeat(np.arange(len(grid)), sizes)).astype(complex)
+            between = reduction._BetweenGroups(J, grid)
+            group = np.repeat(np.arange(len(grid)), sizes)
+            Z, R = (np.ldexp(rng.standard_normal((n, 2 * n)), k).view(complex) for _ in range(2))
+            ref = [
+                between._blocks(np.hypot, np.where(group[:, None] != group, np.abs(Y), 0))[tuple(between.pairs.T)]
+                for Y in (Z, R)
+            ]
+            # hypot sums in another order: a few ulps apart, never over- or underflowing
+            np.testing.assert_allclose(between.pair_norms(Z, R), ref, rtol=8 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("cells", [((2, 0), (0, 4)), ((0, 4), (2, 0))], ids=["(1,0) first", "(0,2) first"])
+    def test_first_failing_pair_in_row_major_order_reported(self, cells):
+        # one pass where two or three are needed: pairs (0, 2) and (1, 0) both fail,
+        # and (0, 2), with gap 3.5, comes first whichever cell is filled first
+        J = jordan_matrix(jt({conc(0): (2,), conc(1): (2,), conc(3.5): (1,)}))
+        between = reduction._BetweenGroups(J, ((2,), (2,), (1,)))
+        between.passes = 1
+        R = np.zeros((5, 5), dtype=complex)
+        for i, j in cells:
+            R[i : i + 2, j] = 1e-5
+        X = R * between.inv_gap
+        want = np.linalg.norm((X @ J - J @ X - R)[:2, 4:])
+        with pytest.raises(ReductionError, match=re.escape(f"residual {want:.3e} exceeds 1e-10*|C|; spectral gap 3.500e+00")):
+            between.solve(R)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_residual_refused(self):
+        J = jordan_matrix(jt({conc(0): (2,), conc(1): (1,)}))
+        R = np.zeros((3, 3), dtype=complex)
+        R[2, 0] = complex(np.nan, 0)
+        with pytest.raises(ReductionError, match=r"^Sylvester residual nan exceeds 1e-10\*\|C\|; spectral gap 1.000e\+00"):
+            reduction._BetweenGroups(J, ((2,), (1,))).solve(R)
 
 
 class TestSplit:

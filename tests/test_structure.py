@@ -69,7 +69,7 @@ class TestPartition:
         assert p.parts == (3, 1) and all(type(x) is int for x in p.parts)
         assert p == Partition((3, 1)) and hash(p) == hash(Partition((3, 1)))
 
-    @pytest.mark.parametrize("parts", [(True, True), (3, False), (np.int64(2), True), (b"3",)])
+    @pytest.mark.parametrize("parts", [(True, True), (3, False), (np.int64(2), True), (b"3",), (2, np.True_)])
     def test_rejects_booleans_and_bytes(self, parts):
         # operator.index takes a bool as 0 or 1: a bool is no block size
         with pytest.raises(TypeError, match=r"^partition parts must be integers, got "):
@@ -92,7 +92,7 @@ class TestLabels:
         with pytest.raises(ValueError, match="concrete labels must be finite"):
             EigLabel.concrete(z)
 
-    @pytest.mark.parametrize("z", ["2", b"2", True, False])
+    @pytest.mark.parametrize("z", ["2", b"2", True, False, np.True_, np.False_])
     def test_concrete_labels_must_be_numbers(self, z):
         # complex() parses a string and takes a bool: neither is an eigenvalue
         with pytest.raises(TypeError, match=r"^a concrete label must be a number, got "):
@@ -103,11 +103,14 @@ class TestLabels:
         assert EigLabel.concrete(z).value == 2 and type(EigLabel.concrete(z).value) is complex
 
     def test_one_not_a_number_rule(self):
-        # the numpy-free layers read structure's rule; tangent adds numpy's bool
-        from matstrata import tangent
+        # every layer reads structure's rule, numpy's bool included
+        from matstrata import congruence, parametric, perturb, tangent
 
         assert structure.NOT_NUMBERS == (str, bytes, bool)
-        assert tangent.NOT_NUMBERS == (*structure.NOT_NUMBERS, np.bool_)
+        for module in (congruence, parametric, perturb, tangent):
+            assert module.not_a_number is structure.not_a_number
+        assert [structure.not_a_number(x) for x in ("1", b"1", True, np.True_, np.False_)] == [True] * 5
+        assert not any(map(structure.not_a_number, (1, 1.0, 1j, np.int64(1), np.float64(1), np.array([True]))))
 
 
 class TestConjugate:
